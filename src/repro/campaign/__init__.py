@@ -61,7 +61,6 @@ from repro.campaign.executors import (
     SerialExecutor,
     execute_cell,
     execute_cell_capture,
-    execute_cell_replay,
     execute_replay_group,
     make_executor,
 )
@@ -90,7 +89,6 @@ __all__ = [
     "available_benchmarks",
     "execute_cell",
     "execute_cell_capture",
-    "execute_cell_replay",
     "execute_replay_group",
     "make_executor",
     "run_campaign",

@@ -63,8 +63,10 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
-from typing import Dict, Optional, Sequence
+from contextlib import contextmanager
+from typing import Dict, Iterator, Optional, Sequence
 
 from repro.campaign.cache import ResultCache
 from repro.campaign.core import CampaignOutcome, run_campaign
@@ -489,19 +491,37 @@ def _cmd_run(args: argparse.Namespace) -> int:
         )
     if args.cores is not None and args.cores < 1:
         raise ValueError("--cores must be at least 1")
-    if args.timing_mode is not None:
-        # Carried in the environment (not the cell specs) so it reaches
-        # pool worker processes; see ``executors.resolved_timing_mode``.
-        import os
+    # The modes travel in the environment (not the cell specs) so they reach
+    # pool worker processes and the --figure campaigns, which build their
+    # own Campaign objects; see ``executors.resolved_timing_mode`` and
+    # ``resolved_replay_mode``.  They are restored on the way out, so later
+    # campaigns of an in-process caller keep their own modes.
+    with _environment(
+        REPRO_TIMING_MODE=args.timing_mode,
+        REPRO_REPLAY_MODE=None if args.replay_mode == "exact" else args.replay_mode,
+    ):
+        return _run(args)
 
-        os.environ["REPRO_TIMING_MODE"] = args.timing_mode
-    if args.replay_mode != "exact":
-        # Also carried in the environment (see executors.resolved_replay_mode)
-        # so --figure campaigns — which build their own Campaign objects —
-        # and pool workers honor the flag too.
-        import os
 
-        os.environ["REPRO_REPLAY_MODE"] = args.replay_mode
+@contextmanager
+def _environment(**values: Optional[str]) -> Iterator[None]:
+    """Set the non-``None`` variables for the block, then restore them all."""
+    saved = {name: os.environ.get(name) for name in values}
+    os.environ.update(
+        {name: value for name, value in values.items() if value is not None}
+    )
+    try:
+        yield
+    finally:
+        for name, value in saved.items():
+            if value is None:
+                os.environ.pop(name, None)
+            else:
+                os.environ[name] = value
+
+
+def _run(args: argparse.Namespace) -> int:
+    """The body of ``run``, with the execution modes in the environment."""
     executor = make_executor(args.jobs)
     cache = ResultCache(args.cache_dir) if args.cache_dir else None
 
@@ -578,8 +598,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         )
         if args.cache_max_bytes is not None:
             cache.start_janitor(args.janitor_interval)
-    import os
-
     workers = args.workers if args.workers else (os.cpu_count() or 2)
     pool = WorkerPool(
         workers=workers,

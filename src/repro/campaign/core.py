@@ -107,7 +107,7 @@ def _plan_two_stage(
     pending: Sequence[Tuple[int, RunSpec]],
     cache: Optional[ResultCache],
 ) -> Tuple[
-    List[Tuple[str, RunSpec, int]],
+    Dict[str, List[Tuple[int, RunSpec]]],
     List[Tuple[int, RunSpec, Optional[str]]],
     Dict[str, ActivityTrace],
 ]:
@@ -116,14 +116,15 @@ def _plan_two_stage(
     Returns ``(replays, phase1, cached_traces)`` where ``phase1`` holds
     ``(slot, spec, capture_key)`` tasks (``capture_key`` is the timing key
     to record a trace for, or ``None`` for a plain coupled run) and
-    ``replays`` holds ``(timing_key, spec, slot)`` cells whose trace comes
-    either from ``cached_traces`` or from this campaign's capture cell.
+    ``replays`` maps a timing key to the ``(slot, spec)`` cells replaying
+    its trace, which comes either from ``cached_traces`` or from this
+    campaign's capture cell.
 
     A replay-eligible singleton group only captures when a cache is
     attached (the trace then pays off across campaigns); without one, a
     trace nobody replays would be pure overhead.
     """
-    replays: List[Tuple[str, RunSpec, int]] = []
+    replays: Dict[str, List[Tuple[int, RunSpec]]] = {}
     phase1: List[Tuple[int, RunSpec, Optional[str]]] = []
     cached_traces: Dict[str, ActivityTrace] = {}
 
@@ -138,7 +139,7 @@ def _plan_two_stage(
         trace = cache.load_trace(key) if cache is not None else None
         if trace is not None:
             cached_traces[key] = trace
-            replays.extend((key, spec, slot) for slot, spec in members)
+            replays[key] = members
             continue
         if len(members) == 1 and cache is None:
             slot, spec = members[0]
@@ -146,8 +147,40 @@ def _plan_two_stage(
             continue
         (first_slot, first_spec), rest = members[0], members[1:]
         phase1.append((first_slot, first_spec, key))
-        replays.extend((key, spec, slot) for slot, spec in rest)
+        if rest:
+            replays[key] = rest
     return replays, phase1, cached_traces
+
+
+def _replay_groups(
+    executor: Executor,
+    fn,
+    groups: Sequence[Tuple[object, List[Tuple[int, object]]]],
+    results: List[Optional[SimulationResult]],
+    cache: Optional[ResultCache],
+) -> None:
+    """Replay ``(traces, [(slot, spec), ...])`` groups into ``results``.
+
+    One task per group of cells sharing their trace(s), so each trace
+    crosses a process boundary once per group rather than once per cell;
+    fresh results are stored in the cache.
+    """
+    tasks = [(traces, tuple(spec for _, spec in members)) for traces, members in groups]
+    outputs = executor.run_tasks(fn, tasks) if tasks else []
+    if len(outputs) != len(tasks):
+        raise RuntimeError(
+            f"executor returned {len(outputs)} groups for {len(tasks)} replay groups"
+        )
+    for (_, members), group_results in zip(groups, outputs):
+        if len(group_results) != len(members):
+            raise RuntimeError(
+                f"replay group returned {len(group_results)} results for "
+                f"{len(members)} cells"
+            )
+        for (slot, spec), result in zip(members, group_results):
+            results[slot] = result
+            if cache is not None:
+                cache.store(spec, result)
 
 
 def run_campaign(
@@ -194,7 +227,7 @@ def run_campaign(
     if replay and supports_tasks:
         replays, phase1, traces = _plan_two_stage(pending, cache)
     else:
-        replays, phase1, traces = [], [(s, spec, None) for s, spec in pending], {}
+        replays, phase1, traces = {}, [(s, spec, None) for s, spec in pending], {}
 
     # Phase 1: coupled timing simulations (some of them capturing a trace).
     executed_before = executor.cells_executed
@@ -228,38 +261,19 @@ def run_campaign(
             if cache is not None:
                 cache.store_trace(key, trace)
 
-    # Phase 2: physics-only replays, one task per timing-key group so each
-    # shared trace crosses a process boundary once, not once per cell.
-    group_members: Dict[str, List[Tuple[RunSpec, int]]] = {}
-    for key, spec, slot in replays:
-        group_members.setdefault(key, []).append((spec, slot))
-    replay_tasks = [
-        (traces[key], tuple(spec for spec, _ in members))
-        for key, members in group_members.items()
-    ]
-    replayed_groups = (
-        executor.run_tasks(execute_replay_group, replay_tasks) if replay_tasks else []
+    # Phase 2: physics-only replays, one task per timing-key group.
+    _replay_groups(
+        executor,
+        execute_replay_group,
+        [(traces[key], members) for key, members in replays.items()],
+        results,
+        cache,
     )
-    if len(replayed_groups) != len(replay_tasks):
-        raise RuntimeError(
-            f"executor returned {len(replayed_groups)} groups for "
-            f"{len(replay_tasks)} replayed groups"
-        )
-    for members, group_results in zip(group_members.values(), replayed_groups):
-        if len(group_results) != len(members):
-            raise RuntimeError(
-                f"replay group returned {len(group_results)} results for "
-                f"{len(members)} cells"
-            )
-        for (spec, slot), result in zip(members, group_results):
-            results[slot] = result
-            if cache is not None:
-                cache.store(spec, result)
 
     outcome = CampaignOutcome(
         campaign=campaign,
         cells_executed=executor.cells_executed - executed_before,
-        cells_replayed=len(replays),
+        cells_replayed=sum(len(members) for members in replays.values()),
         traces_captured=traces_captured,
         cache_hits=cache_hits,
         executor_description=executor.describe(),
@@ -355,41 +369,23 @@ def _run_chip_campaign(
                 cache.store_trace(key, trace)
                 cache.store(core_spec, result)
 
-    # Phase 2: replay every eligible chip cell over its threads' traces —
-    # one task per trace-set group (a physics sweep over one mix shares its
-    # per-core traces), so each trace crosses a process boundary once per
-    # group rather than once per cell.
+    # Phase 2: replay every eligible chip cell over its threads' traces, one
+    # task per trace-set group (a physics sweep over one mix shares its
+    # per-core traces).
     groups: Dict[Tuple[str, ...], List[Tuple[int, object]]] = {}
     for slot, spec in replay_cells:
         keys = tuple(cs.timing_key() for cs in spec.core_specs())
         groups.setdefault(keys, []).append((slot, spec))
-    replay_tasks = [
-        (
-            tuple(traces[key] for key in keys),
-            tuple(spec for _, spec in members),
-        )
-        for keys, members in groups.items()
-    ]
-    replayed_groups = (
-        executor.run_tasks(execute_chip_replay_group, replay_tasks)
-        if replay_tasks
-        else []
+    _replay_groups(
+        executor,
+        execute_chip_replay_group,
+        [
+            (tuple(traces[key] for key in keys), members)
+            for keys, members in groups.items()
+        ],
+        results,
+        cache,
     )
-    if len(replayed_groups) != len(replay_tasks):
-        raise RuntimeError(
-            f"executor returned {len(replayed_groups)} groups for "
-            f"{len(replay_tasks)} replayed chip groups"
-        )
-    for members, group_results in zip(groups.values(), replayed_groups):
-        if len(group_results) != len(members):
-            raise RuntimeError(
-                f"chip replay group returned {len(group_results)} results "
-                f"for {len(members)} cells"
-            )
-        for (slot, spec), result in zip(members, group_results):
-            results[slot] = result
-            if cache is not None:
-                cache.store(spec, result)
 
     # Phase 3: coupled chip cells (feedback-bearing chip policies).
     specs = [spec for _, spec in coupled_cells]

@@ -18,8 +18,9 @@ processes:
 * :func:`execute_cell` — the classic coupled timing+physics simulation;
 * :func:`execute_cell_capture` — a coupled run that also records the
   timing stage's :class:`~repro.sim.activity_trace.ActivityTrace`;
-* :func:`execute_cell_replay` — a physics-only replay of a previously
-  captured trace (orders of magnitude cheaper than a coupled run).
+* :func:`execute_replay_group` — a physics-only replay of a previously
+  captured trace under every cell of its timing-key group (orders of
+  magnitude cheaper than a coupled run).
 
 The campaign layer routes cells between them (see
 :func:`repro.campaign.core.run_campaign`); the generic :meth:`Executor.run_tasks`
@@ -46,10 +47,6 @@ _Task = TypeVar("_Task")
 _Result = TypeVar("_Result")
 
 
-#: Accepted values of the engine ``timing_mode`` selector.
-TIMING_MODES = ("auto", "fast", "reference")
-
-
 def resolved_timing_mode() -> str:
     """Engine timing mode for campaign cells (``REPRO_TIMING_MODE``).
 
@@ -60,6 +57,8 @@ def resolved_timing_mode() -> str:
     pickle boundary into pool workers (child processes inherit the
     environment under both fork and spawn).  Unset means ``auto``.
     """
+    from repro.sim.engine import TIMING_MODES
+
     mode = os.environ.get("REPRO_TIMING_MODE", "auto").strip().lower() or "auto"
     if mode not in TIMING_MODES:
         raise ValueError(
@@ -152,28 +151,12 @@ def execute_cell_capture(spec: RunSpec) -> Tuple[SimulationResult, ActivityTrace
     return result, trace
 
 
-def execute_cell_replay(task: Tuple[RunSpec, ActivityTrace]) -> SimulationResult:
-    """Replay one cell's physics over a shared activity trace.
-
-    Takes a single ``(spec, trace)`` tuple so the function maps directly
-    over a process pool.  No trace generation, no processor, no per-uop
-    simulation — just the array-backed physics stage, bit-identical to the
-    coupled run of the same spec.
-    """
-    spec, trace = task
-    trace = resolve_trace(trace)
-    from repro.sim.engine import PhysicsStage
-
-    dtm_policy = None
-    if spec.dtm_policy is not None:
-        from repro.dtm import make_policy
-
-        dtm_policy = make_policy(spec.dtm_policy)
-    stage = PhysicsStage(spec.config, interval_cycles=spec.interval_cycles)
-    result = stage.replay(trace, dtm_policy=dtm_policy)
-    result.provenance.update(spec.provenance())
-    result.provenance["replayed"] = True
-    return result
+def _stamp_replayed(specs, results: List[SimulationResult]) -> List[SimulationResult]:
+    """Record each spec's settings provenance on its replayed result."""
+    for spec, result in zip(specs, results):
+        result.provenance.update(spec.provenance())
+        result.provenance["replayed"] = True
+    return results
 
 
 def execute_replay_group(
@@ -183,41 +166,31 @@ def execute_replay_group(
 
     The campaign layer fans replays out one *group* per task rather than
     one cell per task, so the (potentially large) trace crosses the process
-    boundary once per group instead of once per cell.
-
-    How the group's physics is computed is the specs' ``replay_mode``
-    (overridable via ``REPRO_REPLAY_MODE``): ``"exact"`` gives each cell its
-    own fresh :class:`~repro.sim.engine.PhysicsStage` (bit-identical to the
-    coupled run), ``"batched"``/``"auto"`` route the group through
-    :func:`repro.sim.group_replay.replay_group`, which advances whole
-    thermally-identical sub-groups per interval in one multi-RHS solve.  A
-    single-cell group always short-circuits to the exact per-cell path —
-    there is nothing to batch, so it must perform zero batch solves.
+    boundary once per group instead of once per cell.  How the group's
+    physics is computed is the specs' ``replay_mode`` (overridable via
+    ``REPRO_REPLAY_MODE``), see :func:`repro.sim.group_replay.replay_group`:
+    ``"exact"`` replays each cell alone (bit-identical to the coupled run),
+    ``"batched"``/``"auto"`` advance whole thermally-identical sub-groups
+    per interval in one multi-RHS solve.
     """
     trace, specs = task
+    specs = list(specs)
+    if not specs:
+        return []
+    from repro.sim.group_replay import replay_group
+
     # The trace may arrive as a zero-copy TraceRef (mmap'd cache artifact
     # or shared-memory segment) instead of a pickled payload; resolving it
     # consults the worker's warm registry first, so sibling groups over the
     # same trace decode it once per worker.
-    trace = resolve_trace(trace)
-    specs = list(specs)
-    mode = resolved_replay_mode(specs[0].replay_mode if specs else "exact")
-    if mode == "exact" or len(specs) <= 1:
-        return [execute_cell_replay((spec, trace)) for spec in specs]
-
-    from repro.sim.group_replay import replay_group
-
     results = replay_group(
-        trace,
+        resolve_trace(trace),
         [spec.config for spec in specs],
         interval_cycles=specs[0].interval_cycles,
         dtm_policies=[spec.dtm_policy for spec in specs],
-        replay_mode=mode,
+        replay_mode=resolved_replay_mode(specs[0].replay_mode),
     )
-    for spec, result in zip(specs, results):
-        result.provenance.update(spec.provenance())
-        result.provenance["replayed"] = True
-    return results
+    return _stamp_replayed(specs, results)
 
 
 def execute_chip_cell(spec) -> SimulationResult:
@@ -249,62 +222,30 @@ def execute_chip_cell(spec) -> SimulationResult:
     return result
 
 
-def execute_chip_replay(task) -> SimulationResult:
-    """Replay one chip cell's physics over its threads' single-core traces.
-
-    Takes a ``(ChipRunSpec, (trace, ...))`` tuple — one
-    :class:`~repro.sim.activity_trace.ActivityTrace` per thread, in core
-    order.  The traces are ordinary single-core captures (shared with any
-    single-core campaign of the same settings); the result is bit-identical
-    to :func:`execute_chip_cell` for the same spec.
-    """
-    spec, traces = task
-    traces = tuple(resolve_trace(trace) for trace in traces)
-    from repro.chip import replay_chip
-
-    result = replay_chip(
-        spec.config,
-        traces,
-        cores=spec.cores,
-        interval_cycles=spec.interval_cycles,
-        chip_policy=spec.chip_policy,
-        solver_backend=spec.solver_backend,
-    )
-    result.provenance.update(spec.provenance())
-    result.provenance["replayed"] = True
-    return result
-
-
 def execute_chip_replay_group(task) -> List[SimulationResult]:
     """Replay every chip cell of one trace-set group over its shared traces.
 
-    Mirrors :func:`execute_replay_group` one level up: chip cells whose
-    threads resolve to the same per-core trace tuple (a physics sweep over
-    one mix) are fanned out one *group* per task, so the traces are pickled
-    into a worker once per group instead of once per cell.  (Within one
-    task, pickle memoizes the shared trace objects, so a homogeneous mix's
-    repeated trace also crosses the boundary once.)  Like
-    :func:`execute_replay_group`, the specs' ``replay_mode`` (or the
-    ``REPRO_REPLAY_MODE`` override) may route the group through the batched
-    multi-RHS path (:func:`repro.chip.engine.replay_chip_group`); a
-    single-cell group always takes the exact per-cell path.
+    Mirrors :func:`execute_replay_group` one level up: ``task`` is a
+    ``((trace, ...), (ChipRunSpec, ...))`` pair — one single-core
+    :class:`~repro.sim.activity_trace.ActivityTrace` per thread, in core
+    order, shared with any single-core campaign of the same settings — and
+    the group replays through :func:`repro.chip.engine.replay_chip_group`,
+    bit-identical to :func:`execute_chip_cell` in ``"exact"`` mode.  (Within
+    one task, pickle memoizes the shared trace objects, so a homogeneous
+    mix's repeated trace crosses the boundary once.)
     """
     traces, specs = task
-    traces = tuple(resolve_trace(trace) for trace in traces)
     specs = list(specs)
-    mode = resolved_replay_mode(
-        getattr(specs[0], "replay_mode", "exact") if specs else "exact"
-    )
-    if mode == "exact" or len(specs) <= 1:
-        return [execute_chip_replay((spec, traces)) for spec in specs]
-
+    if not specs:
+        return []
     from repro.chip.engine import replay_chip_group
 
-    results = replay_chip_group(traces, specs, replay_mode=mode)
-    for spec, result in zip(specs, results):
-        result.provenance.update(spec.provenance())
-        result.provenance["replayed"] = True
-    return results
+    results = replay_chip_group(
+        tuple(resolve_trace(trace) for trace in traces),
+        specs,
+        replay_mode=resolved_replay_mode(specs[0].replay_mode),
+    )
+    return _stamp_replayed(specs, results)
 
 
 def execute_campaign_task(
@@ -342,7 +283,6 @@ def _describe_task(task: object) -> str:
         if isinstance(second, (tuple, list)):
             names = ", ".join(_spec_name(spec) for spec in second)
             return f"replay group [{names}]"
-        return _spec_name(first)
     return _spec_name(task)
 
 

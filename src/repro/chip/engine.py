@@ -57,12 +57,14 @@ from repro.dtm.controls import DTMControls, DTMTelemetry, FETCH_DUTY_PERIOD
 from repro.dtm.policies import DTMObservation, DTMPolicy, make_policy
 from repro.isa.microops import MicroOp
 from repro.power.energy import build_block_parameters
+from repro.power.power_model import PowerModel
 from repro.sim import blocks
 from repro.sim.activity_trace import ActivityTrace, TraceRecorder, timing_feedback_reason
 from repro.sim.block_index import BlockIndex
 from repro.sim.config import ProcessorConfig
-from repro.sim.engine import PhysicsStage, TimingStage
-from repro.sim.results import IntervalRecord, SimulationResult
+from repro.sim.engine import PhysicsStage, TimingStage, select_timing_stage
+from repro.sim.group_replay import ReplayCell, TraceStack, replay_cells
+from repro.sim.results import SimulationResult
 from repro.sim.stats import SimulationStats
 from repro.thermal.floorplan import compose_floorplans
 from repro.thermal.sensors import SensorBank
@@ -127,17 +129,6 @@ def build_chip_physics(
         raise ValueError("a chip needs at least one core")
     core_parameters = build_block_parameters(config)
     core_areas = {name: p.area_mm2 for name, p in core_parameters.items()}
-    core_index = BlockIndex(core_parameters.keys())
-    # The chip block order is defined once, through the BlockIndex
-    # composition API: per-core namespaces concatenated in core order.  The
-    # parameter dict (whose key order seeds the PowerModel's index) and the
-    # composed floorplan both follow it.
-    chip_index = BlockIndex.concat(
-        [
-            core_index.namespaced(core_prefix(c), separator=CORE_SEPARATOR)
-            for c in range(cores)
-        ]
-    )
     from repro.thermal.floorplan import build_floorplan
 
     core_plan = build_floorplan(config, core_areas)
@@ -146,10 +137,7 @@ def build_chip_physics(
         [core_prefix(c) for c in range(cores)],
         separator=CORE_SEPARATOR,
     )
-    chip_parameters = {
-        name: core_parameters[name.split(CORE_SEPARATOR, 1)[1]]
-        for name in chip_index.names
-    }
+    chip_parameters = _chip_parameters(core_parameters, cores)
     physics = PhysicsStage(
         config,
         interval_cycles,
@@ -159,7 +147,28 @@ def build_chip_physics(
         solver_backend=solver_backend,
         solver_ordering=solver_ordering,
     )
-    return physics, core_index, len(core_index)
+    return physics, BlockIndex(core_parameters), len(core_parameters)
+
+
+def _chip_parameters(core_parameters, cores: int):
+    """Per-core block parameters laid out over the composite die.
+
+    The chip block order is defined once, through the BlockIndex
+    composition API: per-core namespaces concatenated in core order.  The
+    parameter dict (whose key order seeds the PowerModel's index) and the
+    composed floorplan both follow it.
+    """
+    core_index = BlockIndex(core_parameters)
+    chip_index = BlockIndex.concat(
+        [
+            core_index.namespaced(core_prefix(c), separator=CORE_SEPARATOR)
+            for c in range(cores)
+        ]
+    )
+    return {
+        name: core_parameters[name.split(CORE_SEPARATOR, 1)[1]]
+        for name in chip_index.names
+    }
 
 
 def _aggregate_stats(
@@ -279,6 +288,35 @@ def _finish_chip_result(
         chip["contention"] = contention
     result.chip = chip
     return result
+
+
+def chip_feedback_reason(
+    config: ProcessorConfig,
+    contention=None,
+    chip_policy: Optional[Union[ChipDTMPolicy, str]] = None,
+    core_policies: Sequence[Optional[DTMPolicy]] = (),
+) -> Optional[str]:
+    """Why a chip run's timing depends on its physics — or ``None``.
+
+    :func:`~repro.sim.activity_trace.timing_feedback_reason` plus the chip's
+    own couplings: shared-LLC contention ties threads together through
+    memory latency, and a temperature-actuating chip or per-core policy
+    steers timing by temperature.  The one authority for both the engine's
+    capture guard and :meth:`~repro.chip.spec.ChipRunSpec.replay_reason`.
+    """
+    reason = timing_feedback_reason(config)
+    if reason is not None:
+        return reason
+    if contention is not None:
+        return "shared-LLC contention couples threads through memory latency"
+    if isinstance(chip_policy, str):
+        chip_policy = make_chip_policy(chip_policy)
+    if chip_policy is not None and chip_policy.feedback:
+        return f"chip DTM policy {chip_policy.name!r} actuates on temperatures"
+    for policy in core_policies:
+        if policy is not None and policy.feedback:
+            return f"per-core DTM policy {policy.name!r} actuates on temperatures"
+    return None
 
 
 class ChipEngine:
@@ -401,42 +439,16 @@ class ChipEngine:
                 self.core_telemetry.append(DTMTelemetry(controls.table))
                 self.core_sensors.append(SensorBank(self.core_index.names))
 
-        # --------------------------------------------------------------
-        # Timing-mode selection.  Same contract as the single-core engine:
-        # the fast path only claims configurations it reproduces
-        # byte-for-byte, so any physics-to-timing feedback (which on a chip
-        # includes temperature-actuating chip or per-core policies — the
-        # exact set ``replay_safe_reason`` already polices) falls back to
-        # the per-uop golden reference, as does a workload that cannot be
-        # batch-decoded.
-        # --------------------------------------------------------------
-        if timing_mode not in ("auto", "fast", "reference"):
-            raise ValueError(
-                "timing_mode must be 'auto', 'fast' or 'reference', "
-                f"not {timing_mode!r}"
-            )
+        # Timing-mode selection: the single-core engine's rule, where any
+        # physics-to-timing feedback includes temperature-actuating chip or
+        # per-core policies and contention (``replay_safe_reason``).
         self.timing_mode = timing_mode
-        fallback: Optional[str] = None
-        if timing_mode == "reference":
-            fallback = "timing_mode='reference' requested"
-        else:
-            fallback = self.replay_safe_reason
-            if fallback is None and not all(
-                isinstance(source, Sequence) for source in uop_sources
-            ):
-                fallback = "streaming uop source cannot be batch-decoded"
-            if timing_mode == "fast" and fallback is not None:
-                raise ValueError(
-                    f"timing_mode='fast' is not applicable: {fallback}"
-                )
-        self.timing_fallback_reason = fallback
-        self.resolved_timing_mode = "reference" if fallback is not None else "fast"
-        if self.resolved_timing_mode == "fast":
-            from repro.sim.fast_timing import FastTimingStage
-
-            stage_cls = FastTimingStage
-        else:
-            stage_cls = TimingStage
+        stage_cls, self.timing_fallback_reason = select_timing_stage(
+            timing_mode, self.replay_safe_reason, uop_sources
+        )
+        self.resolved_timing_mode = (
+            "reference" if self.timing_fallback_reason is not None else "fast"
+        )
         self.timings: List[TimingStage] = [
             stage_cls(
                 config,
@@ -455,22 +467,9 @@ class ChipEngine:
     @property
     def replay_safe_reason(self) -> Optional[str]:
         """Why this chip run cannot be captured for replay (``None`` = it can)."""
-        reason = timing_feedback_reason(self.config)
-        if reason is not None:
-            return reason
-        if self.contention is not None:
-            return (
-                "shared-LLC contention couples threads through memory latency"
-            )
-        if self.chip_policy is not None and self.chip_policy.feedback:
-            return (
-                f"chip DTM policy {self.chip_policy.name!r} actuates on "
-                "temperatures"
-            )
-        for policy in self.core_policies:
-            if policy is not None and policy.feedback:
-                return f"per-core DTM policy {policy.name!r} actuates on temperatures"
-        return None
+        return chip_feedback_reason(
+            self.config, self.contention, self.chip_policy, self.core_policies
+        )
 
     # ------------------------------------------------------------------
     # DTM hooks
@@ -808,6 +807,74 @@ class ChipEngine:
         return result, traces
 
 
+class ChipReplayCell(ReplayCell):
+    """A chip cell of the replay path: N per-core traces on one composite die.
+
+    Differs from the single-core :class:`~repro.sim.group_replay.ReplayCell`
+    only in how its die and power model are built (per-core namespaced
+    blocks, ``cores`` abutting dies) and in the chip telemetry folded into
+    its result.  ``chip_policy`` may only be a non-feedback policy
+    (``"none"``); a feedback-bearing chip policy migrates threads by
+    temperature, so its cells must be simulated coupled.
+    """
+
+    policy_kind = "chip DTM policy"
+
+    def __init__(
+        self,
+        config: ProcessorConfig,
+        cores: int,
+        interval_cycles: Optional[int] = None,
+        chip_policy: Optional[Union[ChipDTMPolicy, str]] = None,
+        solver_backend: str = "auto",
+    ) -> None:
+        if isinstance(chip_policy, str):
+            chip_policy = make_chip_policy(chip_policy)
+        super().__init__(config, chip_policy, interval_cycles)
+        self.cores = cores
+        self.solver_backend = solver_backend
+
+    def die(self) -> PhysicsStage:
+        return build_chip_physics(
+            self.config,
+            self.cores,
+            self.interval_cycles,
+            solver_backend=self.solver_backend,
+        )[0]
+
+    def power_model(self) -> PowerModel:
+        return PowerModel(
+            self.config.power, _chip_parameters(self.core_parameters, self.cores)
+        )
+
+    def finish(
+        self, result: SimulationResult, die, stack: TraceStack, temperatures
+    ) -> SimulationResult:
+        """Fold per-core accounting from the recorded temperature vectors."""
+        traces = stack.traces
+        accounting = _ChipAccounting(self.cores, len(die.block_index) // self.cores)
+        for row in temperatures:
+            accounting.observe(row)
+        # A non-feedback chip policy never leaves the nominal VF point, so its
+        # residency is a pure function of the interval count — reconstruct it
+        # exactly as the coupled loop records it.
+        return _finish_chip_result(
+            result,
+            cores=self.cores,
+            benchmarks=[trace.benchmark for trace in traces],
+            per_thread_stats=[trace.stats_copy() for trace in traces],
+            final_cores=list(range(len(traces))),
+            accounting=accounting,
+            chip_cycles=int(stack.chip_cycles.sum()),
+            policy_name=self.policy.name if self.policy else None,
+            migration_log=(),
+            dvfs_residency=(
+                {"1": 1.0} if self.policy is not None and accounting.intervals else None
+            ),
+            thread_dtm=[None] * len(traces),
+        )
+
+
 def replay_chip(
     config: ProcessorConfig,
     traces: Sequence[ActivityTrace],
@@ -820,152 +887,22 @@ def replay_chip(
     """Replay N per-core activity traces through one composite-die physics.
 
     The chip analogue of :meth:`~repro.sim.engine.PhysicsStage.replay`: the
-    per-core count matrices concatenate into one
-    ``(intervals x total_blocks)`` activity matrix, the whole run's dynamic
-    power is computed in a single vectorized
-    :meth:`~repro.power.power_model.PowerModel.dynamic_power_matrix` pass
-    (per-core cycle counts supplied as a matching cycles matrix), and the
-    inherently sequential leakage/thermal chain walks the intervals over the
-    shared RC network.  Bit-identical to the coupled
+    N-trace layout of :mod:`repro.sim.group_replay`'s exact walk — the
+    per-core count matrices stack into one ``(intervals x total_blocks)``
+    activity matrix and the sequential leakage/thermal chain walks the
+    intervals over the shared RC network.  Bit-identical to the coupled
     :meth:`ChipEngine.run` of the same mix — threads that finish early idle
     at zero activity (idle and leakage power only), exactly as the coupled
     loop leaves them.
-
-    ``chip_policy`` may only be a non-feedback policy (``"none"``); a
-    feedback-bearing chip policy migrates threads by temperature, so its
-    cells must be simulated coupled.
     """
-    if not traces:
-        raise ValueError("chip replay needs at least one per-core trace")
-    cores = cores if cores is not None else len(traces)
-    if len(traces) > cores:
-        raise ValueError(f"{len(traces)} traces do not fit on {cores} cores")
-    if isinstance(chip_policy, str):
-        chip_policy = make_chip_policy(chip_policy)
-    if chip_policy is not None and chip_policy.feedback:
-        raise ValueError(
-            f"chip DTM policy {chip_policy.name!r} actuates on temperatures; "
-            "its cells must be simulated coupled, not replayed"
-        )
-    physics, core_index, blocks_per_core = build_chip_physics(
-        config, cores, interval_cycles, solver_backend=solver_backend
+    cell = ChipReplayCell(
+        config,
+        cores if cores is not None else len(traces),
+        interval_cycles,
+        chip_policy,
+        solver_backend,
     )
-    for t, trace in enumerate(traces):
-        if list(trace.block_names) != list(core_index.names):
-            raise ValueError(
-                f"trace {t} was captured over a different block set; "
-                "it cannot be replayed on this configuration"
-            )
-        if trace.interval_cycles != physics.interval_cycles:
-            raise ValueError(
-                f"trace {t} was captured at interval_cycles="
-                f"{trace.interval_cycles}, not {physics.interval_cycles}"
-            )
-
-    lengths = [len(trace) for trace in traces]
-    intervals = max(lengths)
-    total_blocks = len(physics.block_index)
-    interval_cycles = physics.interval_cycles
-
-    counts = np.zeros((intervals, total_blocks))
-    cycles = np.full((intervals, total_blocks), interval_cycles, dtype=np.int64)
-    any_gated = any(trace.gated_masks is not None for trace in traces)
-    gated = np.zeros((intervals, total_blocks), dtype=bool) if any_gated else None
-    thread_cycles = np.zeros((len(traces), intervals), dtype=np.int64)
-    for t, trace in enumerate(traces):
-        seg = slice(t * blocks_per_core, (t + 1) * blocks_per_core)
-        n = lengths[t]
-        counts[:n, seg] = trace.counts
-        cycles[:n, seg] = trace.cycles[:, None]
-        thread_cycles[t, :n] = trace.cycles
-        if gated is not None and trace.gated_masks is not None:
-            gated[:n, seg] = trace.gated_masks
-    chip_cycles = thread_cycles.max(axis=0)
-
-    result = physics.new_result("+".join(trace.benchmark for trace in traces))
-    result.provenance["replayed"] = True
-    power_model = physics.power_model
-    leakage_model = power_model.leakage_model
-    interval_seconds = config.thermal.interval_seconds
-    accounting = _ChipAccounting(cores, blocks_per_core)
-
-    # The whole run's dynamic power in one (intervals x total_blocks) pass:
-    # dynamic power depends only on counts, per-core cycles and gating,
-    # never on the temperatures the sequential loop below produces.
-    dynamic_matrix = power_model.dynamic_power_matrix(counts, cycles, gated)
-    chip_cycle = 0
-    for i in range(intervals):
-        gated_row = gated[i] if gated is not None else None
-        if i == 0 and warmup:
-            physics.warmup(counts[0], cycles[0], gated_row)
-        dynamic = dynamic_matrix[i]
-        leakage_model.observe_dynamic_power_array(dynamic)
-        leakage = leakage_model.leakage_power_array(
-            physics.temperature_array, gated_row
-        )
-        dt_cycles = int(chip_cycles[i])
-        dt = interval_seconds * (dt_cycles / interval_cycles)
-        chip_cycle += dt_cycles
-        result.intervals.append(
-            physics._advance_and_record(
-                dynamic,
-                leakage,
-                dt,
-                cycle=chip_cycle,
-                seconds=(i + 1) * interval_seconds,
-            )
-        )
-        accounting.observe(physics.temperature_array)
-    result.warmup_temperature = physics.warmup_temperatures
-
-    per_thread_stats = [trace.stats_copy() for trace in traces]
-    # A non-feedback chip policy never leaves the nominal VF point, so its
-    # residency is a pure function of the interval count — reconstruct it
-    # exactly as the coupled loop records it.
-    dvfs_residency = (
-        {"1": 1.0} if chip_policy is not None and accounting.intervals else None
-    )
-    return _finish_chip_result(
-        result,
-        cores=cores,
-        benchmarks=[trace.benchmark for trace in traces],
-        per_thread_stats=per_thread_stats,
-        final_cores=list(range(len(traces))),
-        accounting=accounting,
-        chip_cycles=chip_cycle,
-        policy_name=chip_policy.name if chip_policy else None,
-        migration_log=(),
-        dvfs_residency=dvfs_residency,
-        thread_dtm=[None] * len(traces),
-    )
-
-
-def _chip_replay_matrices(
-    traces: Sequence[ActivityTrace], blocks_per_core: int, interval_cycles: int
-):
-    """The shared per-core -> chip matrix stacking of :func:`replay_chip`.
-
-    Depends only on the traces and the die layout, never on the physics
-    variant — one build serves every cell of a batched chip replay group.
-    Returns ``(counts, cycles, gated, chip_cycles, intervals)``.
-    """
-    lengths = [len(trace) for trace in traces]
-    intervals = max(lengths)
-    total_blocks = blocks_per_core * len(traces)
-    counts = np.zeros((intervals, total_blocks))
-    cycles = np.full((intervals, total_blocks), interval_cycles, dtype=np.int64)
-    any_gated = any(trace.gated_masks is not None for trace in traces)
-    gated = np.zeros((intervals, total_blocks), dtype=bool) if any_gated else None
-    thread_cycles = np.zeros((len(traces), intervals), dtype=np.int64)
-    for t, trace in enumerate(traces):
-        seg = slice(t * blocks_per_core, (t + 1) * blocks_per_core)
-        n = lengths[t]
-        counts[:n, seg] = trace.counts
-        cycles[:n, seg] = trace.cycles[:, None]
-        thread_cycles[t, :n] = trace.cycles
-        if gated is not None and trace.gated_masks is not None:
-            gated[:n, seg] = trace.gated_masks
-    return counts, cycles, gated, thread_cycles.max(axis=0), intervals
+    return replay_cells([cell], traces, warmup=warmup)[0]
 
 
 def replay_chip_group(
@@ -979,235 +916,23 @@ def replay_chip_group(
 
     The chip analogue of :func:`repro.sim.group_replay.replay_group`:
     ``specs`` are :class:`~repro.chip.spec.ChipRunSpec` cells of one
-    trace-set replay group (same mix, same cores — only physics-side
-    configuration varies).  ``"exact"`` routes every cell through
-    :func:`replay_chip` (bit-identical to the coupled run); ``"batched"`` /
-    ``"auto"`` sub-group the cells by thermal/floorplan key (plus core
-    count and solver backend — both shape the composite die's network) and
-    advance each sub-group's cells per interval in one multi-RHS solve,
-    within the same rtol/atol 1e-8 contract as the single-core batched
-    path.  Results come back in ``specs`` order.
+    trace-set replay group (same mix — only physics-side configuration
+    varies).  ``"exact"`` replays every cell alone, bit-identical to the
+    coupled run; ``"batched"`` / ``"auto"`` sub-group the cells by
+    thermal/floorplan key (plus core count and solver backend — both shape
+    the composite die's network) and advance each sub-group's cells per
+    interval in one multi-RHS solve, within the same rtol/atol 1e-8
+    contract as the single-core batched path.  Results come back in
+    ``specs`` order.
     """
-    from repro.sim.group_replay import thermal_group_key, validate_replay_mode
-
-    mode = validate_replay_mode(replay_mode)
-    specs = list(specs)
-
-    def _exact(spec) -> SimulationResult:
-        return replay_chip(
+    cells = [
+        ChipReplayCell(
             spec.config,
-            traces,
-            cores=spec.cores,
-            interval_cycles=spec.interval_cycles,
-            warmup=warmup,
-            chip_policy=spec.chip_policy,
-            solver_backend=spec.solver_backend,
+            spec.cores,
+            spec.interval_cycles,
+            spec.chip_policy,
+            spec.solver_backend,
         )
-
-    if mode == "exact" or len(specs) <= 1:
-        return [_exact(spec) for spec in specs]
-
-    # Sub-group by everything that shapes the composite die's RC network.
-    subgroups: Dict[str, List[int]] = {}
-    for position, spec in enumerate(specs):
-        core_parameters = build_block_parameters(spec.config)
-        core_areas = {name: p.area_mm2 for name, p in core_parameters.items()}
-        key = (
-            f"{thermal_group_key(spec.config, core_areas)}"
-            f":{spec.cores}:{spec.solver_backend}"
-        )
-        subgroups.setdefault(key, []).append(position)
-
-    results: List[Optional[SimulationResult]] = [None] * len(specs)
-    for positions in subgroups.values():
-        members = [specs[p] for p in positions]
-        policy_names = {
-            (p.name if isinstance(p, ChipDTMPolicy) else p)
-            for p in (spec.chip_policy for spec in members)
-        }
-        if len(positions) < 2 or (mode == "auto" and len(policy_names) > 1):
-            for position in positions:
-                results[position] = _exact(specs[position])
-            continue
-        for position, result in zip(
-            positions, _replay_chip_subgroup_batched(traces, members, warmup)
-        ):
-            results[position] = result
-    return results  # type: ignore[return-value]
-
-
-def _replay_chip_subgroup_batched(
-    traces: Sequence[ActivityTrace],
-    specs: Sequence[object],
-    warmup: bool,
-) -> List[SimulationResult]:
-    """The tensor path over one thermally-identical chip sub-group."""
-    from repro.sim.group_replay import (
-        batched_interval_walk,
-        exact_warmup_state,
-        nominal_power_tensor,
-    )
-    from repro.power.power_model import PowerModel
-
-    rep = specs[0]
-    cores = rep.cores if rep.cores is not None else len(traces)
-    if not traces:
-        raise ValueError("chip replay needs at least one per-core trace")
-    if len(traces) > cores:
-        raise ValueError(f"{len(traces)} traces do not fit on {cores} cores")
-    physics, core_index, blocks_per_core = build_chip_physics(
-        rep.config, cores, rep.interval_cycles, solver_backend=rep.solver_backend
-    )
-    interval_cycles = physics.interval_cycles
-    solver = physics.solver
-    network = physics.network
-    node_positions = physics._node_positions
-    chip_index = physics.block_index
-    interval_seconds = rep.config.thermal.interval_seconds
-
-    cells = []
-    for spec in specs:
-        policy = spec.chip_policy
-        if isinstance(policy, str):
-            policy = make_chip_policy(policy)
-        if policy is not None and policy.feedback:
-            raise ValueError(
-                f"chip DTM policy {policy.name!r} actuates on temperatures; "
-                "its cells must be simulated coupled, not replayed"
-            )
-        core_parameters = build_block_parameters(spec.config)
-        chip_parameters = {
-            name: core_parameters[name.split(CORE_SEPARATOR, 1)[1]]
-            for name in chip_index.names
-        }
-        cells.append(
-            (spec, policy, chip_parameters, PowerModel(spec.config.power, chip_parameters))
-        )
-    for t, trace in enumerate(traces):
-        if list(trace.block_names) != list(core_index.names):
-            raise ValueError(
-                f"trace {t} was captured over a different block set; "
-                "it cannot be replayed on this configuration"
-            )
-        if trace.interval_cycles != interval_cycles:
-            raise ValueError(
-                f"trace {t} was captured at interval_cycles="
-                f"{trace.interval_cycles}, not {interval_cycles}"
-            )
-
-    counts, cycles, gated, chip_cycles, intervals = _chip_replay_matrices(
-        traces, blocks_per_core, interval_cycles
-    )
-    width = len(cells)
-
-    states = np.empty((network.num_nodes, width))
-    warmup_maps = []
-    seeded = warmup and intervals > 0
-    if seeded:
-        gated0 = gated[0] if gated is not None else None
-        for k, (spec, _, _, power_model) in enumerate(cells):
-            state = exact_warmup_state(
-                solver,
-                power_model,
-                spec.config,
-                counts[0],
-                cycles[0],
-                gated0,
-                node_positions,
-            )
-            states[:, k] = state
-            warmup_maps.append(chip_index.mapping_from_array(state[node_positions]))
-    else:
-        ambient_state = network.uniform_state(rep.config.thermal.ambient_celsius)
-        ambient_map = chip_index.mapping_from_array(ambient_state[node_positions])
-        for k in range(width):
-            states[:, k] = ambient_state
-            warmup_maps.append(dict(ambient_map))
-
-    dynamic_tensor = np.stack(
-        [
-            power_model.dynamic_power_matrix(counts, cycles, gated)
-            for _, _, _, power_model in cells
-        ]
-    )
-    nominal_tensor = nominal_power_tensor(dynamic_tensor, seeded)
-    fraction_col = np.array(
-        [spec.config.power.leakage_fraction_at_ambient for spec, _, _, _ in cells]
-    )[:, None]
-    coefficient_col = np.array(
-        [spec.config.power.leakage_temperature_coefficient for spec, _, _, _ in cells]
-    )[:, None]
-    ambient_col = np.array(
-        [spec.config.power.ambient_celsius for spec, _, _, _ in cells]
-    )[:, None]
-    dts = [
-        interval_seconds * (int(chip_cycles[i]) / interval_cycles)
-        for i in range(intervals)
+        for spec in specs
     ]
-
-    temps_traj, leak_traj = batched_interval_walk(
-        solver,
-        node_positions,
-        states,
-        dynamic_tensor,
-        nominal_tensor,
-        fraction_col,
-        coefficient_col,
-        ambient_col,
-        gated,
-        dts,
-    )
-
-    benchmarks = [trace.benchmark for trace in traces]
-    end_cycles = np.cumsum(chip_cycles[:intervals])
-    results = []
-    for k, (spec, policy, chip_parameters, _) in enumerate(cells):
-        result = SimulationResult(
-            config_name=spec.config.name,
-            benchmark="+".join(benchmarks),
-            stats=None,
-            block_names=list(chip_parameters.keys()),
-            block_groups=chip_block_groups(spec.config, cores),
-            block_areas_mm2={
-                name: p.area_mm2 for name, p in chip_parameters.items()
-            },
-            ambient_celsius=spec.config.thermal.ambient_celsius,
-            provenance={
-                "interval_cycles": interval_cycles,
-                "replayed": True,
-                "replay_mode": "batched",
-            },
-        )
-        accounting = _ChipAccounting(cores, blocks_per_core)
-        for i in range(intervals):
-            result.intervals.append(
-                IntervalRecord.from_arrays(
-                    cycle=int(end_cycles[i]),
-                    seconds=(i + 1) * interval_seconds,
-                    block_names=chip_index.names,
-                    dynamic_power=dynamic_tensor[k, i],
-                    leakage_power=leak_traj[k, i],
-                    temperature=temps_traj[k, i],
-                )
-            )
-            accounting.observe(temps_traj[k, i])
-        result.warmup_temperature = warmup_maps[k]
-        dvfs_residency = (
-            {"1": 1.0} if policy is not None and accounting.intervals else None
-        )
-        results.append(
-            _finish_chip_result(
-                result,
-                cores=cores,
-                benchmarks=benchmarks,
-                per_thread_stats=[trace.stats_copy() for trace in traces],
-                final_cores=list(range(len(traces))),
-                accounting=accounting,
-                chip_cycles=int(end_cycles[-1]) if intervals else 0,
-                policy_name=policy.name if policy else None,
-                migration_log=(),
-                dvfs_residency=dvfs_residency,
-                thread_dtm=[None] * len(traces),
-            )
-        )
-    return results
+    return replay_cells(cells, traces, replay_mode=replay_mode, warmup=warmup)

@@ -24,7 +24,6 @@ from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
 from repro.campaign.spec import RunSpec, _jsonable, variant_name
-from repro.sim.activity_trace import timing_feedback_reason
 from repro.sim.config import ProcessorConfig
 
 
@@ -194,22 +193,9 @@ class ChipRunSpec:
 
     def replay_reason(self) -> Optional[str]:
         """Why this cell must be simulated coupled (``None`` = replayable)."""
-        reason = timing_feedback_reason(self.config)
-        if reason is not None:
-            return reason
-        if self.contention is not None:
-            return (
-                "shared-LLC contention couples threads through memory latency"
-            )
-        if self.chip_policy is not None:
-            from repro.chip.policies import make_chip_policy
+        from repro.chip.engine import chip_feedback_reason
 
-            policy = make_chip_policy(self.chip_policy)
-            if policy.feedback:
-                return (
-                    f"chip DTM policy {policy.name!r} actuates on temperatures"
-                )
-        return None
+        return chip_feedback_reason(self.config, self.contention, self.chip_policy)
 
     @property
     def replayable(self) -> bool:

@@ -55,14 +55,10 @@ class JobCancelled(Exception):
     """Internal control-flow: the job's cancel flag was observed."""
 
 
-#: Executor-function name -> (progress kind, how to count cells in a task).
+#: Executor-function name -> progress kind (any other function is a "run").
 _TASK_KINDS = {
-    "execute_cell": "run",
-    "execute_chip_cell": "run",
     "execute_campaign_task": "phase1",
-    "execute_cell_replay": "replay",
     "execute_replay_group": "replay_group",
-    "execute_chip_replay": "replay",
     "execute_chip_replay_group": "replay_group",
 }
 
@@ -119,9 +115,12 @@ class PoolBackedExecutor(Executor):
         ``(prepared_tasks, handles)``; the caller must release every handle
         once the fan-out is done.
         """
-        if self.pool.mode != "process":
-            return list(tasks), []
         name = getattr(fn, "__name__", "")
+        if self.pool.mode != "process" or name not in (
+            "execute_replay_group",
+            "execute_chip_replay_group",
+        ):
+            return list(tasks), []
         handles: List = []
         published: Dict[int, object] = {}
 
@@ -138,43 +137,16 @@ class PoolBackedExecutor(Executor):
             return payload
 
         prepared: List = []
-        if name == "execute_replay_group":
-            for trace, specs in tasks:
-                specs = tuple(specs)
-                key = specs[0].timing_key() if specs else ""
-                prepared.append((_publish(trace, key), specs))
-        elif name == "execute_cell_replay":
-            for spec, trace in tasks:
-                prepared.append((spec, _publish(trace, spec.timing_key())))
-        elif name == "execute_chip_replay_group":
-            for traces, specs in tasks:
-                specs = tuple(specs)
-                keys = [
-                    core.timing_key() for core in specs[0].core_specs()
-                ] if specs else []
-                prepared.append(
-                    (
-                        tuple(
-                            _publish(trace, keys[i] if i < len(keys) else "")
-                            for i, trace in enumerate(traces)
-                        ),
-                        specs,
-                    )
+        for traces, specs in tasks:
+            specs = tuple(specs)
+            if name == "execute_replay_group":
+                prepared.append((_publish(traces, specs[0].timing_key()), specs))
+            else:
+                keys = [core.timing_key() for core in specs[0].core_specs()]
+                published_traces = tuple(
+                    _publish(trace, key) for trace, key in zip(traces, keys)
                 )
-        elif name == "execute_chip_replay":
-            for spec, traces in tasks:
-                keys = [core.timing_key() for core in spec.core_specs()]
-                prepared.append(
-                    (
-                        spec,
-                        tuple(
-                            _publish(trace, keys[i] if i < len(keys) else "")
-                            for i, trace in enumerate(traces)
-                        ),
-                    )
-                )
-        else:
-            return list(tasks), []
+                prepared.append((published_traces, specs))
         return prepared, handles
 
     def run_tasks(self, fn, tasks: Sequence) -> List:

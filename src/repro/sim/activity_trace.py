@@ -60,7 +60,7 @@ TRACE_BIN_MAGIC = b"RTRC"
 TRACE_BIN_VERSION = 1
 
 
-def timing_feedback_reason(config, dtm_policy: Optional[str] = None) -> Optional[str]:
+def timing_feedback_reason(config, dtm_policy=None) -> Optional[str]:
     """Why a cell's timing depends on its physics — or ``None`` if it doesn't.
 
     The two-stage split is only sound when temperatures never influence the
@@ -75,18 +75,19 @@ def timing_feedback_reason(config, dtm_policy: Optional[str] = None) -> Optional
 
     Returns a human-readable reason for the coupled fallback, or ``None``
     when the cell is safe to capture and replay.  ``dtm_policy`` is a
-    :func:`repro.dtm.make_policy` spec string (or ``None``).
+    :class:`~repro.dtm.policies.DTMPolicy` or a :func:`repro.dtm.make_policy`
+    spec string (or ``None``).
     """
     if config.frontend.trace_cache.thermal_aware_mapping:
         return "thermal-aware bank mapping steers fetch by temperature"
-    if dtm_policy is not None:
+    if isinstance(dtm_policy, str):
         # Imported lazily: repro.dtm pulls in the block index and config
         # modules, and this helper is also called from the campaign layer.
         from repro.dtm import make_policy
 
-        policy = make_policy(dtm_policy)
-        if policy.feedback:
-            return f"DTM policy {policy.name!r} actuates on temperatures"
+        dtm_policy = make_policy(dtm_policy)
+    if dtm_policy is not None and dtm_policy.feedback:
+        return f"DTM policy {dtm_policy.name!r} actuates on temperatures"
     return None
 
 
@@ -131,12 +132,6 @@ class ActivityTrace:
     @property
     def num_blocks(self) -> int:
         return int(self.counts.shape[1])
-
-    def gated_mask(self, interval: int) -> Optional[np.ndarray]:
-        """Interval ``interval``'s gated-bank mask (or ``None``)."""
-        if self.gated_masks is None:
-            return None
-        return self.gated_masks[interval]
 
     def stats_copy(self) -> SimulationStats:
         """A private stats object for one replayed result."""

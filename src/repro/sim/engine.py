@@ -68,6 +68,13 @@ from repro.sim import blocks
 from repro.sim.activity_trace import ActivityTrace, TraceRecorder, timing_feedback_reason
 from repro.sim.block_index import BlockIndex
 from repro.sim.config import ProcessorConfig
+from repro.sim.group_replay import (
+    ReplayCell,
+    check_traces,
+    exact_warmup_state,
+    replay_exact,
+    stack_traces,
+)
 from repro.sim.processor import Processor
 from repro.sim.results import IntervalRecord, SimulationResult
 from repro.sim.warmcache import solver_bundle
@@ -260,6 +267,45 @@ class TimingStage:
             tc.set_mapping_shares(shares)
 
 
+#: Accepted values of the engines' ``timing_mode`` selector.
+TIMING_MODES = ("auto", "fast", "reference")
+
+
+def select_timing_stage(
+    timing_mode: str,
+    feedback_reason: Optional[str],
+    uop_sources: Sequence[Iterable[MicroOp]],
+) -> Tuple[type, Optional[str]]:
+    """The timing-stage class of a run, and why it is not the fast path.
+
+    The fast path only claims configurations it provably reproduces
+    byte-for-byte: no physics feedback into timing (``feedback_reason``, the
+    engine's ``replay_safe_reason`` — the same authority that gates trace
+    replay) and materialized workloads it can batch-decode.  Everything else
+    falls back to the per-uop golden reference, with the reason returned
+    (``None`` on the fast path); ``timing_mode="fast"`` refuses instead.
+    """
+    if timing_mode not in TIMING_MODES:
+        raise ValueError(
+            "timing_mode must be 'auto', 'fast' or 'reference', "
+            f"not {timing_mode!r}"
+        )
+    if timing_mode == "reference":
+        return TimingStage, "timing_mode='reference' requested"
+    fallback = feedback_reason
+    if fallback is None and not all(
+        isinstance(source, Sequence) for source in uop_sources
+    ):
+        fallback = "streaming uop source cannot be batch-decoded"
+    if fallback is None:
+        from repro.sim.fast_timing import FastTimingStage
+
+        return FastTimingStage, None
+    if timing_mode == "fast":
+        raise ValueError(f"timing_mode='fast' is not applicable: {fallback}")
+    return TimingStage, fallback
+
+
 class PhysicsStage:
     """Power -> leakage -> thermal -> record, over activity-count vectors.
 
@@ -347,11 +393,11 @@ class PhysicsStage:
         # the power model each enumerate blocks in their own order, so
         # nothing here assumes the orders agree.
         self.block_index = self.power_model.index
-        self._node_positions = self.network.node_positions(self.block_index.names)
+        self.node_positions = self.network.node_positions(self.block_index.names)
         self._node_power = np.zeros(self.network.num_nodes)
 
         self._thermal_state = self.network.uniform_state(config.thermal.ambient_celsius)
-        self.temperature_array: np.ndarray = self._thermal_state[self._node_positions]
+        self.temperature_array: np.ndarray = self._thermal_state[self.node_positions]
         self.warmup_temperatures: Dict[str, float] = self.block_index.mapping_from_array(
             self.temperature_array
         )
@@ -373,34 +419,43 @@ class PhysicsStage:
         leakage-temperature fixed point iterates (temperatures in degrees
         Celsius, limit 381 K).
         """
-        leakage_model = self.power_model.leakage_model
-        # The first interval's dynamic power (constant across the warm-up
-        # fixed point) seeds the leakage model's nominal power; the iteration
-        # below then couples leakage and temperature until convergence (or
-        # the 381 K emergency limit).
-        dynamic = self.power_model.dynamic_power_array(
-            activity_counts, cycles, gated_mask
-        )
-        leakage_model.seed_nominal_power_array(dynamic)
-        node_positions = self._node_positions
-        node_power = self._node_power
-
-        def node_power_at(state: np.ndarray) -> np.ndarray:
-            temperatures = state[node_positions]
-            leakage = leakage_model.leakage_power_array(temperatures, gated_mask)
-            node_power[:] = 0.0
-            node_power[node_positions] = dynamic + leakage
-            return node_power
-
-        state, _ = self.solver.warmup_nodes(
-            node_power_at,
-            emergency_limit_celsius=self.config.thermal.emergency_limit_celsius,
+        state = exact_warmup_state(
+            self.solver,
+            self.power_model,
+            self.config,
+            activity_counts,
+            cycles,
+            gated_mask,
+            self.node_positions,
         )
         self._thermal_state = state
-        self.temperature_array = state[node_positions]
+        self.temperature_array = state[self.node_positions]
         self.warmup_temperatures = self.block_index.mapping_from_array(
             self.temperature_array
         )
+
+    def advance(self, dynamic: np.ndarray, leakage: np.ndarray, dt: float) -> None:
+        """Shared thermal step of every interval: block power -> temperatures.
+
+        Scatters the block power vectors (W) into thermal-node space,
+        advances the RC network by ``dt`` seconds, refreshes the cached
+        block-temperature slice and counts emergency-limit intervals.  The
+        coupled pipeline, the clock-gated DTM path and trace replay all step
+        here, so the bookkeeping cannot diverge between them.
+        """
+        node_power = self._node_power
+        node_power[:] = 0.0
+        node_power[self.node_positions] = dynamic + leakage
+        self._thermal_state = self.solver.advance_nodes(
+            self._thermal_state, node_power, dt
+        )
+        # Fancy indexing copies, so each record owns its temperature vector.
+        self.temperature_array = self._thermal_state[self.node_positions]
+        if (
+            float(self.temperature_array.max())
+            >= self.config.thermal.emergency_limit_celsius
+        ):
+            self.emergency_intervals += 1
 
     def _advance_and_record(
         self,
@@ -410,28 +465,8 @@ class PhysicsStage:
         cycle: int,
         seconds: float,
     ) -> IntervalRecord:
-        """Shared tail of every interval: power vectors -> thermal -> record.
-
-        Scatters the block power vectors (W) into thermal-node space,
-        advances the RC network by ``dt`` seconds, refreshes the cached
-        block-temperature slice, counts emergency-limit intervals and
-        returns the interval's record.  The coupled pipeline, the clock-gated
-        DTM path and trace replay all end here, so the bookkeeping cannot
-        diverge between them.
-        """
-        node_power = self._node_power
-        node_power[:] = 0.0
-        node_power[self._node_positions] = dynamic + leakage
-        self._thermal_state = self.solver.advance_nodes(
-            self._thermal_state, node_power, dt
-        )
-        # Fancy indexing copies, so each record owns its temperature vector.
-        self.temperature_array = self._thermal_state[self._node_positions]
-        if (
-            float(self.temperature_array.max())
-            >= self.config.thermal.emergency_limit_celsius
-        ):
-            self.emergency_intervals += 1
+        """:meth:`advance`, then the interval's record."""
+        self.advance(dynamic, leakage, dt)
         return IntervalRecord.from_arrays(
             cycle=cycle,
             seconds=seconds,
@@ -545,13 +580,10 @@ class PhysicsStage:
     ) -> SimulationResult:
         """Replay a captured activity trace through this cell's physics.
 
-        Performs, in order, exactly the operations the coupled
-        :meth:`SimulationEngine.run` loop performs downstream of the
-        activity counters — the stacked per-interval dynamic-power matrix is
-        computed in one vectorized pass (each row with the same scalar
-        association order as the per-interval call, hence bit-identical),
-        then the inherently sequential leakage/thermal chain walks the
-        intervals.  The result is bit-identical to simulating the cell
+        The one-trace layout of :mod:`repro.sim.group_replay`'s exact walk:
+        the same arithmetic, in the same order, as the coupled
+        :meth:`SimulationEngine.run` loop downstream of the activity
+        counters, so the result is bit-identical to simulating the cell
         coupled, which ``tests/test_campaign_replay.py`` locks against the
         golden fixtures.
 
@@ -559,109 +591,10 @@ class PhysicsStage:
         ``"none"``); its telemetry is reconstructed exactly as the coupled
         run would have recorded it.
         """
-        if list(trace.block_names) != list(self.block_index.names):
-            raise ValueError(
-                "activity trace was captured over a different block set; "
-                "it cannot be replayed on this configuration"
-            )
-        if trace.interval_cycles != self.interval_cycles:
-            raise ValueError(
-                f"activity trace was captured at interval_cycles="
-                f"{trace.interval_cycles}, not {self.interval_cycles}"
-            )
-        if dtm_policy is not None and dtm_policy.feedback:
-            raise ValueError(
-                f"DTM policy {dtm_policy.name!r} actuates on temperatures; "
-                "its cells must be simulated coupled, not replayed"
-            )
-
-        intervals = len(trace)
-        if max_intervals is not None:
-            intervals = min(intervals, max_intervals)
-        result = self.new_result(trace.benchmark)
-        result.stats = trace.stats_copy()
-        result.provenance["replayed"] = True
-
-        power_model = self.power_model
-        leakage_model = power_model.leakage_model
-        interval_seconds = self.config.thermal.interval_seconds
-        counts = trace.counts
-        cycles = trace.cycles
-        end_cycles = trace.end_cycles
-        # The whole run's dynamic power in one (intervals x blocks) pass:
-        # dynamic power depends only on counts and gating, never on the
-        # temperatures the sequential loop below produces.
-        dynamic_matrix = power_model.dynamic_power_matrix(
-            counts[:intervals], cycles[:intervals],
-            None if trace.gated_masks is None else trace.gated_masks[:intervals],
-        )
-        for i in range(intervals):
-            gated_mask = trace.gated_mask(i)
-            cycles_elapsed = int(cycles[i])
-            if i == 0 and warmup:
-                self.warmup(counts[0], cycles_elapsed, gated_mask)
-            dynamic = dynamic_matrix[i]
-            # Mirror PowerModel.compute_arrays: observe this interval's
-            # dynamic power, then evaluate leakage at the current
-            # temperatures (scalar math.exp loop — the bit-exact kernel).
-            leakage_model.observe_dynamic_power_array(dynamic)
-            leakage = leakage_model.leakage_power_array(
-                self.temperature_array, gated_mask
-            )
-            dt = interval_seconds * (cycles_elapsed / self.interval_cycles)
-            result.intervals.append(
-                self._advance_and_record(
-                    dynamic,
-                    leakage,
-                    dt,
-                    cycle=int(end_cycles[i]),
-                    seconds=(i + 1) * interval_seconds,
-                )
-            )
-        result.warmup_temperature = self.warmup_temperatures
-        if dtm_policy is not None:
-            # A non-feedback policy never deviates from nominal, so its
-            # telemetry is a pure function of the interval count — rebuild
-            # it exactly as the coupled loop records it (interval 0's cycles
-            # run before the policy can gate fetch).
-            controls = DTMControls(self.block_index, table=dtm_policy.table)
-            telemetry = DTMTelemetry(controls.table)
-            for i in range(intervals):
-                telemetry.record_interval(
-                    controls, gated=False, fetch_actuated=i > 0
-                )
-            result.dtm = {"policy": dtm_policy.name, **telemetry.as_dict()}
-        return result
-
-    @staticmethod
-    def replay_group(
-        trace: ActivityTrace,
-        configs: Sequence[ProcessorConfig],
-        interval_cycles: Optional[int] = None,
-        **kwargs,
-    ) -> Sequence[SimulationResult]:
-        """Replay one trace under many physics variants at once.
-
-        Delegates to :func:`repro.sim.group_replay.replay_group`, which
-        batches thermally-identical sub-groups into multi-RHS solves (see
-        that module for the ``replay_mode`` semantics and the batched
-        path's tolerance contract).
-        """
-        from repro.sim.group_replay import replay_group
-
-        return replay_group(trace, configs, interval_cycles, **kwargs)
-
-
-def replay_trace(
-    config: ProcessorConfig,
-    trace: ActivityTrace,
-    interval_cycles: Optional[int] = None,
-    warmup: bool = True,
-    dtm_policy: Optional[DTMPolicy] = None,
-) -> SimulationResult:
-    """Convenience wrapper: build a :class:`PhysicsStage` and replay a trace."""
-    stage = PhysicsStage(config, interval_cycles)
-    return stage.replay(trace, warmup=warmup, dtm_policy=dtm_policy)
+        check_traces([trace], self.block_index.names, self.interval_cycles)
+        cell = ReplayCell(self.config, dtm_policy, self.interval_cycles)
+        stack = stack_traces([trace], 1, self.interval_cycles, max_intervals)
+        return replay_exact(cell, self, stack, warmup)
 
 
 class SimulationEngine:
@@ -695,45 +628,15 @@ class SimulationEngine:
         if self.interval_cycles <= 0:
             raise ValueError("interval_cycles must be positive")
 
-        # --------------------------------------------------------------
-        # Timing-mode selection.  The fast path only claims configurations
-        # it provably reproduces byte-for-byte: no physics feedback into
-        # timing (timing_feedback_reason — the same authority that gates
-        # trace replay), no temperature-actuating DTM policy, and a
-        # materialized workload it can batch-decode.  Everything else falls
-        # back to the per-uop golden reference.
-        # --------------------------------------------------------------
-        if timing_mode not in ("auto", "fast", "reference"):
-            raise ValueError(
-                "timing_mode must be 'auto', 'fast' or 'reference', "
-                f"not {timing_mode!r}"
-            )
+        self.dtm_policy = dtm_policy
         self.timing_mode = timing_mode
-        fallback: Optional[str] = None
-        if timing_mode == "reference":
-            fallback = "timing_mode='reference' requested"
-        else:
-            fallback = timing_feedback_reason(config)
-            if fallback is None and dtm_policy is not None and dtm_policy.feedback:
-                fallback = (
-                    f"DTM policy {dtm_policy.name!r} actuates on temperatures"
-                )
-            if fallback is None and not isinstance(uop_source, Sequence):
-                fallback = "streaming uop source cannot be batch-decoded"
-            if timing_mode == "fast" and fallback is not None:
-                raise ValueError(
-                    f"timing_mode='fast' is not applicable: {fallback}"
-                )
-        self.timing_fallback_reason = fallback
-        self.resolved_timing_mode = "reference" if fallback is not None else "fast"
-
+        stage_cls, self.timing_fallback_reason = select_timing_stage(
+            timing_mode, self.replay_safe_reason, [uop_source]
+        )
+        self.resolved_timing_mode = (
+            "reference" if self.timing_fallback_reason is not None else "fast"
+        )
         self.physics = PhysicsStage(config, self.interval_cycles)
-        if self.resolved_timing_mode == "fast":
-            from repro.sim.fast_timing import FastTimingStage
-
-            stage_cls = FastTimingStage
-        else:
-            stage_cls = TimingStage
         self.timing = stage_cls(
             config,
             uop_source,
@@ -748,7 +651,6 @@ class SimulationEngine:
         # cache banks; DTM policies watch the whole die) in block-index
         # order, so policy observations are plain vectors.
         # --------------------------------------------------------------
-        self.dtm_policy = dtm_policy
         self.dtm_controls: Optional[DTMControls] = None
         self.dtm_telemetry: Optional[DTMTelemetry] = None
         self.dtm_sensors: Optional[SensorBank] = None
@@ -822,14 +724,7 @@ class SimulationEngine:
     @property
     def replay_safe_reason(self) -> Optional[str]:
         """Why this run cannot be captured for replay (``None`` = it can)."""
-        reason = timing_feedback_reason(self.config)
-        if reason is not None:
-            return reason
-        if self.dtm_policy is not None and self.dtm_policy.feedback:
-            return (
-                f"DTM policy {self.dtm_policy.name!r} actuates on temperatures"
-            )
-        return None
+        return timing_feedback_reason(self.config, self.dtm_policy)
 
     def interval_pipeline(
         self,

@@ -1,32 +1,35 @@
-"""Batched group replay: solve whole physics sweeps per interval, not per cell.
+"""The replay path: physics-only replay of captured activity traces.
 
-After the two-stage split, a campaign's physics sweep replays N cells over
-one shared :class:`~repro.sim.activity_trace.ActivityTrace` — and
-:meth:`~repro.sim.engine.PhysicsStage.replay` walks each cell's interval
-chain *alone*: one scalar leakage loop and one single-RHS thermal solve per
-cell per interval, plus a full floorplan/RC-network/LU construction per
-cell.  This module batches the sweep instead:
+After the two-stage split, a physics sweep captures the timing stage once as
+an :class:`~repro.sim.activity_trace.ActivityTrace` and replays only the
+physics for every variant.  This module is the one implementation of that
+replay, for single-core and chip cells alike:
 
-* cells of one timing-key replay group are **sub-grouped by thermal key**
-  (the ``thermal`` config section plus the block areas — identical key means
-  identical floorplan, RC network and factorization, so one
-  :class:`~repro.thermal.solver.ThermalSolver` serves the whole sub-group);
-* each sub-group's dynamic power is stacked into a ``(cells x intervals x
-  blocks)`` tensor in one vectorized pass per cell;
-* the interval chain advances **all cells of a sub-group at once**: leakage
-  via the :func:`~repro.power.leakage.batched_leakage_kernel` ``np.exp``
-  kernel over the ``(cells x blocks)`` temperature matrix, then one
-  multi-RHS :meth:`~repro.thermal.solver.ThermalSolver.advance_nodes_batch`
-  solve per interval for the entire sub-group.
+* the input is one die-wide ``(intervals x blocks)`` activity layout
+  stacked from N per-core traces (:func:`stack_traces`) — a single-core
+  cell is simply the layout with one trace, a chip cell concatenates its
+  threads' traces core by core;
+* a cell (:class:`ReplayCell`, or :class:`repro.chip.engine.ChipReplayCell`)
+  says how its die and power model are built and how its result is shaped;
+  nothing else differs between the two;
+* cells of one replay group are **sub-grouped by thermal key** (the
+  ``thermal`` config section plus the block areas, core count and solver
+  backend — identical key means identical floorplan, RC network and
+  factorization, so one die serves the whole sub-group);
+* each cell either walks its interval chain alone on its own die (the exact
+  walk) or advances with its whole sub-group at once (the batched walk):
+  leakage via the :func:`~repro.power.leakage.batched_leakage_kernel`
+  ``np.exp`` kernel over the ``(cells x blocks)`` temperature matrix, then
+  one multi-RHS solve per interval for the entire sub-group.
 
 The knob is ``replay_mode`` (same discipline as ``backend=`` /
 ``timing_mode=``):
 
-* ``"exact"`` — the per-cell :meth:`PhysicsStage.replay` path, bit-identical
-  to the coupled run and locked to the golden fixtures.  This remains the
-  default everywhere: an unchanged campaign produces unchanged bytes.
-* ``"batched"`` — the tensor path above.  Tolerance-locked, not bit-exact:
-  the multi-RHS LAPACK kernels and ``np.exp`` may round the last ulp
+* ``"exact"`` — the per-cell walk, bit-identical to the coupled run and
+  locked to the golden fixtures.  This remains the default everywhere: an
+  unchanged campaign produces unchanged bytes.
+* ``"batched"`` — the tensor walk.  Tolerance-locked, not bit-exact: the
+  multi-RHS LAPACK kernels and ``np.exp`` may round the last ulp
   differently, and the nominal-power running average is reassociated into a
   cumulative sum.  ``tests/test_group_replay.py`` locks batched==exact at
   rtol/atol 1e-8.  Sub-groups of one cell still take the exact path — a
@@ -46,7 +49,8 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from functools import cached_property
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -55,12 +59,9 @@ from repro.dtm.policies import DTMPolicy
 from repro.power.energy import build_block_parameters
 from repro.power.leakage import batched_leakage_kernel
 from repro.power.power_model import PowerModel
-from repro.sim import blocks
 from repro.sim.activity_trace import ActivityTrace
 from repro.sim.config import ProcessorConfig
 from repro.sim.results import IntervalRecord, SimulationResult
-from repro.sim.warmcache import solver_bundle
-from repro.thermal.floorplan import build_floorplan
 from repro.thermal.solver import ThermalSolver
 
 #: Accepted values of the ``replay_mode`` execution knob.
@@ -100,39 +101,170 @@ def thermal_group_key(config: ProcessorConfig, block_areas: Dict[str, float]) ->
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
-def _normalize_policy(policy) -> Optional[DTMPolicy]:
-    if policy is None:
-        return None
-    if isinstance(policy, str):
-        from repro.dtm import make_policy
+# ----------------------------------------------------------------------
+# The layout: N per-core traces stacked into one die-wide activity matrix
+# ----------------------------------------------------------------------
+class TraceStack(NamedTuple):
+    """N per-core traces stacked into one die-wide ``(intervals x blocks)`` layout."""
 
-        return make_policy(policy)
-    return policy
+    traces: Tuple[ActivityTrace, ...]
+    #: Activity counts per interval, core ``t`` in the ``t``-th block slice.
+    counts: np.ndarray
+    #: Cycles each block's core ran per interval (same shape as ``counts``).
+    cycles: np.ndarray
+    #: Vdd-gated-bank masks (same shape), or ``None`` when no core gates.
+    gated: Optional[np.ndarray]
+    #: The die clock per interval: the longest any core ran.
+    chip_cycles: np.ndarray
+
+    @property
+    def intervals(self) -> int:
+        return len(self.chip_cycles)
+
+    @property
+    def benchmark(self) -> str:
+        return "+".join(trace.benchmark for trace in self.traces)
+
+    def gated_row(self, interval: int) -> Optional[np.ndarray]:
+        return None if self.gated is None else self.gated[interval]
 
 
-class _GroupCell:
-    """Per-cell bookkeeping of one batched replay group."""
+def check_traces(
+    traces: Sequence[ActivityTrace], block_names: Sequence[str], interval_cycles: int
+) -> None:
+    """Refuse traces captured over another per-core block set or interval."""
+    if not traces:
+        raise ValueError("replay needs at least one activity trace")
+    for t, trace in enumerate(traces):
+        if list(trace.block_names) != list(block_names):
+            raise ValueError(
+                f"activity trace {t} was captured over a different block set; "
+                "it cannot be replayed on this configuration"
+            )
+        if trace.interval_cycles != interval_cycles:
+            raise ValueError(
+                f"activity trace {t} was captured at interval_cycles="
+                f"{trace.interval_cycles}, not {interval_cycles}"
+            )
 
-    __slots__ = (
-        "position",
-        "config",
-        "policy",
-        "block_parameters",
-        "block_areas",
-        "power_model",
-    )
 
-    def __init__(self, position: int, config: ProcessorConfig, policy) -> None:
-        self.position = position
+def stack_traces(
+    traces: Sequence[ActivityTrace],
+    cores: int,
+    interval_cycles: int,
+    max_intervals: Optional[int] = None,
+) -> TraceStack:
+    """Stack per-core traces into the die-wide layout of ``cores`` cores.
+
+    Core ``t`` occupies the contiguous block slice ``t``.  A core whose
+    trace has ended — or that has no trace at all — carries zero activity
+    over a nominal interval, so it dissipates idle and leakage power only,
+    exactly as the coupled chip loop leaves it.  Depends only on the traces
+    and the core count, never on a physics variant: one stack serves every
+    cell of a replay group.
+    """
+    if len(traces) > cores:
+        raise ValueError(f"{len(traces)} traces do not fit on {cores} cores")
+    width = len(traces[0].block_names)
+    intervals = max(len(trace) for trace in traces)
+    if max_intervals is not None:
+        intervals = min(intervals, max_intervals)
+    counts = np.zeros((intervals, cores * width))
+    cycles = np.full((intervals, cores * width), interval_cycles, dtype=np.int64)
+    any_gated = any(trace.gated_masks is not None for trace in traces)
+    gated = np.zeros((intervals, cores * width), dtype=bool) if any_gated else None
+    thread_cycles = np.zeros((len(traces), intervals), dtype=np.int64)
+    for t, trace in enumerate(traces):
+        seg = slice(t * width, (t + 1) * width)
+        n = min(len(trace), intervals)
+        counts[:n, seg] = trace.counts[:n]
+        cycles[:n, seg] = trace.cycles[:n, None]
+        thread_cycles[t, :n] = trace.cycles[:n]
+        if gated is not None and trace.gated_masks is not None:
+            gated[:n, seg] = trace.gated_masks[:n]
+    return TraceStack(tuple(traces), counts, cycles, gated, thread_cycles.max(axis=0))
+
+
+# ----------------------------------------------------------------------
+# Cells: how a variant's die and power model are built, how its result looks
+# ----------------------------------------------------------------------
+class ReplayCell:
+    """One physics variant of a replay, on the one-trace (single-core) layout.
+
+    :class:`repro.chip.engine.ChipReplayCell` is the N-trace layout on a
+    composite die; it overrides :meth:`die`, :meth:`power_model` and
+    :meth:`finish` and nothing else.  ``policy`` may only be a non-feedback
+    DTM policy (or spec string); its telemetry is reconstructed exactly as
+    the coupled run records it.
+    """
+
+    cores = 1
+    solver_backend = "auto"
+    policy_kind = "DTM policy"
+
+    def __init__(
+        self,
+        config: ProcessorConfig,
+        policy: Union[DTMPolicy, str, None] = None,
+        interval_cycles: Optional[int] = None,
+    ) -> None:
+        if isinstance(policy, str):
+            from repro.dtm import make_policy
+
+            policy = make_policy(policy)
+        if policy is not None and policy.feedback:
+            raise ValueError(
+                f"{self.policy_kind} {policy.name!r} actuates on temperatures; "
+                "its cells must be simulated coupled, not replayed"
+            )
         self.config = config
-        self.policy = _normalize_policy(policy)
-        self.block_parameters = build_block_parameters(config)
-        self.block_areas = {
-            name: params.area_mm2 for name, params in self.block_parameters.items()
-        }
-        self.power_model = PowerModel(config.power, self.block_parameters)
+        self.policy = policy
+        self.interval_cycles = interval_cycles or config.thermal.interval_cycles
+
+    @cached_property
+    def core_parameters(self):
+        """Block power parameters of one core, in trace block order."""
+        return build_block_parameters(self.config)
+
+    def group_key(self) -> str:
+        """Cells with equal keys share one die (floorplan, network, solver)."""
+        areas = {name: p.area_mm2 for name, p in self.core_parameters.items()}
+        key = thermal_group_key(self.config, areas)
+        return f"{key}:{self.cores}:{self.solver_backend}"
+
+    def die(self):
+        """A fresh physics stage over this cell's die."""
+        from repro.sim.engine import PhysicsStage
+
+        return PhysicsStage(
+            self.config, self.interval_cycles, block_parameters=self.core_parameters
+        )
+
+    def power_model(self) -> PowerModel:
+        """This cell's power model over its die's block order."""
+        return PowerModel(self.config.power, self.core_parameters)
+
+    def finish(
+        self, result: SimulationResult, die, stack: TraceStack, temperatures: np.ndarray
+    ) -> SimulationResult:
+        """Attach the stats and DTM telemetry of a replayed single-core run."""
+        result.stats = stack.traces[0].stats_copy()
+        if self.policy is not None:
+            # A non-feedback policy never deviates from nominal, so its
+            # telemetry is a pure function of the interval count — rebuild
+            # it exactly as the coupled loop records it (interval 0's cycles
+            # run before the policy can gate fetch).
+            controls = DTMControls(die.block_index, table=self.policy.table)
+            telemetry = DTMTelemetry(controls.table)
+            for i in range(stack.intervals):
+                telemetry.record_interval(controls, gated=False, fetch_actuated=i > 0)
+            result.dtm = {"policy": self.policy.name, **telemetry.as_dict()}
+        return result
 
 
+# ----------------------------------------------------------------------
+# The two walks
+# ----------------------------------------------------------------------
 def exact_warmup_state(
     solver: ThermalSolver,
     power_model: PowerModel,
@@ -142,11 +274,13 @@ def exact_warmup_state(
     gated_mask: Optional[np.ndarray],
     node_positions: np.ndarray,
 ) -> np.ndarray:
-    """One cell's warm-up fixed point, bit-exact to :meth:`PhysicsStage.warmup`.
+    """One die's warm-up fixed point: the steady state of its nominal power.
 
-    Same seeding, same scalar leakage kernel, same per-cell convergence test
-    — only the (temperature-independent) factorization is shared with the
-    sub-group.  Returns the converged node-state vector.
+    The first interval's dynamic power (constant across the fixed point)
+    seeds the leakage model's nominal power; the iteration then couples
+    leakage and temperature until convergence or the 381 K emergency limit.
+    :meth:`~repro.sim.engine.PhysicsStage.warmup` and the batched walk's
+    per-cell warm-up both run exactly this.  Returns the node-state vector.
     """
     leakage_model = power_model.leakage_model
     dynamic = power_model.dynamic_power_array(activity_counts, cycles, gated_mask)
@@ -165,6 +299,44 @@ def exact_warmup_state(
         emergency_limit_celsius=config.thermal.emergency_limit_celsius,
     )
     return state
+
+
+def _interval_dts(die, stack: TraceStack) -> List[float]:
+    """Seconds the thermal network advances per interval (by the die clock)."""
+    interval_seconds = die.config.thermal.interval_seconds
+    return [
+        interval_seconds * (int(cycles) / die.interval_cycles)
+        for cycles in stack.chip_cycles
+    ]
+
+
+def _exact_walk(die, stack: TraceStack, warmup: bool):
+    """One cell's interval chain alone on its own die: the bit-exact walk.
+
+    The whole run's dynamic power comes from one vectorized pass (it never
+    depends on temperature); the leakage/thermal chain is inherently
+    sequential and walks the intervals with the scalar ``math.exp`` leakage
+    loop — the same arithmetic, in the same order, as the coupled run.
+    Returns the ``(intervals x blocks)`` dynamic, leakage and temperature
+    trajectories.
+    """
+    leakage_model = die.power_model.leakage_model
+    dynamic = die.power_model.dynamic_power_matrix(
+        stack.counts, stack.cycles, stack.gated
+    )
+    leakage = np.empty_like(dynamic)
+    temperatures = np.empty_like(dynamic)
+    for i, dt in enumerate(_interval_dts(die, stack)):
+        gated_row = stack.gated_row(i)
+        if i == 0 and warmup:
+            die.warmup(stack.counts[0], stack.cycles[0], gated_row)
+        # Mirror PowerModel.compute_arrays: observe this interval's dynamic
+        # power, then evaluate leakage at the current temperatures.
+        leakage_model.observe_dynamic_power_array(dynamic[i])
+        leakage[i] = leakage_model.leakage_power_array(die.temperature_array, gated_row)
+        die.advance(dynamic[i], leakage[i], dt)
+        temperatures[i] = die.temperature_array
+    return dynamic, leakage, temperatures
 
 
 def batched_interval_walk(
@@ -283,156 +455,150 @@ def nominal_power_tensor(
     return csum / denominator
 
 
-def _reconstructed_dtm(
-    policy: DTMPolicy, index, intervals: int
-) -> Dict[str, object]:
-    """Non-feedback-policy telemetry as a pure function of the interval count."""
-    controls = DTMControls(index, table=policy.table)
-    telemetry = DTMTelemetry(controls.table)
-    for i in range(intervals):
-        telemetry.record_interval(controls, gated=False, fetch_actuated=i > 0)
-    return {"policy": policy.name, **telemetry.as_dict()}
-
-
-def _replay_cell_exact(
-    trace: ActivityTrace,
-    config: ProcessorConfig,
-    interval_cycles: Optional[int],
-    policy,
-    max_intervals: Optional[int],
-    warmup: bool,
+# ----------------------------------------------------------------------
+# Results and dispatch
+# ----------------------------------------------------------------------
+def _replayed_result(
+    cell: ReplayCell,
+    die,
+    stack: TraceStack,
+    trajectories,
+    warmup_temperature: Dict[str, float],
+    **provenance,
 ) -> SimulationResult:
-    from repro.sim.engine import PhysicsStage
+    """One cell's result from its dynamic/leakage/temperature trajectories."""
+    dynamic, leakage, temperatures = trajectories
+    result = die.new_result(stack.benchmark)
+    result.config_name = cell.config.name
+    result.provenance.update(replayed=True, **provenance)
+    interval_seconds = die.config.thermal.interval_seconds
+    for i, cycle in enumerate(np.cumsum(stack.chip_cycles)):
+        result.intervals.append(
+            IntervalRecord.from_arrays(
+                cycle=int(cycle),
+                seconds=(i + 1) * interval_seconds,
+                block_names=die.block_index.names,
+                dynamic_power=dynamic[i],
+                leakage_power=leakage[i],
+                temperature=temperatures[i],
+            )
+        )
+    result.warmup_temperature = warmup_temperature
+    return cell.finish(result, die, stack, temperatures)
 
-    stage = PhysicsStage(config, interval_cycles)
-    return stage.replay(
-        trace,
-        max_intervals=max_intervals,
-        warmup=warmup,
-        dtm_policy=_normalize_policy(policy),
-    )
+
+def replay_exact(
+    cell: ReplayCell, die, stack: TraceStack, warmup: bool = True
+) -> SimulationResult:
+    """Replay ``stack`` for ``cell`` on ``die`` — the bit-identical path."""
+    trajectories = _exact_walk(die, stack, warmup)
+    return _replayed_result(cell, die, stack, trajectories, die.warmup_temperatures)
 
 
-def _replay_subgroup_batched(
-    trace: ActivityTrace,
-    cells: Sequence[_GroupCell],
-    interval_cycles: int,
-    intervals: int,
-    warmup: bool,
+def _replay_batched(
+    cells: Sequence[ReplayCell], stack: TraceStack, warmup: bool
 ) -> List[SimulationResult]:
-    """The tensor path over one thermal sub-group (>= 2 cells)."""
-    rep = cells[0]
-    config = rep.config
-    floorplan = build_floorplan(config, rep.block_areas)
-    # Warm-cached: a persistent worker replaying many sub-groups of the
-    # same thermal die factorizes once (see repro.sim.warmcache).
-    network, solver = solver_bundle(floorplan, config.thermal)
-    index = rep.power_model.index
-    node_positions = network.node_positions(index.names)
-    width = len(cells)
-    interval_seconds = config.thermal.interval_seconds
-
-    counts = trace.counts
-    cycles = trace.cycles
-    end_cycles = trace.end_cycles
-    gated = None if trace.gated_masks is None else trace.gated_masks[:intervals]
-
+    """The tensor walk over one thermal sub-group (>= 2 cells, one die)."""
+    die = cells[0].die()
+    solver, node_positions = die.solver, die.node_positions
+    power_models = [cell.power_model() for cell in cells]
+    seeded = warmup and stack.intervals > 0
     # Warm every cell on the exact scalar fixed point (see module docstring),
     # against the one shared factorization.
-    states = np.empty((network.num_nodes, width))
-    warmup_maps: List[Dict[str, float]] = []
-    seeded = warmup and intervals > 0
-    if seeded:
-        gated0 = trace.gated_mask(0)
-        cycles0 = int(cycles[0])
-        for k, cell in enumerate(cells):
-            state = exact_warmup_state(
+    states = np.empty((die.network.num_nodes, len(cells)))
+    for k, (cell, power_model) in enumerate(zip(cells, power_models)):
+        if seeded:
+            states[:, k] = exact_warmup_state(
                 solver,
-                cell.power_model,
+                power_model,
                 cell.config,
-                counts[0],
-                cycles0,
-                gated0,
+                stack.counts[0],
+                stack.cycles[0],
+                stack.gated_row(0),
                 node_positions,
             )
-            states[:, k] = state
-            warmup_maps.append(index.mapping_from_array(state[node_positions]))
-    else:
-        ambient_state = network.uniform_state(config.thermal.ambient_celsius)
-        ambient_map = index.mapping_from_array(ambient_state[node_positions])
-        for k in range(width):
-            states[:, k] = ambient_state
-            warmup_maps.append(dict(ambient_map))
-
-    # Stack the whole sub-group's dynamic power: (cells x intervals x blocks).
-    dynamic_tensor = np.stack(
-        [
-            cell.power_model.dynamic_power_matrix(
-                counts[:intervals], cycles[:intervals], gated
-            )
-            for cell in cells
-        ]
-    )
-    nominal_tensor = nominal_power_tensor(dynamic_tensor, seeded)
-    fraction_col = np.array(
-        [cell.config.power.leakage_fraction_at_ambient for cell in cells]
-    )[:, None]
-    coefficient_col = np.array(
-        [cell.config.power.leakage_temperature_coefficient for cell in cells]
-    )[:, None]
-    ambient_col = np.array(
-        [cell.config.power.ambient_celsius for cell in cells]
-    )[:, None]
-    dts = [
-        interval_seconds * (int(cycles[i]) / interval_cycles)
-        for i in range(intervals)
+        else:
+            states[:, k] = die.network.uniform_state(die.config.thermal.ambient_celsius)
+    warmup_maps = [
+        die.block_index.mapping_from_array(states[node_positions, k])
+        for k in range(len(cells))
     ]
 
-    temps_traj, leak_traj = batched_interval_walk(
+    # The whole sub-group's dynamic power: (cells x intervals x blocks).
+    dynamic = np.stack(
+        [
+            power_model.dynamic_power_matrix(stack.counts, stack.cycles, stack.gated)
+            for power_model in power_models
+        ]
+    )
+
+    def column(field: str) -> np.ndarray:
+        return np.array([getattr(cell.config.power, field) for cell in cells])[:, None]
+
+    temperatures, leakage = batched_interval_walk(
         solver,
         node_positions,
         states,
-        dynamic_tensor,
-        nominal_tensor,
-        fraction_col,
-        coefficient_col,
-        ambient_col,
-        gated,
-        dts,
+        dynamic,
+        nominal_power_tensor(dynamic, seeded),
+        column("leakage_fraction_at_ambient"),
+        column("leakage_temperature_coefficient"),
+        column("ambient_celsius"),
+        stack.gated,
+        _interval_dts(die, stack),
     )
-
-    results = []
-    for k, cell in enumerate(cells):
-        result = SimulationResult(
-            config_name=cell.config.name,
-            benchmark=trace.benchmark,
-            stats=trace.stats_copy(),
-            block_names=list(cell.block_parameters.keys()),
-            block_groups=blocks.block_groups(cell.config),
-            block_areas_mm2=cell.block_areas,
-            ambient_celsius=cell.config.thermal.ambient_celsius,
-            provenance={
-                "interval_cycles": interval_cycles,
-                "replayed": True,
-                "replay_mode": "batched",
-            },
+    return [
+        _replayed_result(
+            cell,
+            die,
+            stack,
+            (dynamic[k], leakage[k], temperatures[k]),
+            warmup_maps[k],
+            replay_mode="batched",
         )
-        for i in range(intervals):
-            result.intervals.append(
-                IntervalRecord.from_arrays(
-                    cycle=int(end_cycles[i]),
-                    seconds=(i + 1) * interval_seconds,
-                    block_names=index.names,
-                    dynamic_power=dynamic_tensor[k, i],
-                    leakage_power=leak_traj[k, i],
-                    temperature=temps_traj[k, i],
-                )
+        for k, cell in enumerate(cells)
+    ]
+
+
+def replay_cells(
+    cells: Sequence[ReplayCell],
+    traces: Sequence[ActivityTrace],
+    *,
+    replay_mode: str = "exact",
+    warmup: bool = True,
+    max_intervals: Optional[int] = None,
+) -> List[SimulationResult]:
+    """Replay one trace layout under many physics variants; results in order.
+
+    ``"exact"`` walks every cell alone on its own die; otherwise the cells
+    are sub-grouped by :meth:`ReplayCell.group_key` and each sub-group that
+    qualifies (see the module docstring) advances in one batched walk.
+    """
+    mode = validate_replay_mode(replay_mode)
+    for cell in cells:
+        check_traces(traces, list(cell.core_parameters), cell.interval_cycles)
+    stacks: Dict[int, TraceStack] = {}
+    subgroups: Dict[object, List[int]] = {}
+    for position, cell in enumerate(cells):
+        if cell.cores not in stacks:
+            stacks[cell.cores] = stack_traces(
+                traces, cell.cores, cell.interval_cycles, max_intervals
             )
-        result.warmup_temperature = warmup_maps[k]
-        if cell.policy is not None:
-            result.dtm = _reconstructed_dtm(cell.policy, index, intervals)
-        results.append(result)
-    return results
+        key = position if mode == "exact" else cell.group_key()
+        subgroups.setdefault(key, []).append(position)
+
+    results: List[Optional[SimulationResult]] = [None] * len(cells)
+    for positions in subgroups.values():
+        members = [cells[p] for p in positions]
+        stack = stacks[members[0].cores]
+        policy_names = {None if c.policy is None else c.policy.name for c in members}
+        if len(members) >= 2 and (mode == "batched" or len(policy_names) == 1):
+            replayed = _replay_batched(members, stack, warmup)
+        else:
+            replayed = [replay_exact(c, c.die(), stack, warmup) for c in members]
+        for position, result in zip(positions, replayed):
+            results[position] = result
+    return results  # type: ignore[return-value]
 
 
 def replay_group(
@@ -449,94 +615,26 @@ def replay_group(
 
     The group analogue of :meth:`~repro.sim.engine.PhysicsStage.replay`:
     ``configs`` are the physics variants of one timing-key group (same
-    structure and block names — each is validated against the trace exactly
-    as the per-cell path validates), ``dtm_policies`` optionally attaches a
-    non-feedback policy per cell.  Results come back in ``configs`` order,
-    each equivalent to ``PhysicsStage(config).replay(trace, ...)`` — bit-
-    identical in ``"exact"`` mode, within :data:`BATCHED_RTOL` /
-    :data:`BATCHED_ATOL` in ``"batched"``/``"auto"`` (see module docstring
-    for the mode semantics and sub-grouping).
+    structure and block names — each is validated against the trace),
+    ``dtm_policies`` optionally attaches a non-feedback policy per cell.
+    Results come back in ``configs`` order, each equivalent to
+    ``PhysicsStage(config).replay(trace, ...)`` — bit-identical in
+    ``"exact"`` mode, within :data:`BATCHED_RTOL` / :data:`BATCHED_ATOL` in
+    ``"batched"``/``"auto"`` (see module docstring for the mode semantics
+    and sub-grouping).
     """
-    mode = validate_replay_mode(replay_mode)
     configs = list(configs)
-    if not configs:
-        return []
-    if dtm_policies is None:
-        policies: List = [None] * len(configs)
-    else:
-        policies = list(dtm_policies)
-        if len(policies) != len(configs):
-            raise ValueError(
-                f"{len(policies)} DTM policies for {len(configs)} configs"
-            )
-    for policy in policies:
-        normalized = _normalize_policy(policy)
-        if normalized is not None and normalized.feedback:
-            raise ValueError(
-                f"DTM policy {normalized.name!r} actuates on temperatures; "
-                "its cells must be simulated coupled, not replayed"
-            )
-
-    resolved_interval = interval_cycles or configs[0].thermal.interval_cycles
-    intervals = len(trace)
-    if max_intervals is not None:
-        intervals = min(intervals, max_intervals)
-
-    if mode == "exact" or len(configs) == 1:
-        return [
-            _replay_cell_exact(
-                trace, config, interval_cycles, policy, max_intervals, warmup
-            )
-            for config, policy in zip(configs, policies)
-        ]
-
-    # Sub-group by thermal/floorplan key; validate each cell against the
-    # trace with the same checks (and error text) as the per-cell path.
+    policies = [None] * len(configs) if dtm_policies is None else list(dtm_policies)
+    if len(policies) != len(configs):
+        raise ValueError(f"{len(policies)} DTM policies for {len(configs)} configs")
     cells = [
-        _GroupCell(position, config, policy)
-        for position, (config, policy) in enumerate(zip(configs, policies))
+        ReplayCell(config, policy, interval_cycles)
+        for config, policy in zip(configs, policies)
     ]
-    for cell in cells:
-        if list(trace.block_names) != list(cell.power_model.index.names):
-            raise ValueError(
-                "activity trace was captured over a different block set; "
-                "it cannot be replayed on this configuration"
-            )
-        cell_interval = interval_cycles or cell.config.thermal.interval_cycles
-        if trace.interval_cycles != cell_interval:
-            raise ValueError(
-                f"activity trace was captured at interval_cycles="
-                f"{trace.interval_cycles}, not {cell_interval}"
-            )
-
-    subgroups: Dict[str, List[_GroupCell]] = {}
-    for cell in cells:
-        subgroups.setdefault(
-            thermal_group_key(cell.config, cell.block_areas), []
-        ).append(cell)
-
-    results: List[Optional[SimulationResult]] = [None] * len(configs)
-    for members in subgroups.values():
-        policy_names = {
-            None if cell.policy is None else cell.policy.name for cell in members
-        }
-        batch = len(members) >= 2 and (mode == "batched" or len(policy_names) == 1)
-        if batch:
-            for cell, result in zip(
-                members,
-                _replay_subgroup_batched(
-                    trace, members, resolved_interval, intervals, warmup
-                ),
-            ):
-                results[cell.position] = result
-        else:
-            for cell in members:
-                results[cell.position] = _replay_cell_exact(
-                    trace,
-                    cell.config,
-                    interval_cycles,
-                    cell.policy,
-                    max_intervals,
-                    warmup,
-                )
-    return results  # type: ignore[return-value]
+    return replay_cells(
+        cells,
+        [trace],
+        replay_mode=replay_mode,
+        warmup=warmup,
+        max_intervals=max_intervals,
+    )

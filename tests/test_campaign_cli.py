@@ -1,6 +1,7 @@
 """Tests of the ``repro-campaign`` command-line interface."""
 
 import json
+import os
 
 import pytest
 
@@ -175,3 +176,25 @@ def test_run_chip_campaign_from_cli(tmp_path, capsys):
     payload = json.loads(output.read_text())
     summary = payload["configurations"]["baseline"]
     assert summary["benchmarks"] == ["thermal_virus+idle_crawl"]
+
+
+def test_run_restores_the_execution_mode_environment(tmp_path, monkeypatch, capsys):
+    """``run`` hands its mode flags to the campaign through the environment,
+    and must restore it afterwards — on success and on error alike — so
+    later campaigns of the same process keep their own modes."""
+    from repro.campaign.executors import resolved_replay_mode, resolved_timing_mode
+
+    monkeypatch.delenv("REPRO_TIMING_MODE", raising=False)
+    monkeypatch.setenv("REPRO_REPLAY_MODE", "exact")
+    modes = ["--replay-mode", "batched", "--timing-mode", "reference"]
+    argv = ["run", "--configs", "baseline", "--benchmarks", "gzip", "--uops", "800"]
+    assert main(argv + modes + ["--output", str(tmp_path / "s.json")]) == 0
+    assert "REPRO_TIMING_MODE" not in os.environ
+    assert resolved_timing_mode() == "auto"
+    assert resolved_replay_mode("exact") == "exact"
+
+    # A domain error raised mid-run also leaves the environment untouched.
+    assert main(["run", "--configs", "no_such_preset"] + modes) == 2
+    assert "REPRO_TIMING_MODE" not in os.environ
+    assert os.environ["REPRO_REPLAY_MODE"] == "exact"
+    capsys.readouterr()

@@ -9,6 +9,8 @@ The two contractual equivalences:
   per-core traces are byte-identical to plain single-core captures.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -19,9 +21,12 @@ from repro.chip import (
     make_chip_policy,
     replay_chip,
 )
+from repro.chip.engine import replay_chip_group
 from repro.chip.policies import ChipControls, ChipObservation
+from repro.chip.spec import ChipRunSpec
 from repro.core.presets import baseline_config, bank_hopping_config
-from repro.sim.engine import SimulationEngine
+from repro.sim.engine import PhysicsStage, SimulationEngine
+from repro.sim.group_replay import BATCHED_ATOL, BATCHED_RTOL, replay_group
 from repro.workloads.generator import TraceGenerator
 
 INTERVAL = 400
@@ -104,6 +109,103 @@ def test_replay_with_none_policy_matches_coupled_none_policy():
     replayed = replay_chip(config, traces, interval_cycles=INTERVAL, chip_policy="none")
     _assert_results_identical(coupled, replayed)
     assert coupled.chip == replayed.chip
+
+
+# ----------------------------------------------------------------------
+# One replay path: a single-core replay is the one-trace chip layout
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("config_factory", [baseline_config, bank_hopping_config])
+def test_one_trace_chip_replay_bit_identical_to_single_core_replay(config_factory):
+    config = config_factory()
+    _, trace = SimulationEngine(
+        config, _uops("gzip"), "gzip", interval_cycles=INTERVAL
+    ).run_with_trace()
+    if config.frontend.trace_cache.bank_hopping:
+        assert trace.gated_masks is not None and trace.gated_masks.any()
+    # The chip layout counts cycles by the die clock; one trace's clock is
+    # its own.
+    np.testing.assert_array_equal(np.cumsum(trace.cycles), trace.end_cycles)
+    single = PhysicsStage(config, INTERVAL).replay(trace)
+    chip = replay_chip(config, [trace], interval_cycles=INTERVAL)
+    _assert_results_identical(single, chip, rename=lambda name: f"core0.{name}")
+    assert chip.warmup_temperature == {
+        f"core0.{name}": value for name, value in single.warmup_temperature.items()
+    }
+
+
+def _rng_physics_variants(config, count=4, seed=11):
+    """Leakage and convection variants from a fixed-seed RNG: every leakage
+    fraction differs, and the convection resistances form two thermal
+    sub-groups of two cells each, so every cell takes the batched walk."""
+    rng = np.random.default_rng(seed)
+    convection = rng.permutation([0.14, 0.2] * (count // 2))
+    return [
+        dataclasses.replace(
+            config,
+            name=f"rng_{i}",
+            power=dataclasses.replace(
+                config.power,
+                leakage_fraction_at_ambient=float(rng.uniform(0.15, 0.35)),
+            ),
+            thermal=dataclasses.replace(
+                config.thermal, convection_resistance_k_per_w=float(convection[i])
+            ),
+        )
+        for i in range(count)
+    ]
+
+
+def _assert_within_batched_contract(batched, exact):
+    __tracebackhide__ = True
+    tolerance = dict(rtol=BATCHED_RTOL, atol=BATCHED_ATOL)
+    for b, e in zip(batched, exact):
+        assert b.provenance["replay_mode"] == "batched"
+        assert len(b.intervals) == len(e.intervals)
+        for rb, re in zip(b.intervals, e.intervals):
+            assert rb.cycle == re.cycle and rb.seconds == re.seconds
+            assert rb.dynamic_power == re.dynamic_power
+            for field in ("temperature", "leakage_power"):
+                np.testing.assert_allclose(
+                    list(getattr(rb, field).values()),
+                    list(getattr(re, field).values()),
+                    **tolerance,
+                )
+        assert b.warmup_temperature == e.warmup_temperature
+
+
+@pytest.mark.parametrize("mix", [("gzip",), HETEROGENEOUS], ids=["1-trace", "2-core"])
+def test_batched_replay_within_tolerance_on_every_layout(mix):
+    config = baseline_config()
+    variants = _rng_physics_variants(config)
+    _, traces = _chip(config, list(mix)).run_with_traces()
+    if len(mix) == 1:
+        exact = replay_group(traces[0], variants, INTERVAL, replay_mode="exact")
+        batched = replay_group(traces[0], variants, INTERVAL, replay_mode="batched")
+    else:
+        specs = {
+            mode: [
+                ChipRunSpec(
+                    config=variant,
+                    cores=len(mix),
+                    benchmarks=mix,
+                    trace_uops=(2500,) * len(mix),
+                    interval_cycles=INTERVAL,
+                    seed=5,
+                    replay_mode=mode,
+                )
+                for variant in variants
+            ]
+            for mode in ("exact", "batched")
+        }
+        exact = replay_chip_group(traces, specs["exact"], replay_mode="exact")
+        batched = replay_chip_group(traces, specs["batched"], replay_mode="batched")
+        for b, e in zip(batched, exact):
+            for core, metrics in e.chip["per_core"].items():
+                for key, value in metrics.items():
+                    assert b.chip["per_core"][core][key] == pytest.approx(
+                        value, rel=BATCHED_RTOL, abs=BATCHED_ATOL
+                    )
+    _assert_within_batched_contract(batched, exact)
 
 
 # ----------------------------------------------------------------------

@@ -874,9 +874,10 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("auto", "fast", "reference"),
         default=None,
         help="engine timing path: 'auto' (default) takes the vectorized fast "
-        "path whenever it is byte-identical to the per-uop reference, "
+        "path, byte-identical to the per-uop reference, for every "
+        "materialized workload (closed-loop cells included), "
         "'reference' forces the golden per-uop loop, 'fast' demands the "
-        "fast path and errors on configurations it cannot reproduce",
+        "fast path and errors where it cannot run",
     )
     run.add_argument(
         "--replay-mode",

@@ -29,9 +29,9 @@ Because contention couples threads through *timing* (not just
 temperature), a contended chip cell can neither be captured for replay nor
 served from cached single-core traces — the chip engine's
 ``replay_safe_reason`` and the campaign's ``ChipRunSpec.replay_reason``
-both report it, and the engine falls back to the per-uop reference timing
-stage (the fast path's native core bakes memory latencies at marshal time
-and cannot retarget them mid-run).
+both report it.  The coupled run still takes the fast timing core: the
+native core's UL2 mirrors ``extra_miss_latency`` as a settable control
+input, and the Python fast loop uses the real ``UnifiedL2Cache``.
 
 The model is campaign-addressable by spec string, like DTM policies:
 ``"shared_llc"`` with defaults, or

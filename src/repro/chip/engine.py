@@ -375,9 +375,6 @@ class ChipEngine:
         self.solver_backend = self.physics.solver_backend
 
         # Shared-LLC / memory-bandwidth contention (repro.chip.contention).
-        # Parsed before the timing-mode selection below: a contended run
-        # couples threads through memory latency, so ``replay_safe_reason``
-        # must already see it.
         if isinstance(contention, str) or contention is None:
             contention = make_contention(contention)
         self.contention: Optional[ContentionConfig] = contention
@@ -439,12 +436,13 @@ class ChipEngine:
                 self.core_telemetry.append(DTMTelemetry(controls.table))
                 self.core_sensors.append(SensorBank(self.core_index.names))
 
-        # Timing-mode selection: the single-core engine's rule, where any
-        # physics-to-timing feedback includes temperature-actuating chip or
-        # per-core policies and contention (``replay_safe_reason``).
+        # Timing-mode selection: the single-core engine's rule.  Feedback
+        # (chip or per-core policies, contention) only bars replay
+        # (``replay_safe_reason``); the fast core takes it as interval-
+        # boundary control inputs.
         self.timing_mode = timing_mode
         stage_cls, self.timing_fallback_reason = select_timing_stage(
-            timing_mode, self.replay_safe_reason, uop_sources
+            timing_mode, uop_sources
         )
         self.resolved_timing_mode = (
             "reference" if self.timing_fallback_reason is not None else "fast"

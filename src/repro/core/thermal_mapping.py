@@ -71,6 +71,13 @@ class BankMappingTable:
             counts[bank] = counts.get(bank, 0) + 1
         return counts
 
+    def bank_shares(self, num_banks: int) -> Dict[int, float]:
+        """Fraction of table entries pointing at each of ``num_banks`` banks."""
+        counts = self.entries_per_bank()
+        return {
+            bank: counts.get(bank, 0) / self.num_entries for bank in range(num_banks)
+        }
+
     def set_assignment(self, shares: Dict[int, int]) -> None:
         """Assign ``shares[bank]`` consecutive entries to each bank.
 

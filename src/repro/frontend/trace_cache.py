@@ -180,6 +180,4 @@ class TraceCache:
 
     def accesses_per_bank_share(self) -> Dict[int, float]:
         """Fraction of mapping-table entries pointing at each bank."""
-        counts = self.mapping.entries_per_bank()
-        total = sum(counts.values())
-        return {bank: counts.get(bank, 0) / total for bank in range(len(self._banks))}
+        return self.mapping.bank_shares(len(self._banks))

@@ -25,7 +25,7 @@ typedef int64_t i64;
 
 /* ABI version: bump on any layout/parameter change so a stale cached
  * shared object is never loaded against newer Python glue. */
-#define FP_ABI 5
+#define FP_ABI 6
 
 /* Parameter vector layout (keep in sync with repro/sim/native.py). */
 enum {
@@ -162,6 +162,7 @@ typedef struct {
     /* --- UL2 / L1D --- */
     Cache ul2;
     i64 ul2_hits, ul2_misses;
+    i64 ul2_extra_miss;      /* contention actuator, added to every miss */
     Cache *dl1;              /* one per cluster */
 
     /* --- core state --- */
@@ -418,10 +419,14 @@ static i64 ul2_access(S *s, i64 address) {
     }
     s->ul2_misses++;
     cache_insert(&s->ul2, set, line);
-    return s->p[P_UL2_HIT] + s->p[P_UL2_MISS];
+    return s->p[P_UL2_HIT] + s->p[P_UL2_MISS] + s->ul2_extra_miss;
 }
 
 i64 fp_ul2_access(void *sv, i64 address) { return ul2_access((S *)sv, address); }
+
+/* UnifiedL2Cache.extra_miss_latency: the chip contention model's queueing
+ * delay, set between intervals. */
+void fp_ul2_set_extra_miss(void *sv, i64 cycles) { ((S *)sv)->ul2_extra_miss = cycles; }
 
 void fp_ul2_warm(void *sv, const i64 *addrs, i64 n) {
     S *s = (S *)sv;

@@ -273,17 +273,21 @@ TIMING_MODES = ("auto", "fast", "reference")
 
 def select_timing_stage(
     timing_mode: str,
-    feedback_reason: Optional[str],
     uop_sources: Sequence[Iterable[MicroOp]],
 ) -> Tuple[type, Optional[str]]:
     """The timing-stage class of a run, and why it is not the fast path.
 
-    The fast path only claims configurations it provably reproduces
-    byte-for-byte: no physics feedback into timing (``feedback_reason``, the
-    engine's ``replay_safe_reason`` — the same authority that gates trace
-    replay) and materialized workloads it can batch-decode.  Everything else
-    falls back to the per-uop golden reference, with the reason returned
-    (``None`` on the fast path); ``timing_mode="fast"`` refuses instead.
+    Selection is by capability alone: the fast core takes every
+    interval-boundary control the engines apply (bank hops and remaps,
+    including the thermal-aware mapping, DTM fetch duty and DVFS, skipped
+    clock-gated intervals, the contention model's extra UL2 miss latency),
+    so closed-loop runs qualify exactly like open-loop ones.  Physics
+    feedback only decides *replay* eligibility
+    (:func:`~repro.sim.activity_trace.timing_feedback_reason`).  What the
+    fast core cannot express is a workload it cannot batch-decode, i.e. a
+    streaming uop source; that, and ``timing_mode="reference"``, fall back
+    to the per-uop golden reference with the reason returned (``None`` on
+    the fast path).  ``timing_mode="fast"`` refuses instead of falling back.
     """
     if timing_mode not in TIMING_MODES:
         raise ValueError(
@@ -292,15 +296,11 @@ def select_timing_stage(
         )
     if timing_mode == "reference":
         return TimingStage, "timing_mode='reference' requested"
-    fallback = feedback_reason
-    if fallback is None and not all(
-        isinstance(source, Sequence) for source in uop_sources
-    ):
-        fallback = "streaming uop source cannot be batch-decoded"
-    if fallback is None:
+    if all(isinstance(source, Sequence) for source in uop_sources):
         from repro.sim.fast_timing import FastTimingStage
 
         return FastTimingStage, None
+    fallback = "streaming uop source cannot be batch-decoded"
     if timing_mode == "fast":
         raise ValueError(f"timing_mode='fast' is not applicable: {fallback}")
     return TimingStage, fallback
@@ -631,7 +631,7 @@ class SimulationEngine:
         self.dtm_policy = dtm_policy
         self.timing_mode = timing_mode
         stage_cls, self.timing_fallback_reason = select_timing_stage(
-            timing_mode, self.replay_safe_reason, [uop_source]
+            timing_mode, [uop_source]
         )
         self.resolved_timing_mode = (
             "reference" if self.timing_fallback_reason is not None else "fast"

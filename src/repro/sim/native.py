@@ -19,9 +19,12 @@ The backend is strictly optional and strictly equivalent:
   against the reference per-uop processor.
 
 Scope: non-distributed frontends (the Python loop serves distributed
-configurations).  All steering policies, fetch gates and trace-cache bank
-gating/remapping are supported; bank-mapping *control* (share validation,
-entry layout) stays in Python and pushes plain entry arrays down.
+configurations), open- and closed-loop alike.  All steering policies are
+supported, and so is every control the engines apply between intervals:
+fetch gates (DTM duty, DVFS), trace-cache bank gating and remapping
+(thermal-aware included) and the UL2's extra miss latency (the chip
+contention actuator).  Bank-mapping *control* (share validation, entry
+layout) stays in Python and pushes plain entry arrays down.
 """
 
 from __future__ import annotations
@@ -49,7 +52,7 @@ from repro.sim.processor import SimulationDeadlockError
 
 #: Must match FP_ABI in ``_native_core.c``; a mismatched cached .so is
 #: recompiled, never used.
-NATIVE_ABI = 5
+NATIVE_ABI = 6
 
 _SOURCE = Path(__file__).with_name("_native_core.c")
 
@@ -139,6 +142,8 @@ def _configure(lib: ctypes.CDLL) -> None:
     lib.fp_ul2_warm.argtypes = [ptr, ptr, i64]
     lib.fp_ul2_reset_stats.restype = None
     lib.fp_ul2_reset_stats.argtypes = [ptr]
+    lib.fp_ul2_set_extra_miss.restype = None
+    lib.fp_ul2_set_extra_miss.argtypes = [ptr, i64]
 
 
 def load_library() -> Optional[ctypes.CDLL]:
@@ -440,6 +445,9 @@ class NativeBackend:
     def ul2_access(self, address: int) -> int:
         return int(self._lib.fp_ul2_access(self._state, address))
 
+    def ul2_set_extra_miss(self, cycles: int) -> None:
+        self._lib.fp_ul2_set_extra_miss(self._state, cycles)
+
     def warm_ul2(self, addresses: Sequence[int]) -> None:
         arr = _i64(addresses)
         if len(arr):
@@ -502,6 +510,10 @@ class NativeTraceCache:
     def bank_for(self, head_pc: int) -> int:
         return self.mapping.bank_for(head_pc)
 
+    def accesses_per_bank_share(self) -> Dict[int, float]:
+        """Fraction of mapping-table entries pointing at each bank."""
+        return self.mapping.bank_shares(self.config.physical_banks)
+
     # -- counters -------------------------------------------------------
     @property
     def hits(self) -> int:
@@ -539,9 +551,20 @@ class NativeUL2:
         # implemented as offsets against the monotonic C-side counters.
         self._hits_base = 0
         self._misses_base = 0
+        self._extra_miss_latency = 0
 
     def access(self, address: int) -> int:
         return self._backend.ul2_access(address)
+
+    @property
+    def extra_miss_latency(self) -> int:
+        """Cycles added to every miss (the chip contention actuator)."""
+        return self._extra_miss_latency
+
+    @extra_miss_latency.setter
+    def extra_miss_latency(self, cycles: int) -> None:
+        self._backend.ul2_set_extra_miss(cycles)
+        self._extra_miss_latency = cycles
 
     @property
     def hits(self) -> int:

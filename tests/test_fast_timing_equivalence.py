@@ -6,9 +6,11 @@ to be **byte-identical** to the per-uop golden reference
 (:class:`repro.sim.processor.Processor`): same :class:`SimulationStats`
 payload, same :class:`ActivityTrace` down to its canonical JSON encoding.
 These tests lock that contract across the paper's frontend organizations,
-steering policies, fetch-gate duty cycles and the chip engine — and pin the
-``timing_mode`` selector's fallback behaviour for configurations the fast
-path does not claim.
+steering policies, fetch-gate duty cycles and the chip engine, and over
+closed-loop runs: thermal-aware remapping, feedback DTM policies, chip
+policies and shared-LLC contention, whose controls reach the timing core
+between intervals.  They also pin the ``timing_mode`` selector, which picks
+the fast path by capability alone (only streaming sources fall back).
 
 The native core is exercised both ways: with the compiled backend (when a C
 compiler is available) and with the pure-Python fast loop forced via the
@@ -21,6 +23,7 @@ from dataclasses import replace
 
 import pytest
 
+from repro.chip.engine import ChipEngine
 from repro.core.presets import (
     address_biasing_config,
     bank_hopping_biasing_config,
@@ -30,10 +33,12 @@ from repro.core.presets import (
     distributed_frontend_config,
     distributed_rename_commit_config,
 )
+from repro.dtm.policies import make_policy
 from repro.sim.config import SteeringPolicy
 from repro.sim.engine import SimulationEngine
 from repro.sim.fast_timing import FastProcessor
 from repro.sim.processor import Processor
+from repro.sim.serialization import result_to_dict
 from repro.workloads import decode_workload
 from repro.workloads.generator import TraceGenerator
 
@@ -131,14 +136,19 @@ def test_fetch_gate_byte_equivalence(config_factory, on, period):
     [distributed_frontend_config, bank_hopping_biasing_config, address_biasing_config],
 )
 def test_unsupported_configurations_fall_back_to_reference(config_factory):
-    """``auto`` refuses configurations the fast path does not claim."""
+    """Thermal-aware mapping runs on the fast core under ``auto``.
+
+    Its temperature feedback reaches the core as interval-boundary remaps,
+    so it only bars replay, not the fast path.
+    """
     config = config_factory()
     engine = SimulationEngine(config, _uops(), "gzip")
     assert engine.timing_mode == "auto"
-    assert engine.resolved_timing_mode == "reference"
-    assert engine.timing_fallback_reason is not None
-    with pytest.raises(ValueError, match="timing_mode='fast' is not applicable"):
-        SimulationEngine(config, _uops(), "gzip", timing_mode="fast")
+    assert engine.resolved_timing_mode == "fast"
+    assert engine.timing_fallback_reason is None
+    assert "thermal-aware" in engine.replay_safe_reason
+    forced = SimulationEngine(config, _uops(), "gzip", timing_mode="fast")
+    assert forced.resolved_timing_mode == "fast"
 
 
 def test_streaming_source_falls_back_to_reference():
@@ -175,8 +185,6 @@ def test_native_core_engaged_when_available(monkeypatch):
 
 def test_chip_engine_fast_matches_reference():
     """Two-thread chip runs agree interval-for-interval across timing modes."""
-    from repro.chip.engine import ChipEngine
-
     sources = [_uops("gzip", 7), _uops("swim", 11)]
 
     def run(mode):
@@ -201,18 +209,23 @@ def test_chip_engine_fast_matches_reference():
 
 
 def test_chip_engine_feedback_policy_falls_back():
-    """Temperature-actuating chip policies force the golden reference."""
-    from repro.chip.engine import ChipEngine
+    """Temperature-actuating chip policies run on the fast core, coupled."""
 
-    engine = ChipEngine(
-        baseline_config(),
-        [_uops("gzip", 7)],
-        ["gzip"],
-        interval_cycles=800,
-        chip_policy="core_migration",
-    )
-    assert engine.resolved_timing_mode == "reference"
-    assert engine.timing_fallback_reason is not None
+    def engine(mode):
+        return ChipEngine(
+            baseline_config(),
+            [_uops("gzip", 7)],
+            ["gzip"],
+            interval_cycles=800,
+            chip_policy="core_migration",
+            timing_mode=mode,
+        )
+
+    auto = engine("auto")
+    assert auto.resolved_timing_mode == "fast"
+    assert auto.timing_fallback_reason is None
+    assert "core_migration" in auto.replay_safe_reason
+    assert engine("fast").resolved_timing_mode == "fast"
 
 
 def test_decode_workload_is_exported():
@@ -222,3 +235,117 @@ def test_decode_workload_is_exported():
     assert decoded.n == len(uops)
     assert len(decoded.cls_list) == len(uops)
     assert decoded.op_class.shape == (len(uops),)
+
+
+# ----------------------------------------------------------------------
+# Closed-loop lock: feedback reaches the timing core between intervals
+# ----------------------------------------------------------------------
+#: Feedback DTM policies with triggers low enough to actuate within the
+#: first few 600-cycle intervals of a short trace.
+FEEDBACK_POLICIES = (
+    None,
+    "fetch_throttle:trigger=50,duty=0.25",
+    "clock_gate:trigger=50",
+    "dvfs:target=50",
+    "hybrid:target=50,emergency=55",
+)
+
+
+@pytest.mark.parametrize("policy", FEEDBACK_POLICIES)
+@pytest.mark.parametrize(
+    "config_factory",
+    [
+        baseline_config,
+        bank_hopping_config,
+        bank_hopping_biasing_config,
+        address_biasing_config,
+        distributed_rename_commit_config,
+        distributed_frontend_config,
+    ],
+)
+def test_closed_loop_byte_equivalence(config_factory, policy):
+    """Hops, thermal-aware remaps and DTM actuation every interval agree.
+
+    ``with_intervals(600)`` makes every thermal interval a hop and remap
+    boundary, so the temperature-steered mapping and the policy's fetch
+    duty, DVFS and clock gating all change the timing core mid-run.
+    """
+    config = config_factory().with_intervals(600)
+    uops = _uops(n=3_000)
+
+    def run(mode):
+        engine = SimulationEngine(
+            config,
+            list(uops),
+            "gzip",
+            dtm_policy=make_policy(policy) if policy else None,
+            timing_mode=mode,
+        )
+        assert engine.resolved_timing_mode == mode
+        return engine.run()
+
+    ref, fast = run("reference"), run("fast")
+    assert result_to_dict(ref) == result_to_dict(fast)
+    assert ref.stats.to_payload() == fast.stats.to_payload()
+    assert ref.dtm == fast.dtm
+    if policy is not None:
+        assert fast.dtm["throttled_intervals"] + fast.dtm["gated_intervals"] > 0
+
+
+#: Four threads; core_migration gets two idle cores to migrate to.
+CHIP_MIX = ("gzip", "swim", "mcf", "hot_loop")
+
+
+@pytest.mark.parametrize(
+    "kwargs,actuated",
+    [
+        (
+            dict(chip_policy="core_migration", cores=6),
+            lambda chip: chip["migrations"] > 0,
+        ),
+        (
+            dict(chip_policy="chip_dvfs"),
+            lambda chip: chip["dvfs_residency"].get("1", 0.0) < 1.0,
+        ),
+        (
+            dict(
+                core_policies=[
+                    "fetch_throttle:trigger=50,duty=0.25",
+                    None,
+                    "dvfs:target=50",
+                    "hybrid:target=50,emergency=55",
+                ]
+            ),
+            lambda chip: [
+                t["dtm"]["throttled_intervals"] > 0
+                for t in chip["threads"]
+                if "dtm" in t
+            ] == [True] * 3,
+        ),
+        (
+            # Cold UL2s so the co-runners' misses queue on the memory buses.
+            dict(contention="shared_llc:service=256", prewarm_caches=False),
+            lambda chip: chip["contention"]["peak_extra_latency"] > 0,
+        ),
+    ],
+    ids=["core_migration", "chip_dvfs", "per_core_mix", "contention"],
+)
+def test_closed_loop_chip_byte_equivalence(kwargs, actuated):
+    """Chip policies, per-core policies and contention: both paths agree."""
+    sources = [_uops(b, seed) for seed, b in enumerate(CHIP_MIX, start=11)]
+
+    def run(mode):
+        engine = ChipEngine(
+            baseline_config().with_intervals(600),
+            [list(source) for source in sources],
+            CHIP_MIX,
+            timing_mode=mode,
+            **kwargs,
+        )
+        assert engine.resolved_timing_mode == mode
+        return engine.run()
+
+    ref, fast = run("reference"), run("fast")
+    assert result_to_dict(ref) == result_to_dict(fast)
+    assert ref.stats.to_payload() == fast.stats.to_payload()
+    assert actuated(fast.chip)

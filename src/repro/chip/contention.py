@@ -31,7 +31,7 @@ served from cached single-core traces — the chip engine's
 ``replay_safe_reason`` and the campaign's ``ChipRunSpec.replay_reason``
 both report it.  The coupled run still takes the fast timing core: the
 native core's UL2 mirrors ``extra_miss_latency`` as a settable control
-input, and the Python fast loop uses the real ``UnifiedL2Cache``.
+input.
 
 The model is campaign-addressable by spec string, like DTM policies:
 ``"shared_llc"`` with defaults, or

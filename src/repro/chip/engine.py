@@ -442,7 +442,7 @@ class ChipEngine:
         # boundary control inputs.
         self.timing_mode = timing_mode
         stage_cls, self.timing_fallback_reason = select_timing_stage(
-            timing_mode, uop_sources
+            timing_mode, config, uop_sources
         )
         self.resolved_timing_mode = (
             "reference" if self.timing_fallback_reason is not None else "fast"

@@ -1,20 +1,21 @@
-/* Native interval core for the fast timing path.
+/* Native interval core: the fast timing path.
  *
- * This is a line-by-line transcription of the Python fast loop in
- * repro/sim/fast_timing.py (itself locked byte-identical to the reference
- * per-uop Processor by tests/test_fast_timing_equivalence.py).  Where the
- * Python loop uses event-driven wakeup and quiet-cycle skipping to stay
- * fast in an interpreter, this core simply brute-forces every cycle and
- * scans the issue queues directly -- semantically the reference algorithm,
- * with fewer places to diverge.
+ * An array-state interpreter for the microarchitecture the per-uop
+ * reference Processor (repro/sim/processor.py) models, over a batch-decoded
+ * workload (repro/workloads/decode.py).  It steps every cycle and scans the
+ * issue queues directly -- semantically the reference algorithm -- and is
+ * locked byte-identical to it by tests/test_fast_timing_equivalence.py.
  *
- * Scope: non-distributed frontends only (the Python fast loop keeps
- * handling distributed rename/commit configurations).  All steering
- * policies, fetch gates and bank gating/mapping control are supported.
+ * Scope: every frontend organization, centralized or partitioned.  A
+ * distributed ROB commits in global allocation order (each partition is a
+ * FIFO, and the oldest entry overall heads its partition), so one global
+ * ring holds the ROB and a per-partition occupancy count enforces each
+ * partition's capacity.  All steering policies, fetch gates, bank
+ * gating/mapping control and the UL2 extra-miss actuator are supported.
  *
  * Built at runtime by repro/sim/native.py with the system C compiler and
- * loaded through ctypes; when no compiler is available the Python loop
- * runs instead, producing the same outputs.
+ * loaded through ctypes; when no compiler is available the engines run the
+ * reference Processor instead, producing the same outputs.
  */
 
 #include <stdint.h>
@@ -25,7 +26,7 @@ typedef int64_t i64;
 
 /* ABI version: bump on any layout/parameter change so a stale cached
  * shared object is never loaded against newer Python glue. */
-#define FP_ABI 6
+#define FP_ABI 7
 
 /* Parameter vector layout (keep in sync with repro/sim/native.py). */
 enum {
@@ -181,7 +182,8 @@ typedef struct {
     int qcap_max;
     Ring *pipes;             /* per cluster: rec idx (arrival in rec) */
     i64 *in_flight, *mob_occ;
-    Ring rob;
+    Ring rob;                /* every partition, in allocation order */
+    i64 *rob_occ;            /* entries per frontend partition */
     Ring fq_ready, fq_idx;   /* parallel rings */
     i64 *bus_free, *p2p_free;
 
@@ -292,13 +294,15 @@ void *fp_create(const i64 *params,
      * capacity check (only the consumer's pipe is capped), so a pipe can
      * exceed the prescheduler limit by the number of live copies, itself
      * bounded by two per ROB entry. */
-    int pipe_cap = (int)(s->p[P_PRESCHED_CAP] + 2 * s->p[P_ROB_CAP] + 16);
+    int rob_total = (int)(s->p[P_ROB_CAP] * nf);
+    int pipe_cap = (int)(s->p[P_PRESCHED_CAP] + 2 * rob_total + 16);
     s->pipes = (Ring *)malloc(sizeof(Ring) * (size_t)ncl);
     for (int c = 0; c < ncl; c++)
         ring_init(&s->pipes[c], pipe_cap);
     s->in_flight = (i64 *)calloc((size_t)ncl, sizeof(i64));
     s->mob_occ = (i64 *)calloc((size_t)ncl, sizeof(i64));
-    ring_init(&s->rob, (int)s->p[P_ROB_CAP] + 2);
+    ring_init(&s->rob, rob_total + 2);
+    s->rob_occ = (i64 *)calloc((size_t)nf, sizeof(i64));
     int fqcap = (int)(s->p[P_FBUF] + s->p[P_FWIDTH] + 4);
     ring_init(&s->fq_ready, fqcap);
     ring_init(&s->fq_idx, fqcap);
@@ -308,7 +312,7 @@ void *fp_create(const i64 *params,
     /* Rec pool: live recs are ROB entries (<= cap + 1) plus copies in
      * flight (<= 2 per ROB entry: a copy's consumer holds its ROB slot
      * until after the copy completes and is freed). */
-    s->pool_cap = (int)(3 * s->p[P_ROB_CAP] + 4 * ncl * s->qcap_max + 1024);
+    s->pool_cap = 3 * rob_total + 4 * ncl * s->qcap_max + 1024;
     s->pool = (Rec *)malloc(sizeof(Rec) * (size_t)s->pool_cap);
     s->freerec = (int *)malloc(sizeof(int) * (size_t)s->pool_cap);
     s->nfree = s->pool_cap;
@@ -344,7 +348,7 @@ void fp_destroy(void *sv) {
     free(s->queues); free(s->qn);
     for (int c = 0; c < ncl; c++) free(s->pipes[c].buf);
     free(s->pipes); free(s->in_flight); free(s->mob_occ);
-    free(s->rob.buf); free(s->fq_ready.buf); free(s->fq_idx.buf);
+    free(s->rob.buf); free(s->rob_occ); free(s->fq_ready.buf); free(s->fq_idx.buf);
     free(s->bus_free); free(s->p2p_free);
     free(s->pool); free(s->freerec);
     free(s->cal_head); free(s->cal_tail);
@@ -510,7 +514,7 @@ i64 fp_run_to(void *sv, i64 target, i64 gate_on, i64 gate_period) {
     const i64 ul2_hit = s->p[P_UL2_HIT];
     const i64 dc_hit = s->p[P_DC_HIT];
     const i64 commit_lag = s->p[P_COMMIT_LAG];
-    const int rob_cap = (int)s->p[P_ROB_CAP];
+    const int rob_cap = (int)s->p[P_ROB_CAP]; /* per frontend partition */
     const int mob_cap = (int)s->p[P_MOB_CAP];
     const int policy = (int)s->p[P_POLICY];
     const int n_buses = (int)s->p[P_NBUSES];
@@ -544,6 +548,7 @@ i64 fp_run_to(void *sv, i64 target, i64 gate_on, i64 gate_period) {
                 Rec *r = &pool[ri];
                 if (r->comp < 0 || r->comp + commit_lag > cycle) break;
                 ring_pop(&s->rob);
+                s->rob_occ[r->frontend]--;
                 committed++;
                 acc[s->rob_b[r->frontend]]++;
                 for (int i = 0; i < r->nprev; i++) {
@@ -747,7 +752,7 @@ i64 fp_run_to(void *sv, i64 target, i64 gate_on, i64 gate_period) {
                         }
                 }
                 int f = s->front_of[cl];
-                if (ring_len(&s->rob) >= rob_cap) {
+                if (s->rob_occ[f] >= rob_cap) {
                     s->s_robstall++;
                     break;
                 }
@@ -888,6 +893,7 @@ i64 fp_run_to(void *sv, i64 target, i64 gate_on, i64 gate_period) {
                 r->is_load = is_load;
                 r->mpb = mpb;
                 ring_push(&s->rob, ri);
+                s->rob_occ[f]++;
                 acc[s->rob_b[f]]++;
                 if (is_store) {
                     for (int c = 0; c < ncl; c++) {

@@ -17,7 +17,8 @@ The engine couples two explicit stages, one thermal interval at a time:
 :meth:`SimulationEngine.run` is the coupled loop over both stages — exactly
 the historical per-interval pipeline, bit-for-bit (the golden-metric suite
 locks it).  The split exists because the two stages have wildly different
-costs and dependencies: the timing stage is pure Python (~16 k uops/s) but
+costs and dependencies: the timing stage is a cycle-level simulation (about
+14k uops/s on the per-uop reference, about 290k on the native core) but
 never reads ``config.power``/``config.thermal``, while the physics stage is
 fast NumPy but is what a parameter sweep actually varies.  So the timing
 stage's complete output can be captured once as a serializable
@@ -64,7 +65,7 @@ from repro.dtm.policies import DTMObservation, DTMPolicy
 from repro.isa.microops import MicroOp
 from repro.power.energy import build_block_parameters
 from repro.power.power_model import PowerModel
-from repro.sim import blocks
+from repro.sim import blocks, native
 from repro.sim.activity_trace import ActivityTrace, TraceRecorder, timing_feedback_reason
 from repro.sim.block_index import BlockIndex
 from repro.sim.config import ProcessorConfig
@@ -273,21 +274,25 @@ TIMING_MODES = ("auto", "fast", "reference")
 
 def select_timing_stage(
     timing_mode: str,
+    config: ProcessorConfig,
     uop_sources: Sequence[Iterable[MicroOp]],
 ) -> Tuple[type, Optional[str]]:
     """The timing-stage class of a run, and why it is not the fast path.
 
-    Selection is by capability alone: the fast core takes every
-    interval-boundary control the engines apply (bank hops and remaps,
-    including the thermal-aware mapping, DTM fetch duty and DVFS, skipped
-    clock-gated intervals, the contention model's extra UL2 miss latency),
-    so closed-loop runs qualify exactly like open-loop ones.  Physics
-    feedback only decides *replay* eligibility
-    (:func:`~repro.sim.activity_trace.timing_feedback_reason`).  What the
-    fast core cannot express is a workload it cannot batch-decode, i.e. a
-    streaming uop source; that, and ``timing_mode="reference"``, fall back
-    to the per-uop golden reference with the reason returned (``None`` on
-    the fast path).  ``timing_mode="fast"`` refuses instead of falling back.
+    Selection is by capability alone: the native core takes every
+    frontend organization and every interval-boundary control the engines
+    apply (bank hops and remaps, including the thermal-aware mapping, DTM
+    fetch duty and DVFS, skipped clock-gated intervals, the contention
+    model's extra UL2 miss latency), so closed-loop runs qualify exactly
+    like open-loop ones.  Physics feedback only decides *replay*
+    eligibility (:func:`~repro.sim.activity_trace.timing_feedback_reason`).
+    The fast path is out of reach for a streaming uop source (it cannot be
+    batch-decoded) and wherever
+    :func:`~repro.sim.native.native_unavailable_reason` reports the core
+    unavailable (``REPRO_NATIVE=0``, no C compiler or a failed build, more
+    than 8 clusters).  Those, and ``timing_mode="reference"``, run the
+    per-uop golden reference with the reason returned (``None`` on the fast
+    path); ``timing_mode="fast"`` refuses instead of falling back.
     """
     if timing_mode not in TIMING_MODES:
         raise ValueError(
@@ -297,10 +302,13 @@ def select_timing_stage(
     if timing_mode == "reference":
         return TimingStage, "timing_mode='reference' requested"
     if all(isinstance(source, Sequence) for source in uop_sources):
+        fallback = native.native_unavailable_reason(config)
+    else:
+        fallback = "streaming uop source cannot be batch-decoded"
+    if fallback is None:
         from repro.sim.fast_timing import FastTimingStage
 
         return FastTimingStage, None
-    fallback = "streaming uop source cannot be batch-decoded"
     if timing_mode == "fast":
         raise ValueError(f"timing_mode='fast' is not applicable: {fallback}")
     return TimingStage, fallback
@@ -631,7 +639,7 @@ class SimulationEngine:
         self.dtm_policy = dtm_policy
         self.timing_mode = timing_mode
         stage_cls, self.timing_fallback_reason = select_timing_stage(
-            timing_mode, [uop_source]
+            timing_mode, config, [uop_source]
         )
         self.resolved_timing_mode = (
             "reference" if self.timing_fallback_reason is not None else "fast"

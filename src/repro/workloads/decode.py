@@ -7,8 +7,8 @@ membership — every time it touches the uop.  The fast timing path
 (:class:`repro.sim.fast_timing.FastTimingStage`) instead decodes the whole
 workload once up front: :class:`DecodedWorkload` extracts every field into
 dense arrays and pre-segments the stream into trace-cache lines (the
-16-uop / 3-branch assembly rule of the fetch unit), so the interval loop
-touches only integers and never a ``MicroOp`` again.
+16-uop / 3-branch assembly rule of the fetch unit), which are handed to the
+compiled timing core as int64 buffers; the core never sees a ``MicroOp``.
 
 The decode is purely static: nothing here depends on simulated time, cache
 state or steering decisions, so a decoded workload can be reused across
@@ -48,17 +48,12 @@ _FIELDS = attrgetter(
 _FP = RegisterClass.FP
 
 
-class TraceLine(Tuple):
-    """Typing alias placeholder; lines are plain tuples (see ``lines``)."""
-
-
 class DecodedWorkload:
     """A micro-op sequence decoded into parallel arrays plus trace lines.
 
-    Per-uop fields are exposed both as plain Python lists (``*_list``, used
-    by the fast core's inner loop, where unboxed-int indexing beats numpy
-    scalar extraction) and as numpy arrays (cached properties, used for
-    batch/segment computations and by tests).
+    Per-uop fields are exposed both as plain Python lists (``*_list``, the
+    form the decode loop builds and the line segmentation scans) and as
+    numpy arrays (cached properties).
     """
 
     def __init__(self, uops: Sequence[MicroOp], num_int_registers: int = None) -> None:
@@ -78,7 +73,6 @@ class DecodedWorkload:
         isbr_l: List[bool] = []
         mp_l: List[bool] = []
         dest_l: List[int] = []
-        destfp_l: List[bool] = []
         srcs_l: List[Tuple[int, ...]] = []
         ineed_l: List[int] = []
         fneed_l: List[int] = []
@@ -97,16 +91,12 @@ class DecodedWorkload:
             fp_needed = 0
             if dest is None:
                 dest_l.append(-1)
-                destfp_l.append(False)
+            elif dest.reg_class is _FP:
+                dest_l.append(num_int_registers + dest.index)
+                fp_needed = 1
             else:
-                if dest.reg_class is _FP:
-                    dest_l.append(num_int_registers + dest.index)
-                    destfp_l.append(True)
-                    fp_needed = 1
-                else:
-                    dest_l.append(dest.index)
-                    destfp_l.append(False)
-                    int_needed = 1
+                dest_l.append(dest.index)
+                int_needed = 1
             if sources:
                 flats = []
                 for reg in sources:
@@ -129,7 +119,6 @@ class DecodedWorkload:
         self.is_branch_list = isbr_l
         self.mispredicted_list = mp_l
         self.dest_flat_list = dest_l
-        self.dest_is_fp_list = destfp_l
         self.src_flats_list = srcs_l
         self.int_needed_list = ineed_l
         self.fp_needed_list = fneed_l
@@ -186,20 +175,18 @@ class DecodedWorkload:
         """Pre-segmented trace lines for a fetch configuration.
 
         Returns a list of tuples ``(start, end, head_pc, fetch_cycles,
-        sets_exhausted, branch_positions, mispredicted_positions)`` mirroring
-        exactly how :meth:`repro.frontend.fetch.FetchUnit._assemble_line`
-        chops the stream: up to ``line_uops`` uops, ending early after the
-        third branch.  ``sets_exhausted`` marks the line whose assembly hit
-        the end of the stream mid-pull (the cycle at which the reference
-        fetch unit latches its ``_exhausted`` flag); positions are relative
-        to ``start``.
+        sets_exhausted)`` mirroring exactly how
+        :meth:`repro.frontend.fetch.FetchUnit._assemble_line` chops the
+        stream: up to ``line_uops`` uops, ending early after the third
+        branch.  ``sets_exhausted`` marks the line whose assembly hit the end
+        of the stream mid-pull (the cycle at which the reference fetch unit
+        latches its ``_exhausted`` flag).
         """
         key = (line_uops, fetch_width)
         cached = self._lines_cache.get(key)
         if cached is not None:
             return cached
         isbr = self.is_branch_list
-        mp = self.mispredicted_list
         pc = self.pc_list
         n = self.n
         lines = []
@@ -226,26 +213,10 @@ class DecodedWorkload:
             # the stream end (not by the uop cap or the branch rule) is the
             # one that sets the flag.
             sets_exhausted = j == n and length < line_uops and not stopped_by_branch
-            branch_positions = tuple(
-                k - start for k in range(start, j) if isbr[k]
-            )
-            mispredicted_positions = tuple(
-                k for k in branch_positions if mp[start + k]
-            )
             fetch_cycles = -(-length // fetch_width)
             if fetch_cycles < 1:
                 fetch_cycles = 1
-            lines.append(
-                (
-                    start,
-                    j,
-                    pc[start],
-                    fetch_cycles,
-                    sets_exhausted,
-                    branch_positions,
-                    mispredicted_positions,
-                )
-            )
+            lines.append((start, j, pc[start], fetch_cycles, sets_exhausted))
             i = j
         self._lines_cache[key] = lines
         return lines

@@ -20,6 +20,23 @@ from repro.workloads.generator import TraceGenerator
 
 
 @pytest.fixture
+def native_core():
+    """The compiled timing core; skips where it cannot run.
+
+    Tests that lock the fast path against the reference take this fixture.
+    They skip only when :func:`repro.sim.native.load_library` gives no
+    library: no C compiler, a failed build, or ``REPRO_NATIVE=0``, which
+    asks for the reference path.
+    """
+    from repro.sim import native
+
+    lib = native.load_library()
+    if lib is None:
+        pytest.skip("native timing core unavailable (no C compiler or REPRO_NATIVE=0)")
+    return lib
+
+
+@pytest.fixture
 def config() -> ProcessorConfig:
     """The paper's baseline configuration."""
     return baseline_config()

@@ -185,7 +185,7 @@ def test_contention_degrades_corunner_ipc_deterministically():
     assert result_to_dict(on_a) == result_to_dict(on_b)
 
 
-def test_contention_forces_reference_timing():
+def test_contention_forces_reference_timing(native_core):
     """Contended runs stay non-replayable but take the fast timing core."""
     engine = _engine("shared_llc")
     assert engine.resolved_timing_mode == "fast"

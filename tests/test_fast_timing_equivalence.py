@@ -1,25 +1,26 @@
 """Fast-vs-reference timing equivalence.
 
-The vectorized fast timing path (:mod:`repro.sim.fast_timing`, optionally
-backed by the runtime-compiled native core in :mod:`repro.sim.native`) claims
-to be **byte-identical** to the per-uop golden reference
-(:class:`repro.sim.processor.Processor`): same :class:`SimulationStats`
-payload, same :class:`ActivityTrace` down to its canonical JSON encoding.
-These tests lock that contract across the paper's frontend organizations,
-steering policies, fetch-gate duty cycles and the chip engine, and over
-closed-loop runs: thermal-aware remapping, feedback DTM policies, chip
-policies and shared-LLC contention, whose controls reach the timing core
-between intervals.  They also pin the ``timing_mode`` selector, which picks
-the fast path by capability alone (only streaming sources fall back).
+The fast timing path (:mod:`repro.sim.fast_timing`, the runtime-compiled
+native core of :mod:`repro.sim.native`) claims to be **byte-identical** to
+the per-uop golden reference (:class:`repro.sim.processor.Processor`): same
+:class:`SimulationStats` payload, same :class:`ActivityTrace` down to its
+canonical JSON encoding.  These tests lock that contract across the paper's
+frontend organizations (2- and 4-partition distributed rename/commit
+included), steering policies, fetch-gate duty cycles and the chip engine,
+and over closed-loop runs: thermal-aware remapping, feedback DTM policies,
+chip policies and shared-LLC contention, whose controls reach the timing
+core between intervals.  Every such test takes the ``native_core`` fixture
+and skips only where the core cannot be built or ``REPRO_NATIVE=0`` is set.
 
-The native core is exercised both ways: with the compiled backend (when a C
-compiler is available) and with the pure-Python fast loop forced via the
-``REPRO_NATIVE=0`` kill-switch.  Both must match the reference exactly.
+They also pin the ``timing_mode`` selector: ``auto`` takes the native core
+whenever it is available and otherwise falls back to the reference with a
+recorded reason, which the fallback tests check on every host.
 """
 
 from __future__ import annotations
 
 from dataclasses import replace
+from functools import partial
 
 import pytest
 
@@ -35,6 +36,7 @@ from repro.core.presets import (
 )
 from repro.dtm.policies import make_policy
 from repro.sim.config import SteeringPolicy
+from repro.sim import native
 from repro.sim.engine import SimulationEngine
 from repro.sim.fast_timing import FastProcessor
 from repro.sim.processor import Processor
@@ -43,6 +45,9 @@ from repro.workloads import decode_workload
 from repro.workloads.generator import TraceGenerator
 
 TRACE_UOPS = 2_000
+
+#: The partition-count ablation's widest point: four frontend partitions.
+four_frontends_config = partial(distributed_rename_commit_config, num_frontends=4)
 
 
 def _uops(benchmark="gzip", seed=7, n=TRACE_UOPS):
@@ -72,33 +77,35 @@ def _assert_equivalent(config, uops, benchmark, interval_cycles=800, max_interva
     "bench,seed",
     [("gzip", 7), ("mcf", 3), ("swim", 11), ("hot_loop", 5)],
 )
-def test_baseline_byte_equivalence(bench, seed):
+def test_baseline_byte_equivalence(native_core, bench, seed):
     _assert_equivalent(baseline_config(), _uops(bench, seed), bench)
 
 
-def test_bank_hopping_byte_equivalence():
+def test_bank_hopping_byte_equivalence(native_core):
     _assert_equivalent(
         bank_hopping_config(), _uops(), "gzip", interval_cycles=400
     )
 
 
-def test_blank_silicon_byte_equivalence():
+def test_blank_silicon_byte_equivalence(native_core):
     _assert_equivalent(blank_silicon_config(), _uops(), "gzip")
 
 
-def test_distributed_rename_commit_byte_equivalence():
-    _assert_equivalent(distributed_rename_commit_config(), _uops(), "gzip")
+def test_distributed_rename_commit_byte_equivalence(native_core):
+    for num_frontends in (2, 4):
+        config = distributed_rename_commit_config(num_frontends=num_frontends)
+        _assert_equivalent(config, _uops(), "gzip")
 
 
 @pytest.mark.parametrize(
     "policy", [SteeringPolicy.ROUND_ROBIN, SteeringPolicy.LOAD_BALANCE]
 )
-def test_steering_policy_byte_equivalence(policy):
+def test_steering_policy_byte_equivalence(native_core, policy):
     config = replace(baseline_config(), steering_policy=policy)
     _assert_equivalent(config, _uops(), "gzip")
 
 
-def test_truncated_run_byte_equivalence():
+def test_truncated_run_byte_equivalence(native_core):
     """``max_intervals`` truncation is a prefix of the full run on both paths."""
     _assert_equivalent(baseline_config(), _uops(), "gzip", max_intervals=2)
 
@@ -109,9 +116,10 @@ def test_truncated_run_byte_equivalence():
         (baseline_config, 3, 8),
         (baseline_config, 1, 8),
         (distributed_rename_commit_config, 5, 8),
+        pytest.param(four_frontends_config, 5, 8, id="four_frontends_config-5-8"),
     ],
 )
-def test_fetch_gate_byte_equivalence(config_factory, on, period):
+def test_fetch_gate_byte_equivalence(native_core, config_factory, on, period):
     """Raw processors under a fetch duty gate stay cycle-identical.
 
     Driven in odd-sized ``run_cycles`` chunks so interval boundaries land
@@ -135,7 +143,7 @@ def test_fetch_gate_byte_equivalence(config_factory, on, period):
     "config_factory",
     [distributed_frontend_config, bank_hopping_biasing_config, address_biasing_config],
 )
-def test_unsupported_configurations_fall_back_to_reference(config_factory):
+def test_unsupported_configurations_fall_back_to_reference(native_core, config_factory):
     """Thermal-aware mapping runs on the fast core under ``auto``.
 
     Its temperature feedback reaches the core as interval-boundary remaps,
@@ -163,27 +171,57 @@ def test_invalid_timing_mode_rejected():
         SimulationEngine(baseline_config(), _uops(), "gzip", timing_mode="turbo")
 
 
-def test_python_fast_loop_byte_equivalence(monkeypatch):
-    """With the native core disabled, the Python fast loop matches too."""
+def test_reference_fallback_without_native_core(monkeypatch):
+    """With no native library, ``auto`` runs the reference and says why.
+
+    ``timing_mode="fast"`` refuses with the same reason, and the fast
+    processor itself cannot be built.  Both engines follow the one rule.
+    """
+    monkeypatch.setattr(native, "load_library", lambda: None)
+    config = distributed_rename_commit_config()
+    reason = native.native_unavailable_reason(config)
+    assert reason
+    engine = SimulationEngine(config, _uops(), "gzip")
+    assert engine.resolved_timing_mode == "reference"
+    assert engine.timing_fallback_reason == reason
+    chip = ChipEngine(config, [_uops("gzip", 7), _uops("swim", 11)], ["gzip", "swim"])
+    assert chip.resolved_timing_mode == "reference"
+    assert chip.timing_fallback_reason == reason
+    with pytest.raises(ValueError, match="timing_mode='fast'"):
+        SimulationEngine(config, _uops(), "gzip", timing_mode="fast")
+    with pytest.raises(ValueError, match="timing_mode='fast'"):
+        ChipEngine(config, [_uops()], ["gzip"], timing_mode="fast")
+    with pytest.raises(RuntimeError, match="unavailable"):
+        FastProcessor(config, _uops())
+
+
+def test_repro_native_selects_the_reference_path(monkeypatch):
+    """``REPRO_NATIVE=0`` is the explicit request for the reference path."""
     monkeypatch.setenv("REPRO_NATIVE", "0")
-    processor = FastProcessor(baseline_config(), _uops())
-    assert not processor.uses_native_core
-    fast = _assert_equivalent(baseline_config(), _uops(), "gzip")
-    assert not fast.timing.processor.uses_native_core
+    assert native.load_library() is None
+    engine = SimulationEngine(baseline_config(), _uops(), "gzip")
+    assert engine.resolved_timing_mode == "reference"
+    assert "REPRO_NATIVE" in engine.timing_fallback_reason
 
 
-def test_native_core_engaged_when_available(monkeypatch):
-    """Default construction uses the compiled core whenever it builds."""
-    from repro.sim import native
+def test_native_core_engaged_when_available(native_core):
+    """Every preset, distributed ones included, runs on the compiled core."""
+    for config_factory in (
+        baseline_config,
+        bank_hopping_config,
+        bank_hopping_biasing_config,
+        address_biasing_config,
+        blank_silicon_config,
+        distributed_rename_commit_config,
+        four_frontends_config,
+        distributed_frontend_config,
+    ):
+        engine = SimulationEngine(config_factory(), _uops(n=200), "gzip")
+        assert engine.resolved_timing_mode == "fast"
+        assert engine.timing.processor.uses_native_core
 
-    monkeypatch.delenv("REPRO_NATIVE", raising=False)
-    if native.load_library() is None:
-        pytest.skip("no C compiler available to build the native core")
-    processor = FastProcessor(baseline_config(), _uops())
-    assert processor.uses_native_core
 
-
-def test_chip_engine_fast_matches_reference():
+def test_chip_engine_fast_matches_reference(native_core):
     """Two-thread chip runs agree interval-for-interval across timing modes."""
     sources = [_uops("gzip", 7), _uops("swim", 11)]
 
@@ -208,7 +246,7 @@ def test_chip_engine_fast_matches_reference():
     assert ref.stats.to_payload() == fast.stats.to_payload()
 
 
-def test_chip_engine_feedback_policy_falls_back():
+def test_chip_engine_feedback_policy_falls_back(native_core):
     """Temperature-actuating chip policies run on the fast core, coupled."""
 
     def engine(mode):
@@ -260,10 +298,11 @@ FEEDBACK_POLICIES = (
         bank_hopping_biasing_config,
         address_biasing_config,
         distributed_rename_commit_config,
+        pytest.param(four_frontends_config, id="four_frontends_config"),
         distributed_frontend_config,
     ],
 )
-def test_closed_loop_byte_equivalence(config_factory, policy):
+def test_closed_loop_byte_equivalence(native_core, config_factory, policy):
     """Hops, thermal-aware remaps and DTM actuation every interval agree.
 
     ``with_intervals(600)`` makes every thermal interval a hop and remap
@@ -330,7 +369,7 @@ CHIP_MIX = ("gzip", "swim", "mcf", "hot_loop")
     ],
     ids=["core_migration", "chip_dvfs", "per_core_mix", "contention"],
 )
-def test_closed_loop_chip_byte_equivalence(kwargs, actuated):
+def test_closed_loop_chip_byte_equivalence(native_core, kwargs, actuated):
     """Chip policies, per-core policies and contention: both paths agree."""
     sources = [_uops(b, seed) for seed, b in enumerate(CHIP_MIX, start=11)]
 

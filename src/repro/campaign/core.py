@@ -183,6 +183,51 @@ def _replay_groups(
                 cache.store(spec, result)
 
 
+def _load_cached(
+    cells: Sequence, cache: Optional[ResultCache]
+) -> Tuple[List[Optional[SimulationResult]], List[Tuple[int, object]], int]:
+    """Satisfy what the cache holds: ``(results, pending, cache_hits)``.
+
+    ``results`` has one slot per cell (``None`` until filled) and
+    ``pending`` the ``(slot, spec)`` cells the cache did not hold.
+    """
+    results: List[Optional[SimulationResult]] = [None] * len(cells)
+    pending: List[Tuple[int, object]] = []
+    for index, spec in enumerate(cells):
+        cached = cache.load(spec) if cache is not None else None
+        if cached is not None:
+            results[index] = cached
+        else:
+            pending.append((index, spec))
+    return results, pending, len(cells) - len(pending)
+
+
+def _outcome(
+    campaign: Campaign,
+    executor: Executor,
+    cells: Sequence,
+    results: Sequence[Optional[SimulationResult]],
+    **counts: int,
+) -> CampaignOutcome:
+    """Fold finished cell results into per-variant summaries.
+
+    ``counts`` are the :class:`CampaignOutcome` counters (cells executed
+    and replayed, traces captured, cache hits).
+    """
+    outcome = CampaignOutcome(
+        campaign=campaign,
+        executor_description=executor.describe(),
+        runtime=executor.runtime_info(),
+        **counts,
+    )
+    for variant in campaign.variant_names():
+        outcome.summaries[variant] = ConfigurationSummary(config_name=variant)
+    for spec, result in zip(cells, results):
+        assert result is not None
+        outcome.summaries[spec.variant].results[spec.benchmark] = result
+    return outcome
+
+
 def run_campaign(
     campaign: Campaign,
     executor: Optional[Executor] = None,
@@ -208,40 +253,17 @@ def run_campaign(
     if campaign.is_chip:
         return _run_chip_campaign(campaign, executor, cache, replay)
     cells = campaign.cells()
-
-    results: List[Optional[SimulationResult]] = [None] * len(cells)
-    pending: List[Tuple[int, RunSpec]] = []
-    cache_hits = 0
-    for index, spec in enumerate(cells):
-        cached = cache.load(spec) if cache is not None else None
-        if cached is not None:
-            results[index] = cached
-            cache_hits += 1
-        else:
-            pending.append((index, spec))
-
-    # A pre-two-stage Executor subclass may only implement run_cells; the
-    # capture/replay phases need the generic run_tasks primitive, so such
-    # executors transparently get the historical all-coupled behaviour.
-    supports_tasks = type(executor).run_tasks is not Executor.run_tasks
-    if replay and supports_tasks:
+    results, pending, cache_hits = _load_cached(cells, cache)
+    if replay:
         replays, phase1, traces = _plan_two_stage(pending, cache)
     else:
         replays, phase1, traces = {}, [(s, spec, None) for s, spec in pending], {}
 
     # Phase 1: coupled timing simulations (some of them capturing a trace).
     executed_before = executor.cells_executed
-    if any(key is not None for _, _, key in phase1):
-        tasks = [
-            ("capture" if key is not None else "run", spec)
-            for _, spec, key in phase1
-        ]
-        outputs = executor.run_tasks(execute_campaign_task, tasks)
-        executor.cells_executed += len(tasks)
-    else:
-        specs = [spec for _, spec, _ in phase1]
-        fresh = executor.run_cells(specs) if specs else []
-        outputs = [(result, None) for result in fresh]
+    tasks = [("capture" if key is not None else "run", spec) for _, spec, key in phase1]
+    outputs = executor.run_tasks(execute_campaign_task, tasks) if tasks else []
+    executor.cells_executed += len(tasks)
     if len(outputs) != len(phase1):
         raise RuntimeError(
             f"executor returned {len(outputs)} results for {len(phase1)} cells"
@@ -270,21 +292,16 @@ def run_campaign(
         cache,
     )
 
-    outcome = CampaignOutcome(
-        campaign=campaign,
+    return _outcome(
+        campaign,
+        executor,
+        cells,
+        results,
         cells_executed=executor.cells_executed - executed_before,
         cells_replayed=sum(len(members) for members in replays.values()),
         traces_captured=traces_captured,
         cache_hits=cache_hits,
-        executor_description=executor.describe(),
-        runtime=executor.runtime_info(),
     )
-    for variant in campaign.variant_names():
-        outcome.summaries[variant] = ConfigurationSummary(config_name=variant)
-    for spec, result in zip(cells, results):
-        assert result is not None
-        outcome.summaries[spec.variant].results[spec.benchmark] = result
-    return outcome
 
 
 def _run_chip_campaign(
@@ -307,24 +324,8 @@ def _run_chip_campaign(
     configuration couples temperature into timing) run the exact coupled
     path.
     """
-    supports_tasks = type(executor).run_tasks is not Executor.run_tasks
-    if not supports_tasks:
-        raise ValueError(
-            f"{executor.describe()} only implements run_cells; chip "
-            "campaigns need an executor with the generic run_tasks primitive"
-        )
     cells = campaign.cells()
-    results: List[Optional[SimulationResult]] = [None] * len(cells)
-    pending: List[Tuple[int, object]] = []
-    cache_hits = 0
-    for index, spec in enumerate(cells):
-        cached = cache.load(spec) if cache is not None else None
-        if cached is not None:
-            results[index] = cached
-            cache_hits += 1
-        else:
-            pending.append((index, spec))
-
+    results, pending, cache_hits = _load_cached(cells, cache)
     executed_before = executor.cells_executed
     replay_cells: List[Tuple[int, object]] = []
     coupled_cells: List[Tuple[int, object]] = []
@@ -401,21 +402,16 @@ def _run_chip_campaign(
         if cache is not None:
             cache.store(spec, result)
 
-    outcome = CampaignOutcome(
-        campaign=campaign,
+    return _outcome(
+        campaign,
+        executor,
+        cells,
+        results,
         cells_executed=executor.cells_executed - executed_before,
         cells_replayed=len(replay_cells),
         traces_captured=traces_captured,
         cache_hits=cache_hits,
-        executor_description=executor.describe(),
-        runtime=executor.runtime_info(),
     )
-    for variant in campaign.variant_names():
-        outcome.summaries[variant] = ConfigurationSummary(config_name=variant)
-    for spec, result in zip(cells, results):
-        assert result is not None
-        outcome.summaries[spec.variant].results[spec.benchmark] = result
-    return outcome
 
 
 # ----------------------------------------------------------------------

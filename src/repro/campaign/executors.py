@@ -289,13 +289,9 @@ def _describe_task(task: object) -> str:
 class Executor:
     """Base class of campaign execution backends.
 
-    :meth:`run_tasks` is the abstract fan-out primitive — subclasses
-    implement it once and :meth:`run_cells` (and the campaign layer's
-    capture/replay phases) ride on top.  A pre-two-stage subclass that only
-    overrides :meth:`run_cells` still works: :func:`repro.campaign.core.
-    run_campaign` detects the missing ``run_tasks`` override and routes
-    every pending cell through the coupled :meth:`run_cells` path (no
-    trace replay, exactly the historical behaviour).
+    :meth:`run_tasks` is the one fan-out primitive: subclasses implement it
+    and every phase of :func:`repro.campaign.core.run_campaign` (coupled
+    runs, captures, replay groups) rides on top.
     """
 
     def __init__(self) -> None:
@@ -308,12 +304,6 @@ class Executor:
     ) -> List[_Result]:
         """Apply ``fn`` to every task, returning results in task order."""
         raise NotImplementedError
-
-    def run_cells(self, cells: Sequence[RunSpec]) -> List[SimulationResult]:
-        """Simulate every cell coupled, returning results in cell order."""
-        results = self.run_tasks(execute_cell, cells)
-        self.cells_executed += len(cells)
-        return results
 
     def runtime_info(self) -> Dict[str, object]:
         """Execution-runtime facts recorded on ``CampaignOutcome.runtime``.

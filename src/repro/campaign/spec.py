@@ -15,14 +15,13 @@ cache recognise already-simulated cells across runs.
 from __future__ import annotations
 
 import enum
-import hashlib
-import json
 from dataclasses import dataclass, replace
 from typing import Dict, Iterable, Optional, Tuple
 
 from repro.campaign.builder import scale_paper_intervals
 from repro.sim.activity_trace import timing_feedback_reason
 from repro.sim.config import ProcessorConfig
+from repro.sim.serialization import content_key
 from repro.workloads.profiles import SPEC2000_PROFILES, get_profile
 
 #: Sections of :meth:`ProcessorConfig.to_dict` that the timing stage never
@@ -218,8 +217,7 @@ class RunSpec:
 
     def cache_key(self) -> str:
         """Stable content hash identifying this cell across processes/runs."""
-        payload = json.dumps(self.key_material(), sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+        return content_key(self.key_material())
 
     # ------------------------------------------------------------------
     # Two-stage execution: the timing-relevant projection of a cell
@@ -272,10 +270,7 @@ class RunSpec:
         :class:`~repro.sim.activity_trace.ActivityTrace` between them; the
         campaign cache stores the trace artifact under this key.
         """
-        payload = json.dumps(
-            self.timing_key_material(), sort_keys=True, separators=(",", ":")
-        )
-        return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+        return content_key(self.timing_key_material())
 
 
 @dataclass(frozen=True)

@@ -1,18 +1,17 @@
-"""The chip multiprocessor engine: N timing stages over one composite die.
+"""The coupled interval loop: N timing stages over one physics stage.
 
-A chip run composes the existing two-stage simulation core one level up:
+:class:`ChipEngine` holds the package's one coupled timing -> power ->
+leakage -> thermal loop and the activity-trace capture riding on it.  A
+chip run composes the two-stage simulation core one level up:
 
-* **N per-core** :class:`~repro.sim.engine.TimingStage`\\ s — one per
+* **N per-core** :class:`~repro.sim.stages.TimingStage`\\ s — one per
   *thread*, each with its own workload, seed and (optional) per-core DTM
-  policy, each producing per-interval activity-count vectors over the
-  single-core block order.  The timing stages are byte-for-byte the same
-  machinery a :class:`~repro.sim.engine.SimulationEngine` drives, so a
-  thread's captured :class:`~repro.sim.activity_trace.ActivityTrace` is
-  *identical* to the trace a single-core run of the same (config, workload,
-  seed) would capture — which is what lets a multi-core physics sweep replay
-  N cached single-core traces instead of re-running timing.
+  policy, each emitting activity-count vectors over the single-core block
+  order.  A thread's captured :class:`~repro.sim.activity_trace.ActivityTrace`
+  is therefore the single-core capture of the same (config, workload, seed),
+  so a multi-core physics sweep replays cached single-core traces.
 
-* **one shared** :class:`~repro.sim.engine.PhysicsStage` over a *composite*
+* **one shared** :class:`~repro.sim.stages.PhysicsStage` over a *composite*
   die: per-core namespaced block parameters (``core0.ROB``, ``core1.ROB``,
   ...), a :func:`~repro.thermal.floorplan.compose_floorplans` core grid —
   abutting dies, so the RC network carries cross-core lateral coupling in
@@ -24,25 +23,26 @@ A chip run composes the existing two-stage simulation core one level up:
 Time advances in lockstep thermal intervals.  Cores may run different cycle
 counts within one interval (a thread's final interval is shorter; a finished
 or empty core runs zero), so the power conversion divides each core's counts
-by *its own* cycles (``PowerModel`` accepts a per-block cycles vector) while
-the thermal network advances by the chip interval — the longest any core ran
-(the chip clock).  A core with no running thread contributes zero accesses
-but keeps dissipating idle (clock-distribution) and leakage power: idle
-silicon is exactly what chip-level migration trades against.
+by *its own* cycles while the thermal network advances by the chip interval
+— the longest any core ran (the chip clock).  A core with no running thread
+still dissipates idle (clock-distribution) and leakage power: idle silicon
+is exactly what chip-level migration trades against.
 
-With one core the composition degenerates to a pure rename of the
-single-core die, and every interval reproduces the single-core engine's
-arithmetic bit-for-bit (``tests/test_chip.py`` locks this against the same
-runs the golden fixtures pin).
+The loop serves two *layouts*, which differ only in the die, the threads,
+whether a per-core DTM policy may gate whole intervals, and the result
+shape.  The chip layout is the composite die, a thread per core, no
+per-core gating (stop-go is a package-level decision) and aggregate stats
+plus ``result.chip``.  :class:`~repro.sim.engine.SimulationEngine` is the
+one-core layout.  With one core the composite die is a pure rename of the
+single-core die, and ``tests/test_chip.py`` locks a 1-core chip
+bit-for-bit to the single-core engine.
 
-Chip-level DTM (:mod:`repro.chip.policies`) hooks in exactly like the
-single-core DTM hook: before each interval the policy observes
-sensor-quantized per-core peak temperatures and may migrate the hottest
-busy core's thread to the coolest idle core (``core_migration``) or walk
-per-core DVFS domains (``chip_dvfs``).  Per-core policies from
-:mod:`repro.dtm` ride along unchanged, except that whole-interval clock
-gating is denied — stop-go is a package-level decision a per-core policy
-cannot take (use ``chip_dvfs`` or fetch throttling instead).
+Chip-level DTM (:mod:`repro.chip.policies`) hooks in before each interval:
+the policy observes sensor-quantized per-core peak temperatures and may
+migrate the hottest busy core's thread to the coolest idle core
+(``core_migration``) or walk per-core DVFS domains (``chip_dvfs``).
+Per-core policies from :mod:`repro.dtm` compose with it, strictest request
+winning.
 """
 
 from __future__ import annotations
@@ -53,7 +53,12 @@ import numpy as np
 
 from repro.chip.contention import ContentionConfig, SharedLLCContention, make_contention
 from repro.chip.policies import ChipControls, ChipDTMPolicy, ChipObservation, make_chip_policy
-from repro.dtm.controls import DTMControls, DTMTelemetry, FETCH_DUTY_PERIOD
+from repro.dtm.controls import (
+    FETCH_DUTY_PERIOD,
+    DTMControls,
+    DTMTelemetry,
+    residency_by_freq_ratio,
+)
 from repro.dtm.policies import DTMObservation, DTMPolicy, make_policy
 from repro.isa.microops import MicroOp
 from repro.power.energy import build_block_parameters
@@ -62,9 +67,9 @@ from repro.sim import blocks
 from repro.sim.activity_trace import ActivityTrace, TraceRecorder, timing_feedback_reason
 from repro.sim.block_index import BlockIndex
 from repro.sim.config import ProcessorConfig
-from repro.sim.engine import PhysicsStage, TimingStage, select_timing_stage
 from repro.sim.group_replay import ReplayCell, TraceStack, replay_cells
 from repro.sim.results import SimulationResult
+from repro.sim.stages import PhysicsStage, TimingStage, select_timing_stage
 from repro.sim.stats import SimulationStats
 from repro.thermal.floorplan import compose_floorplans
 from repro.thermal.sensors import SensorBank
@@ -196,48 +201,6 @@ def _aggregate_stats(
     return aggregate
 
 
-class _ChipAccounting:
-    """Per-core temperature accounting shared by the coupled and replay paths.
-
-    Accumulated from the same ``temperature_array`` both paths produce after
-    each interval, with the same operations in the same order, so the
-    resulting chip telemetry is bit-identical between them.
-    """
-
-    def __init__(self, cores: int, blocks_per_core: int) -> None:
-        self.cores = cores
-        self.blocks_per_core = blocks_per_core
-        self.peak = np.full(cores, -np.inf)
-        self.mean_sum = np.zeros(cores)
-        self.intervals = 0
-
-    def observe(self, temperature_array: np.ndarray) -> None:
-        per_core = temperature_array.reshape(self.cores, self.blocks_per_core)
-        self.peak = np.maximum(self.peak, per_core.max(axis=1))
-        self.mean_sum += per_core.mean(axis=1)
-        self.intervals += 1
-
-    def per_core(self) -> Dict[str, Dict[str, float]]:
-        out: Dict[str, Dict[str, float]] = {}
-        for c in range(self.cores):
-            out[core_prefix(c)] = {
-                "peak_celsius": float(self.peak[c]),
-                "avg_celsius": float(self.mean_sum[c] / max(1, self.intervals)),
-            }
-        return out
-
-
-def _thread_summary(benchmark: str, final_core: int, stats: SimulationStats) -> Dict:
-    return {
-        "benchmark": benchmark,
-        "final_core": final_core,
-        "cycles": stats.cycles,
-        "committed_uops": stats.committed_uops,
-        "ipc": stats.ipc,
-        "trace_cache_hit_rate": stats.trace_cache_hit_rate,
-    }
-
-
 def _finish_chip_result(
     result: SimulationResult,
     *,
@@ -245,7 +208,7 @@ def _finish_chip_result(
     benchmarks: Sequence[str],
     per_thread_stats: Sequence[SimulationStats],
     final_cores: Sequence[int],
-    accounting: _ChipAccounting,
+    temperatures: Sequence[np.ndarray],
     chip_cycles: int,
     policy_name: Optional[str],
     migration_log: Sequence[Dict],
@@ -255,15 +218,31 @@ def _finish_chip_result(
 ) -> SimulationResult:
     """Fold the chip telemetry into a result (shared by coupled and replay).
 
-    ``contention`` (the contention model's telemetry) is only present on
-    contended runs: an uncontended result's payload is byte-identical to
-    what it was before the contention model existed.
+    ``temperatures`` are the die's per-interval block-temperature vectors,
+    folded into per-core peak and mean temperatures.  ``contention`` (the
+    contention model's telemetry) is only present on contended runs: an
+    uncontended result's payload is byte-identical to what it was before the
+    contention model existed.
     """
+    peak = np.full(cores, -np.inf)
+    mean_sum = np.zeros(cores)
+    for row in temperatures:
+        per_core = row.reshape(cores, -1)
+        peak = np.maximum(peak, per_core.max(axis=1))
+        mean_sum += per_core.mean(axis=1)
+    intervals = max(1, len(temperatures))
     result.stats = _aggregate_stats(per_thread_stats, chip_cycles)
     result.provenance["cores"] = cores
     threads = []
     for t, (benchmark, stats) in enumerate(zip(benchmarks, per_thread_stats)):
-        summary = _thread_summary(benchmark, int(final_cores[t]), stats)
+        summary = {
+            "benchmark": benchmark,
+            "final_core": int(final_cores[t]),
+            "cycles": stats.cycles,
+            "committed_uops": stats.committed_uops,
+            "ipc": stats.ipc,
+            "trace_cache_hit_rate": stats.trace_cache_hit_rate,
+        }
         if thread_dtm is not None and thread_dtm[t] is not None:
             summary["dtm"] = thread_dtm[t]
         threads.append(summary)
@@ -275,11 +254,17 @@ def _finish_chip_result(
         "migrations": len(migration_log),
         "migration_log": list(migration_log),
         "threads": threads,
-        "per_core": accounting.per_core(),
+        "per_core": {
+            core_prefix(c): {
+                "peak_celsius": float(peak[c]),
+                "avg_celsius": float(mean_sum[c] / intervals),
+            }
+            for c in range(cores)
+        },
         "aggregate": {
             "committed_uops": total_uops,
             "chip_ipc": total_uops / chip_cycles if chip_cycles else 0.0,
-            "peak_celsius": float(accounting.peak.max()),
+            "peak_celsius": float(peak.max()),
         },
     }
     if dvfs_residency is not None:
@@ -315,7 +300,7 @@ def chip_feedback_reason(
         return f"chip DTM policy {chip_policy.name!r} actuates on temperatures"
     for policy in core_policies:
         if policy is not None and policy.feedback:
-            return f"per-core DTM policy {policy.name!r} actuates on temperatures"
+            return f"DTM policy {policy.name!r} actuates on temperatures"
     return None
 
 
@@ -334,7 +319,27 @@ class ChipEngine:
     Per-core whole-interval clock gating is denied (see the module
     docstring); everything else — fetch throttling, per-cluster DVFS —
     composes with the chip-level actuators, strictest request winning.
+
+    Its interval loop and capture path are the package's only coupled ones;
+    :class:`~repro.sim.engine.SimulationEngine` is their one-core layout.
     """
+
+    #: Consecutive fully clock-gated intervals after which a run aborts: a
+    #: sane stop-go policy releases as soon as leakage-only cooling brings
+    #: the die below its trigger, so a streak this long means the trigger is
+    #: unreachable (e.g. set below the ambient temperature).
+    _MAX_GATED_STREAK = 10_000
+    #: Whether per-core DTM policies may gate whole intervals.  Stop-go is a
+    #: package-level decision, so only a layout whose one core is the whole
+    #: package grants it.
+    _core_gating = False
+
+    # Chip-level couplings, set by ``__init__`` when configured.
+    chip_policy: Optional[ChipDTMPolicy] = None
+    chip_controls: Optional[ChipControls] = None
+    contention: Optional[ContentionConfig] = None
+    _contention_model: Optional[SharedLLCContention] = None
+    _dvfs_residency: Optional[np.ndarray] = None
 
     def __init__(
         self,
@@ -362,31 +367,54 @@ class ChipEngine:
                 f"{len(benchmarks)} threads do not fit on {self.cores} cores "
                 "(at most one thread per core)"
             )
-        self.config = config
-        self.benchmarks = tuple(benchmarks)
-        self.interval_cycles = interval_cycles or config.thermal.interval_cycles
-        if self.interval_cycles <= 0:
-            raise ValueError("interval_cycles must be positive")
-
-        self.physics, self.core_index, self.blocks_per_core = build_chip_physics(
-            config, self.cores, self.interval_cycles, solver_backend=solver_backend
+        self.physics, self.core_index, _ = build_chip_physics(
+            config, self.cores, interval_cycles, solver_backend=solver_backend
         )
-        self.block_index = self.physics.block_index
-        self.solver_backend = self.physics.solver_backend
 
         # Shared-LLC / memory-bandwidth contention (repro.chip.contention).
         if isinstance(contention, str) or contention is None:
             contention = make_contention(contention)
-        self.contention: Optional[ContentionConfig] = contention
-        self._contention_model: Optional[SharedLLCContention] = (
-            SharedLLCContention(contention, config) if contention is not None else None
-        )
-        #: Per-thread extra UL2 miss latency applied to the next interval
-        #: (always zero on the first interval — the feedback lags one
-        #: interval, like the thermal sensors).
-        self._contention_extra: List[int] = [0] * len(benchmarks)
-        self._contention_prev_misses: List[int] = [0] * len(benchmarks)
+        if contention is not None:
+            self.contention = contention
+            self._contention_model = SharedLLCContention(contention, config)
+            #: Per-thread extra UL2 miss latency applied to the next interval
+            #: (always zero on the first interval — the feedback lags one
+            #: interval, like the thermal sensors).
+            self._contention_extra: List[int] = [0] * len(benchmarks)
+            self._contention_prev_misses: List[int] = [0] * len(benchmarks)
 
+        # Chip-level DTM.
+        if isinstance(chip_policy, str):
+            chip_policy = make_chip_policy(chip_policy)
+        if chip_policy is not None:
+            self.chip_policy = chip_policy
+            self.chip_controls = ChipControls(self.cores, table=chip_policy.table)
+            self.chip_sensors = SensorBank(self.physics.block_index.names)
+            chip_policy.bind(self.cores, config, self.chip_controls)
+            self._dvfs_residency = np.zeros(len(self.chip_controls.table))
+        self._bind_threads(
+            config, uop_sources, benchmarks, core_policies, timing_mode, prewarm_caches
+        )
+
+    def _bind_threads(
+        self,
+        config: ProcessorConfig,
+        uop_sources: Sequence[Iterable[MicroOp]],
+        benchmarks: Sequence[str],
+        core_policies: Optional[Sequence[Optional[Union[DTMPolicy, str]]]],
+        timing_mode: str,
+        prewarm_caches: bool,
+    ) -> None:
+        """Place the threads on the layout's die; shared by every layout.
+
+        Expects ``self.cores``, ``self.physics`` and ``self.core_index``.
+        """
+        self.config = config
+        self.benchmarks = tuple(benchmarks)
+        self.interval_cycles = self.physics.interval_cycles
+        self.block_index = self.physics.block_index
+        self.blocks_per_core = len(self.core_index)
+        self.solver_backend = self.physics.solver_backend
         self.num_threads = len(benchmarks)
         #: Core currently executing each thread.
         self.thread_core: List[int] = list(range(self.num_threads))
@@ -397,49 +425,34 @@ class ChipEngine:
         self._finished = [False] * self.num_threads
         self.migration_log: List[Dict] = []
 
-        # Chip-level DTM.
-        if isinstance(chip_policy, str):
-            chip_policy = make_chip_policy(chip_policy)
-        self.chip_policy = chip_policy
-        self.chip_controls: Optional[ChipControls] = None
-        self.chip_sensors: Optional[SensorBank] = None
-        self._dvfs_residency: Optional[np.ndarray] = None
-        if chip_policy is not None:
-            self.chip_controls = ChipControls(self.cores, table=chip_policy.table)
-            self.chip_sensors = SensorBank(self.block_index.names)
-            chip_policy.bind(self.cores, config, self.chip_controls)
-            self._dvfs_residency = np.zeros(len(self.chip_controls.table))
-
-        # Per-core (per-thread) DTM.
-        self.core_policies: List[Optional[DTMPolicy]] = []
-        self.core_controls: List[Optional[DTMControls]] = []
-        self.core_telemetry: List[Optional[DTMTelemetry]] = []
-        self.core_sensors: List[Optional[SensorBank]] = []
+        # Per-core (per-thread) DTM: a policy, its controls and telemetry per
+        # thread (``None`` without a policy), all sampling one sensor bank.
         core_policies = core_policies or [None] * self.num_threads
         if len(core_policies) != self.num_threads:
             raise ValueError(
                 f"{len(core_policies)} per-core policies for "
                 f"{self.num_threads} threads"
             )
-        for policy in core_policies:
-            if isinstance(policy, str):
-                policy = make_policy(policy)
-            self.core_policies.append(policy)
-            if policy is None:
-                self.core_controls.append(None)
-                self.core_telemetry.append(None)
-                self.core_sensors.append(None)
-            else:
+        self.core_policies: List[Optional[DTMPolicy]] = [
+            make_policy(policy) if isinstance(policy, str) else policy
+            for policy in core_policies
+        ]
+        self.core_controls: List[Optional[DTMControls]] = []
+        self.core_telemetry: List[Optional[DTMTelemetry]] = []
+        for policy in self.core_policies:
+            controls = telemetry = None
+            if policy is not None:
                 controls = DTMControls(self.core_index, table=policy.table)
                 policy.bind(self.core_index, config, controls)
-                self.core_controls.append(controls)
-                self.core_telemetry.append(DTMTelemetry(controls.table))
-                self.core_sensors.append(SensorBank(self.core_index.names))
+                telemetry = DTMTelemetry(controls.table)
+            self.core_controls.append(controls)
+            self.core_telemetry.append(telemetry)
+        if any(self.core_policies):
+            self.core_sensors = SensorBank(self.core_index.names)
 
-        # Timing-mode selection: the single-core engine's rule.  Feedback
-        # (chip or per-core policies, contention) only bars replay
-        # (``replay_safe_reason``); the fast core takes it as interval-
-        # boundary control inputs.
+        # Timing-mode selection by capability: feedback (chip or per-core
+        # policies, contention) only bars replay (``replay_safe_reason``);
+        # the fast core takes it as interval-boundary control inputs.
         self.timing_mode = timing_mode
         stage_cls, self.timing_fallback_reason = select_timing_stage(
             timing_mode, config, uop_sources
@@ -464,7 +477,7 @@ class ChipEngine:
 
     @property
     def replay_safe_reason(self) -> Optional[str]:
-        """Why this chip run cannot be captured for replay (``None`` = it can)."""
+        """Why this run cannot be captured for replay (``None`` = it can)."""
         return chip_feedback_reason(
             self.config, self.contention, self.chip_policy, self.core_policies
         )
@@ -472,13 +485,12 @@ class ChipEngine:
     # ------------------------------------------------------------------
     # DTM hooks
     # ------------------------------------------------------------------
-    def _apply_policies(self, interval_index: int) -> None:
+    def _apply_policies(self, interval_index: int) -> Optional[DTMPolicy]:
         """Observe the die and actuate chip + per-core policies.
 
-        ``interval_index == 0`` is the post-warm-up observation: its cycles
-        have already run, so migration (and per-core interval gating, which
-        is denied on chips outright) cannot apply; operating points still
-        do, exactly like the single-core engine's interval-0 DTM hook.
+        Returns the per-core policy granted a fully clock-gated interval, if
+        any.  Interval 0 is the post-warm-up observation: its cycles already
+        ran, so migration and gating cannot apply; operating points can.
         """
         temps = self.physics.temperature_array
         if self.chip_policy is not None:
@@ -493,15 +505,17 @@ class ChipEngine:
                 self.chip_controls,
             )
             self._execute_migration(interval_index)
+        gating = None
         for t, policy in enumerate(self.core_policies):
             if policy is None or self._finished[t]:
                 continue
             controls = self.core_controls[t]
-            # Whole-interval gating is a package-level decision; per-core
-            # requests are always denied (the controller sees the denial).
-            controls.begin_interval(gating_allowed=False)
+            # The controller sees a denied gate request as denied.
+            controls.begin_interval(
+                gating_allowed=self._core_gating and interval_index > 0
+            )
             core = self.thread_core[t]
-            readings = self.core_sensors[t].read_array(temps[self._core_slice(core)])
+            readings = self.core_sensors.read_array(temps[self._core_slice(core)])
             policy.apply(
                 DTMObservation(
                     interval_index=interval_index,
@@ -510,7 +524,10 @@ class ChipEngine:
                 ),
                 controls,
             )
+            if controls.gate_interval:
+                gating = policy
         self._apply_fetch_gates()
+        return gating
 
     def _execute_migration(self, interval_index: int) -> None:
         migration = self.chip_controls.migration
@@ -588,7 +605,220 @@ class ChipEngine:
             leakage[seg] *= core_leakage
         return dynamic, leakage
 
+    def _die_vector(self, parts, fill):
+        """Lay ``(thread, per-core value)`` parts over the die, ``fill`` elsewhere.
+
+        One core spans the whole die, so its part *is* the die-wide value; a
+        scalar cycle count then stays a scalar, which the power model divides
+        by bit-identically to a vector of equal entries.
+        """
+        if self.cores == 1:
+            return parts[0][1]
+        vector = np.full(len(self.block_index), fill)
+        for t, part in parts:
+            vector[self._core_slice(self.thread_core[t])] = part
+        return vector
+
+    def _gated_mask(self, threads: Sequence[int]) -> Optional[np.ndarray]:
+        """Die-wide Vdd-gated-bank mask of ``threads``, or ``None``."""
+        parts = [(t, self.timings[t].gated_state()[1]) for t in threads]
+        parts = [(t, mask) for t, mask in parts if mask is not None]
+        return self._die_vector(parts, False) if parts else None
+
     # ------------------------------------------------------------------
+    # The coupled interval loop
+    # ------------------------------------------------------------------
+    def _run_threads(self, recorders: Optional[Sequence[TraceRecorder]]):
+        """Advance every running thread by one interval.
+
+        Returns the die-wide ``(counts, cycles, chip_cycles, gated_mask,
+        ran)`` — ``chip_cycles`` is the longest any core ran, ``ran`` the
+        threads that ran — or ``None`` once no thread has cycles left.
+        """
+        outputs = []
+        for t, timing in enumerate(self.timings):
+            if self._finished[t]:
+                continue
+            if self._contention_model is not None:
+                # Actuate last interval's contention verdict: the thread's UL2
+                # misses pay the queueing delay its co-runners' traffic
+                # imposed (zero on interval 0 and when no co-runner missed).
+                timing.processor.ul2.extra_miss_latency = self._contention_extra[t]
+            thread_counts, thread_cycles = timing.run_interval(self.interval_cycles)
+            if thread_counts is None:
+                self._finished[t] = True
+                self.core_thread[self.thread_core[t]] = -1
+                continue
+            outputs.append((t, thread_counts, thread_cycles))
+            if recorders is not None:
+                _, mask = timing.gated_state()
+                recorders[t].record(
+                    thread_counts, thread_cycles, timing.processor.cycle, mask
+                )
+        if not outputs:
+            return None
+        ran = [t for t, _, _ in outputs]
+        chip_cycles = max(cycles for _, _, cycles in outputs)
+        if self._contention_model is not None:
+            deltas = []
+            for t, timing in enumerate(self.timings):
+                misses = timing.processor.ul2.misses
+                deltas.append(misses - self._contention_prev_misses[t])
+                self._contention_prev_misses[t] = misses
+            self._contention_extra = self._contention_model.extra_latencies(
+                deltas, chip_cycles if chip_cycles > 0 else self.interval_cycles
+            )
+        counts = self._die_vector([(t, c) for t, c, _ in outputs], 0.0)
+        cycles = self._die_vector([(t, n) for t, _, n in outputs], self.interval_cycles)
+        return counts, cycles, chip_cycles, self._gated_mask(ran), ran
+
+    def _run(
+        self,
+        max_intervals: Optional[int],
+        warmup: bool,
+        recorders: Optional[Sequence[TraceRecorder]],
+    ) -> SimulationResult:
+        """The coupled loop of every layout; see :meth:`run`."""
+        if recorders is not None:
+            reason = self.replay_safe_reason
+            if reason is not None:
+                raise ValueError(f"cannot capture an activity trace: {reason}")
+            if len(recorders) != self.num_threads:
+                raise ValueError(
+                    f"{len(recorders)} recorders for {self.num_threads} threads"
+                )
+        physics = self.physics
+        result = physics.new_result("+".join(self.benchmarks))
+        interval_seconds = self.config.thermal.interval_seconds
+        any_policy = self.chip_policy is not None or any(
+            policy is not None for policy in self.core_policies
+        )
+        temperatures: List[np.ndarray] = []
+        interval_index = 0
+        chip_cycle = 0
+        gated_streak = 0
+
+        # The run ends once every processor has drained its trace.
+        while not all(timing.processor.finished for timing in self.timings):
+            if max_intervals is not None and interval_index >= max_intervals:
+                break
+            gating = None
+            if any_policy and interval_index > 0:
+                gating = self._apply_policies(interval_index)
+            seconds = (interval_index + 1) * interval_seconds
+            if gating is not None:
+                # Fully clock-gated interval (stop-go DTM): wall-clock
+                # advances, no core does, and only leakage heats the die.
+                gated_streak += 1
+                if gated_streak > self._MAX_GATED_STREAK:
+                    raise RuntimeError(
+                        f"DTM policy {gating.name!r} clock-gated "
+                        f"{gated_streak} consecutive intervals; its trigger "
+                        "temperature is unreachable by cooling"
+                    )
+                ran = [t for t, done in enumerate(self._finished) if not done]
+                _, leakage_scale = self._power_scales()
+                record = physics.leakage_only_interval(
+                    cycle=chip_cycle,
+                    seconds=seconds,
+                    gated_mask=self._gated_mask(ran),
+                    leakage_scale=leakage_scale,
+                )
+            else:
+                gated_streak = 0
+                interval = self._run_threads(recorders)
+                if interval is None:
+                    break
+                counts, cycles, chip_cycles, gated_mask, ran = interval
+                if interval_index == 0 and warmup:
+                    physics.warmup(counts, cycles, gated_mask)
+                    if any_policy:
+                        # Observe the warmed-up die before the first power
+                        # step: under DTM the processor would have been
+                        # managed throughout the warm-up history too, so
+                        # interval 0's power already runs at the policies'
+                        # operating points.  Its cycles already ran, so
+                        # migration, gating and fetch actuation take effect
+                        # from interval 1.
+                        self._apply_policies(0)
+                dynamic_scale, leakage_scale = (
+                    self._power_scales() if any_policy else (None, None)
+                )
+                chip_cycle += chip_cycles
+                record = physics.interval_pipeline(
+                    counts,
+                    cycles,
+                    cycle=chip_cycle,
+                    seconds=seconds,
+                    gated_mask=gated_mask,
+                    dynamic_scale=dynamic_scale,
+                    leakage_scale=leakage_scale,
+                    dt_cycles=chip_cycles,
+                )
+            result.intervals.append(record)
+            temperatures.append(physics.temperature_array)
+            if self._dvfs_residency is not None:
+                steps = self.chip_controls.steps
+                self._dvfs_residency += (
+                    np.bincount(steps, minlength=len(self._dvfs_residency))
+                    / self.cores
+                )
+            for t in ran:
+                controls = self.core_controls[t]
+                if controls is not None:
+                    # Interval 0's cycles ran before any policy could gate
+                    # fetch, so its duty and frequency are charged at nominal.
+                    self.core_telemetry[t].record_interval(
+                        controls,
+                        gated=gating is not None,
+                        fetch_actuated=interval_index > 0,
+                    )
+                if gating is None:
+                    # Bank hops and remaps are clocked: a gated interval
+                    # skips them.
+                    self.timings[t].apply_bank_management(
+                        interval_index,
+                        physics.temperature_array[self._core_slice(self.thread_core[t])],
+                    )
+            interval_index += 1
+
+        result.warmup_temperature = physics.warmup_temperatures
+        for timing in self.timings:
+            stats = timing.processor.stats
+            stats.trace_cache_hits = timing.processor.trace_cache.hits
+            stats.trace_cache_misses = timing.processor.trace_cache.misses
+            stats.trace_cache_hop_flushes = timing.processor.trace_cache.hop_flushes
+        return self._finish(result, temperatures, chip_cycle)
+
+    def _finish(self, result: SimulationResult, temperatures, chip_cycles: int):
+        """The chip result shape: aggregate stats plus ``result.chip``."""
+        dvfs_residency = None
+        if self._dvfs_residency is not None and temperatures:
+            dvfs_residency = residency_by_freq_ratio(
+                self.chip_controls.table, self._dvfs_residency / len(temperatures)
+            )
+        return _finish_chip_result(
+            result,
+            cores=self.cores,
+            benchmarks=self.benchmarks,
+            per_thread_stats=[timing.processor.stats for timing in self.timings],
+            final_cores=self.thread_core,
+            temperatures=temperatures,
+            chip_cycles=chip_cycles,
+            policy_name=self.chip_policy.name if self.chip_policy else None,
+            migration_log=self.migration_log,
+            dvfs_residency=dvfs_residency,
+            thread_dtm=[
+                None if telemetry is None else telemetry.as_dict()
+                for telemetry in self.core_telemetry
+            ],
+            contention=(
+                self._contention_model.telemetry()
+                if self._contention_model is not None
+                else None
+            ),
+        )
+
     def run(
         self,
         max_intervals: Optional[int] = None,
@@ -599,176 +829,9 @@ class ChipEngine:
 
         With ``recorders`` (one per thread), each thread's timing output is
         also captured as a per-core activity trace — refused when any policy
-        couples temperatures back into timing, exactly like the single-core
-        capture guard.
+        couples temperatures back into timing.
         """
-        if recorders is not None:
-            reason = self.replay_safe_reason
-            if reason is not None:
-                raise ValueError(f"cannot capture activity traces: {reason}")
-            if len(recorders) != self.num_threads:
-                raise ValueError(
-                    f"{len(recorders)} recorders for {self.num_threads} threads"
-                )
-        physics = self.physics
-        result = physics.new_result("+".join(self.benchmarks))
-        interval_seconds = self.config.thermal.interval_seconds
-        total_blocks = len(self.block_index)
-        accounting = _ChipAccounting(self.cores, self.blocks_per_core)
-        any_policy = self.chip_policy is not None or any(
-            policy is not None for policy in self.core_policies
-        )
-        interval_index = 0
-        chip_cycle = 0
-
-        while not all(self._finished):
-            if max_intervals is not None and interval_index >= max_intervals:
-                break
-            if any_policy and interval_index > 0:
-                self._apply_policies(interval_index)
-            if self._contention_model is not None:
-                # Actuate last interval's contention verdict: each thread's
-                # UL2 misses pay the queueing delay its co-runners' traffic
-                # imposed (zero on interval 0 and whenever no co-runner
-                # missed).
-                for t, timing in enumerate(self.timings):
-                    if not self._finished[t]:
-                        timing.processor.ul2.extra_miss_latency = (
-                            self._contention_extra[t]
-                        )
-
-            counts = np.zeros(total_blocks)
-            cycles = np.full(total_blocks, self.interval_cycles, dtype=np.int64)
-            chip_cycles = 0
-            masks: List[Tuple[int, np.ndarray]] = []
-            ran = []
-            for t, timing in enumerate(self.timings):
-                if self._finished[t]:
-                    continue
-                thread_counts, thread_cycles = timing.run_interval(self.interval_cycles)
-                if thread_counts is None:
-                    self._finished[t] = True
-                    self.core_thread[self.thread_core[t]] = -1
-                    continue
-                ran.append(t)
-                seg = self._core_slice(self.thread_core[t])
-                counts[seg] = thread_counts
-                cycles[seg] = thread_cycles
-                chip_cycles = max(chip_cycles, thread_cycles)
-                _, mask = timing.gated_state()
-                if mask is not None:
-                    masks.append((self.thread_core[t], mask))
-                if recorders is not None:
-                    recorders[t].record(
-                        thread_counts,
-                        thread_cycles,
-                        timing.processor.cycle,
-                        mask,
-                    )
-            if not ran:
-                break
-            if self._contention_model is not None:
-                deltas = []
-                for t, timing in enumerate(self.timings):
-                    misses = timing.processor.ul2.misses
-                    deltas.append(misses - self._contention_prev_misses[t])
-                    self._contention_prev_misses[t] = misses
-                self._contention_extra = self._contention_model.extra_latencies(
-                    deltas, chip_cycles if chip_cycles > 0 else self.interval_cycles
-                )
-
-            gated_mask = None
-            if masks:
-                gated_mask = np.zeros(total_blocks, dtype=bool)
-                for core, mask in masks:
-                    gated_mask[self._core_slice(core)] = mask
-
-            if interval_index == 0 and warmup:
-                physics.warmup(counts, cycles, gated_mask)
-                if any_policy:
-                    # Observe the warmed-up die before the first power step;
-                    # interval 0's cycles already ran, so migration and
-                    # fetch actuation take effect from interval 1.
-                    self._apply_policies(0)
-
-            dynamic_scale, leakage_scale = (
-                self._power_scales() if any_policy else (None, None)
-            )
-            chip_cycle += chip_cycles
-            result.intervals.append(
-                physics.interval_pipeline(
-                    counts,
-                    cycles,
-                    cycle=chip_cycle,
-                    seconds=(interval_index + 1) * interval_seconds,
-                    gated_mask=gated_mask,
-                    dynamic_scale=dynamic_scale,
-                    leakage_scale=leakage_scale,
-                    dt_cycles=chip_cycles,
-                )
-            )
-            accounting.observe(physics.temperature_array)
-            if self._dvfs_residency is not None:
-                steps = self.chip_controls.steps
-                self._dvfs_residency += (
-                    np.bincount(steps, minlength=len(self._dvfs_residency))
-                    / self.cores
-                )
-            for t in ran:
-                controls = self.core_controls[t]
-                if controls is not None:
-                    self.core_telemetry[t].record_interval(
-                        controls, gated=False, fetch_actuated=interval_index > 0
-                    )
-                timing = self.timings[t]
-                core = self.thread_core[t]
-                timing.apply_bank_management(
-                    interval_index,
-                    physics.temperature_array[self._core_slice(core)],
-                )
-            interval_index += 1
-
-        result.warmup_temperature = physics.warmup_temperatures
-        per_thread_stats = []
-        for timing in self.timings:
-            stats = timing.processor.stats
-            stats.trace_cache_hits = timing.processor.trace_cache.hits
-            stats.trace_cache_misses = timing.processor.trace_cache.misses
-            stats.trace_cache_hop_flushes = timing.processor.trace_cache.hop_flushes
-            per_thread_stats.append(stats)
-        dvfs_residency = None
-        if self._dvfs_residency is not None and accounting.intervals:
-            fractions = self._dvfs_residency / accounting.intervals
-            table = self.chip_controls.table
-            dvfs_residency = {}
-            for s in range(len(table)):
-                if fractions[s] > 0.0:
-                    key = f"{table[s].freq_ratio:g}"
-                    dvfs_residency[key] = dvfs_residency.get(key, 0.0) + float(
-                        fractions[s]
-                    )
-        thread_dtm = [
-            None if telemetry is None else telemetry.as_dict()
-            for telemetry in self.core_telemetry
-        ]
-        return _finish_chip_result(
-            result,
-            cores=self.cores,
-            benchmarks=self.benchmarks,
-            per_thread_stats=per_thread_stats,
-            final_cores=self.thread_core,
-            accounting=accounting,
-            chip_cycles=chip_cycle,
-            policy_name=self.chip_policy.name if self.chip_policy else None,
-            migration_log=self.migration_log,
-            dvfs_residency=dvfs_residency,
-            thread_dtm=thread_dtm,
-            contention=(
-                self._contention_model.telemetry()
-                if self._contention_model is not None
-                else None
-            ),
-        )
+        return self._run(max_intervals, warmup, recorders)
 
     def run_with_traces(
         self,
@@ -776,13 +839,13 @@ class ChipEngine:
         warmup: bool = True,
         trace_provenances: Optional[Sequence[Optional[Dict]]] = None,
     ) -> Tuple[SimulationResult, Tuple[ActivityTrace, ...]]:
-        """Coupled chip run that also captures every thread's activity trace.
+        """Coupled run that also captures every thread's activity trace.
 
-        Each returned trace is *identical* — byte-for-byte as a canonical
-        JSON document — to the trace a single-core
-        :meth:`~repro.sim.engine.SimulationEngine.run_with_trace` of the same
-        (config, workload, seed, interval) would capture, which is what lets
-        the campaign layer serve chip sweeps from cached single-core traces.
+        A thread's trace is the same whatever layout captured it — byte for
+        byte as a canonical JSON document — which is what lets the campaign
+        layer serve chip sweeps from cached single-core traces.
+        ``trace_provenances`` (one per thread) may carry *timing-side*
+        generation parameters only (seed, trace length).
         """
         if trace_provenances is None:
             trace_provenances = [None] * self.num_threads
@@ -797,10 +860,8 @@ class ChipEngine:
         ]
         result = self.run(max_intervals=max_intervals, warmup=warmup, recorders=recorders)
         traces = tuple(
-            recorder.finish(stats)
-            for recorder, stats in zip(
-                recorders, (timing.processor.stats for timing in self.timings)
-            )
+            recorder.finish(timing.processor.stats)
+            for recorder, timing in zip(recorders, self.timings)
         )
         return result, traces
 
@@ -848,11 +909,8 @@ class ChipReplayCell(ReplayCell):
     def finish(
         self, result: SimulationResult, die, stack: TraceStack, temperatures
     ) -> SimulationResult:
-        """Fold per-core accounting from the recorded temperature vectors."""
+        """Fold the chip telemetry from the recorded temperature vectors."""
         traces = stack.traces
-        accounting = _ChipAccounting(self.cores, len(die.block_index) // self.cores)
-        for row in temperatures:
-            accounting.observe(row)
         # A non-feedback chip policy never leaves the nominal VF point, so its
         # residency is a pure function of the interval count — reconstruct it
         # exactly as the coupled loop records it.
@@ -862,12 +920,12 @@ class ChipReplayCell(ReplayCell):
             benchmarks=[trace.benchmark for trace in traces],
             per_thread_stats=[trace.stats_copy() for trace in traces],
             final_cores=list(range(len(traces))),
-            accounting=accounting,
+            temperatures=temperatures,
             chip_cycles=int(stack.chip_cycles.sum()),
             policy_name=self.policy.name if self.policy else None,
             migration_log=(),
             dvfs_residency=(
-                {"1": 1.0} if self.policy is not None and accounting.intervals else None
+                {"1": 1.0} if self.policy is not None and len(temperatures) else None
             ),
             thread_dtm=[None] * len(traces),
         )

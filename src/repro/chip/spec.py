@@ -18,13 +18,12 @@ re-running any per-uop timing.
 
 from __future__ import annotations
 
-import hashlib
-import json
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
 from repro.campaign.spec import RunSpec, _jsonable, variant_name
 from repro.sim.config import ProcessorConfig
+from repro.sim.serialization import content_key
 
 
 def mix_name(benchmarks: Tuple[str, ...]) -> str:
@@ -167,8 +166,7 @@ class ChipRunSpec:
 
     def cache_key(self) -> str:
         """Stable content hash identifying this cell across processes/runs."""
-        payload = json.dumps(self.key_material(), sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+        return content_key(self.key_material())
 
     # ------------------------------------------------------------------
     # Two-stage execution: the per-thread single-core projection

@@ -16,8 +16,9 @@ Structure:
   concrete policies plus the no-op baseline, and the name registry used by
   campaigns and the CLI (:func:`make_policy`).
 
-The engine hook lives in :class:`repro.sim.engine.SimulationEngine`
-(``dtm_policy=`` argument); campaigns sweep policies with
+The engine hook lives in the one coupled interval loop,
+:class:`repro.chip.engine.ChipEngine` (``SimulationEngine(dtm_policy=...)``
+on one core, ``core_policies=`` per chip thread); campaigns sweep policies with
 ``Campaign(..., dtm_policies=(...))``; the CLI exposes the same axis as
 ``repro-campaign run --dtm ...``.  See ``docs/dtm.md`` for the model and a
 runnable tutorial.

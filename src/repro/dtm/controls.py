@@ -279,6 +279,21 @@ class DTMControls:
         }
 
 
+def residency_by_freq_ratio(table: VFTable, fractions: np.ndarray) -> Dict[str, float]:
+    """Per-step residency ``fractions`` keyed by the step's frequency ratio.
+
+    Keys are the ratio rendered as a string (JSON mappings need string
+    keys), e.g. ``{"1": 0.85, "0.8": 0.15}``; steps sharing a frequency
+    ratio are summed under one key and empty steps are left out.
+    """
+    residency: Dict[str, float] = {}
+    for step, fraction in enumerate(fractions):
+        if fraction > 0.0:
+            key = f"{table[step].freq_ratio:g}"
+            residency[key] = residency.get(key, 0.0) + float(fraction)
+    return residency
+
+
 class DTMTelemetry:
     """Per-run accounting of what the DTM actuators actually did.
 
@@ -366,13 +381,7 @@ class DTMTelemetry:
         """
         if self.intervals == 0:
             return {"1": 1.0}
-        fractions = self._step_residency / self.intervals
-        residency: Dict[str, float] = {}
-        for s in range(len(self.table)):
-            if fractions[s] > 0.0:
-                key = f"{self.table[s].freq_ratio:g}"
-                residency[key] = residency.get(key, 0.0) + float(fractions[s])
-        return residency
+        return residency_by_freq_ratio(self.table, self._step_residency / self.intervals)
 
     def as_dict(self) -> Dict[str, object]:
         """JSON-able summary stored into ``SimulationResult.dtm``."""

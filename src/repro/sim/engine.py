@@ -1,624 +1,59 @@
-"""Two-stage simulation core: per-uop timing capture + array-backed physics.
+"""The single-core engine: the one-core layout of the coupled interval loop.
 
-The engine couples two explicit stages, one thermal interval at a time:
+:class:`SimulationEngine` runs one benchmark on one processor.  The coupled
+timing -> power -> leakage -> thermal loop it drives, and the activity-trace
+capture riding on it, are written once, in
+:class:`~repro.chip.engine.ChipEngine` (:mod:`repro.sim.stages` holds the
+two stages they drive).  A layout fixes four things, and the single-core
+layout sets them so:
 
-* :class:`TimingStage` — the per-uop pipeline simulation.  It advances the
-  :class:`~repro.sim.processor.Processor` by one interval, drains the
-  per-block activity counters into a block-index-ordered vector, and runs
-  the paper's *deterministic* timing-side mechanisms: the bank-hopping
-  rotation of the Vdd-gated trace-cache bank and the mapping-table rebuild
-  (every 10 M cycles in the paper).
-* :class:`PhysicsStage` — everything downstream of the activity counts:
-  dynamic power -> temperature-dependent leakage -> thermal RC advance ->
-  sensors -> :class:`~repro.sim.results.IntervalRecord`.  The stage owns the
-  floorplan, RC network, LU-factorized solver and power model, and is fully
-  array-backed (see ``docs/interval-pipeline.md``).
+* **die** — a :class:`~repro.sim.stages.PhysicsStage` over the processor
+  ``config`` describes, with the paper's unprefixed block names;
+* **threads** — one;
+* **gating** — the DTM policy (``dtm_policy=``, see :mod:`repro.dtm`) is
+  the package's policy, so whole-interval clock gating (stop-go) is granted
+  from interval 1 on;
+* **result** — ``result.stats`` is the thread's own statistics with the
+  trace-cache counters folded in, ``result.dtm`` the policy telemetry, and
+  there is no ``result.chip``.
 
-:meth:`SimulationEngine.run` is the coupled loop over both stages — exactly
-the historical per-interval pipeline, bit-for-bit (the golden-metric suite
-locks it).  The split exists because the two stages have wildly different
-costs and dependencies: the timing stage is a cycle-level simulation (about
-14k uops/s on the per-uop reference, about 290k on the native core) but
-never reads ``config.power``/``config.thermal``, while the physics stage is
-fast NumPy but is what a parameter sweep actually varies.  So the timing
-stage's complete output can be captured once as a serializable
-:class:`~repro.sim.activity_trace.ActivityTrace`
-(:meth:`SimulationEngine.run_with_trace`) and *replayed* under any
-physics-side variant (:meth:`PhysicsStage.replay`) — bit-identical to the
-coupled run, at physics-stage speed.  The campaign layer uses this to turn
-an N-cell physics sweep into one timing simulation plus N cheap replays.
-
-Replay is only sound when temperatures never feed back into timing.
-Thermal-aware bank mapping and feedback-bearing DTM policies do exactly
-that; :func:`~repro.sim.activity_trace.timing_feedback_reason` detects them
-and such runs refuse to capture (the campaign layer falls back to the
-coupled path automatically).
-
-Before measurement the processor is *warmed up*: the steady-state
-temperatures for the nominal average power (first interval's activity) are
-computed, iterating the leakage-temperature feedback until convergence or
-the 381 K emergency limit, mirroring Section 4 of the paper.
-
-Optionally the engine hosts a dynamic-thermal-management policy
-(``dtm_policy=``, see :mod:`repro.dtm`): before every interval after the
-first, the policy reads a full-die :class:`~repro.thermal.sensors.SensorBank`
-(quantized block temperatures in block-index order) and mutates the clamped
-:class:`~repro.dtm.controls.DTMControls` — fetch duty, whole-interval clock
-gating, per-cluster DVFS steps.  The engine translates the controls into a
-processor fetch gate (DVFS frequency reductions ride the same gate, so the
-activity counts carry the ``f`` factor of ``P = a C V^2 f``) and per-block
-voltage power-multiplier vectors on the interval pipeline.  With no policy —
-or the no-op policy — none of the DTM branches perturb the arithmetic, so
-the golden metrics are reproduced bit-for-bit.
+The golden-metric suite locks the loop bit-for-bit.  The stage classes and
+``TIMING_MODES`` are importable from here as well as from
+:mod:`repro.sim.stages`.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.chip.engine import ChipEngine
 from repro.core.bank_hopping import BankHoppingController
-from repro.core.thermal_mapping import BalancedMappingPolicy, ThermalAwareMappingPolicy
-from repro.dtm.controls import DTMControls, DTMTelemetry, FETCH_DUTY_PERIOD
-from repro.dtm.policies import DTMObservation, DTMPolicy
+from repro.dtm.policies import DTMPolicy
 from repro.isa.microops import MicroOp
-from repro.power.energy import build_block_parameters
-from repro.power.power_model import PowerModel
-from repro.sim import blocks, native
-from repro.sim.activity_trace import ActivityTrace, TraceRecorder, timing_feedback_reason
-from repro.sim.block_index import BlockIndex
+from repro.sim.activity_trace import ActivityTrace, TraceRecorder
 from repro.sim.config import ProcessorConfig
-from repro.sim.group_replay import (
-    ReplayCell,
-    check_traces,
-    exact_warmup_state,
-    replay_exact,
-    stack_traces,
-)
 from repro.sim.processor import Processor
 from repro.sim.results import IntervalRecord, SimulationResult
-from repro.sim.warmcache import solver_bundle
-from repro.thermal.floorplan import build_floorplan
-from repro.thermal.rc_model import ThermalRCNetwork
-from repro.thermal.sensors import SensorBank
+from repro.sim.stages import (  # noqa: F401  (re-exported)
+    TIMING_MODES,
+    PhysicsStage,
+    TimingStage,
+)
 from repro.thermal.solver import ThermalSolver
 
 
-class TimingStage:
-    """Per-uop pipeline simulation: the processor plus its timing-side hooks.
-
-    Owns the :class:`Processor`, the (optional) bank-hopping controller and
-    the bank mapping policy.  The stage never reads a power or thermal
-    parameter; the only physics input it can consume is the temperature
-    vector handed to :meth:`apply_bank_management` — and only the
-    thermal-aware mapping policy actually uses it, which is exactly the
-    configuration :func:`timing_feedback_reason` excludes from replay.
-    """
-
-    def __init__(
-        self,
-        config: ProcessorConfig,
-        uop_source: Iterable[MicroOp],
-        interval_cycles: int,
-        block_index: BlockIndex,
-        prewarm_caches: bool = True,
-    ) -> None:
-        self.config = config
-        self.interval_cycles = interval_cycles
-        #: The canonical block order every emitted activity/gating vector is
-        #: laid out in (the physics stage's power-model index).
-        self.block_index = block_index
-
-        uop_stream: Iterator[MicroOp]
-        if isinstance(uop_source, Sequence):
-            # A materialized trace: the engine can functionally pre-warm the
-            # UL2 with the trace's footprint, as sampled-simulation
-            # methodologies do, so the short measured slice is not dominated
-            # by cold misses the paper's 200 M-instruction slices would have
-            # amortized.
-            materialized: Optional[Sequence[MicroOp]] = list(uop_source)
-            uop_stream = iter(materialized)
-            self._prewarm_source: Optional[Sequence[MicroOp]] = uop_source
-        else:
-            materialized = None
-            uop_stream = iter(uop_source)
-            self._prewarm_source = None
-        self.processor = self._build_processor(config, uop_stream, materialized)
-        if prewarm_caches and self._prewarm_source is not None:
-            self._prewarm_memory(self._prewarm_source)
-
-        tc_config = config.frontend.trace_cache
-        self.tc_bank_blocks = blocks.trace_cache_blocks(config)
-        self.sensors = SensorBank(self.tc_bank_blocks)
-        self.hopping: Optional[BankHoppingController] = None
-        if tc_config.bank_hopping or tc_config.blank_silicon:
-            static_gated = []
-            if tc_config.blank_silicon:
-                # Statically gate the extra (highest-numbered) banks.
-                spare = tc_config.physical_banks - tc_config.active_banks
-                static_gated = list(
-                    range(tc_config.physical_banks - spare, tc_config.physical_banks)
-                )
-            self.hopping = BankHoppingController(
-                physical_banks=tc_config.physical_banks,
-                active_banks=tc_config.active_banks,
-                hop_interval_cycles=tc_config.hop_interval_cycles,
-                enabled=tc_config.bank_hopping,
-                static_gated_banks=static_gated,
-            )
-            self.processor.trace_cache.set_enabled_banks(self.hopping.enabled_banks)
-            self.processor.trace_cache.set_balanced_mapping()
-        if tc_config.thermal_aware_mapping:
-            self.mapping_policy = ThermalAwareMappingPolicy(
-                tc_config.mapping_table_entries, tc_config.bias_threshold_celsius
-            )
-        else:
-            self.mapping_policy = BalancedMappingPolicy(tc_config.mapping_table_entries)
-        # Intervals between hops / remaps, expressed in thermal intervals.
-        self._hop_every = max(1, round(tc_config.hop_interval_cycles / interval_cycles))
-        self._remap_every = max(1, round(tc_config.remap_interval_cycles / interval_cycles))
-
-        self._gated_cache: Tuple[tuple, list, np.ndarray] = (
-            (),
-            [],
-            np.zeros(len(block_index), dtype=bool),
-        )
-
-    # ------------------------------------------------------------------
-    def _build_processor(
-        self,
-        config: ProcessorConfig,
-        uop_stream: Iterator[MicroOp],
-        materialized: Optional[Sequence[MicroOp]],
-    ) -> Processor:
-        """Instantiate the timing core (overridden by the fast path)."""
-        return Processor(config, uop_stream)
-
-    # ------------------------------------------------------------------
-    def _prewarm_memory(self, trace: Sequence[MicroOp]) -> None:
-        """Touch the trace's data footprint in the UL2 (functional warm-up).
-
-        Only the UL2 is warmed: the small per-cluster L1 caches reach steady
-        state within the measured slice, but the 2 MB UL2 would otherwise
-        spend the whole short slice taking cold misses with the 500-cycle
-        memory latency, which the paper's long traces do not suffer.
-        """
-        warm = getattr(self.processor, "prewarm_ul2", None)
-        if warm is not None:
-            # Fast-path processors warm from their decoded address arrays
-            # (one bulk call; avoids per-uop traffic into the native core).
-            warm()
-            return
-        ul2 = self.processor.ul2
-        for uop in trace:
-            if uop.mem_addr is not None:
-                ul2.access(uop.mem_addr)
-        # The warm-up accesses are functional only; reset the statistics.
-        ul2.hits = 0
-        ul2.misses = 0
-
-    def gated_state(self) -> Tuple[list, Optional[np.ndarray]]:
-        """Names and block-index mask of the Vdd-gated trace-cache banks.
-
-        Cached per gated-bank set: the set only changes when the hopping
-        controller rotates, so the steady intervals between hops reuse one
-        mask instead of rebuilding it.
-        """
-        if self.hopping is None:
-            return [], None
-        banks = tuple(self.hopping.gated_banks)
-        cached = self._gated_cache
-        if cached[0] != banks:
-            names = [blocks.trace_cache_bank_block(b) for b in banks]
-            cached = (banks, names, self.block_index.mask(names))
-            self._gated_cache = cached
-        return cached[1], cached[2]
-
-    def run_interval(self, max_cycles: int) -> Tuple[Optional[np.ndarray], int]:
-        """Advance the processor by one interval and drain the activity counts.
-
-        Returns ``(counts, cycles_elapsed)`` in block-index order, or
-        ``(None, 0)`` when the trace ended exactly on the previous interval
-        boundary (no cycles ran).
-        """
-        processor = self.processor
-        start_cycle = processor.cycle
-        processor.run_cycles(max_cycles)
-        cycles_elapsed = processor.cycle - start_cycle
-        if cycles_elapsed == 0:
-            return None, 0
-        return processor.activity.end_interval_array(self.block_index), cycles_elapsed
-
-    def apply_bank_management(self, interval_index: int, temperatures: np.ndarray) -> None:
-        """Rotate the gated bank and rebuild the mapping table when due.
-
-        ``temperatures`` is the physics stage's block-temperature vector
-        (degrees Celsius, block-index order); only the thermal-aware mapping
-        policy reads it.
-        """
-        tc = self.processor.trace_cache
-        tc_config = self.config.frontend.trace_cache
-        hopped = False
-        if (
-            self.hopping is not None
-            and self.hopping.enabled
-            and (interval_index + 1) % self._hop_every == 0
-        ):
-            self.hopping.hop()
-            tc.set_enabled_banks(self.hopping.enabled_banks)
-            self.processor.stats.trace_cache_hop_flushes = tc.hop_flushes
-            hopped = True
-        remap_due = (interval_index + 1) % self._remap_every == 0
-        if hopped or (remap_due and tc_config.thermal_aware_mapping):
-            enabled = tc.enabled_banks()
-            # Sensors read only the trace-cache banks; build just that small
-            # mapping from the temperature vector (the result boundary).
-            index = self.block_index
-            readings = self.sensors.read_all(
-                {
-                    name: float(temperatures[index.position(name)])
-                    for name in self.tc_bank_blocks
-                }
-            )
-            bank_temps = {
-                bank: readings[blocks.trace_cache_bank_block(bank)] for bank in enabled
-            }
-            shares = self.mapping_policy.compute_shares(enabled, bank_temps)
-            tc.set_mapping_shares(shares)
-
-
-#: Accepted values of the engines' ``timing_mode`` selector.
-TIMING_MODES = ("auto", "fast", "reference")
-
-
-def select_timing_stage(
-    timing_mode: str,
-    config: ProcessorConfig,
-    uop_sources: Sequence[Iterable[MicroOp]],
-) -> Tuple[type, Optional[str]]:
-    """The timing-stage class of a run, and why it is not the fast path.
-
-    Selection is by capability alone: the native core takes every
-    frontend organization and every interval-boundary control the engines
-    apply (bank hops and remaps, including the thermal-aware mapping, DTM
-    fetch duty and DVFS, skipped clock-gated intervals, the contention
-    model's extra UL2 miss latency), so closed-loop runs qualify exactly
-    like open-loop ones.  Physics feedback only decides *replay*
-    eligibility (:func:`~repro.sim.activity_trace.timing_feedback_reason`).
-    The fast path is out of reach for a streaming uop source (it cannot be
-    batch-decoded) and wherever
-    :func:`~repro.sim.native.native_unavailable_reason` reports the core
-    unavailable (``REPRO_NATIVE=0``, no C compiler or a failed build, more
-    than 8 clusters).  Those, and ``timing_mode="reference"``, run the
-    per-uop golden reference with the reason returned (``None`` on the fast
-    path); ``timing_mode="fast"`` refuses instead of falling back.
-    """
-    if timing_mode not in TIMING_MODES:
-        raise ValueError(
-            "timing_mode must be 'auto', 'fast' or 'reference', "
-            f"not {timing_mode!r}"
-        )
-    if timing_mode == "reference":
-        return TimingStage, "timing_mode='reference' requested"
-    if all(isinstance(source, Sequence) for source in uop_sources):
-        fallback = native.native_unavailable_reason(config)
-    else:
-        fallback = "streaming uop source cannot be batch-decoded"
-    if fallback is None:
-        from repro.sim.fast_timing import FastTimingStage
-
-        return FastTimingStage, None
-    if timing_mode == "fast":
-        raise ValueError(f"timing_mode='fast' is not applicable: {fallback}")
-    return TimingStage, fallback
-
-
-class PhysicsStage:
-    """Power -> leakage -> thermal -> record, over activity-count vectors.
-
-    Owns every physics-side model of one cell: block power parameters, the
-    floorplan and its RC network, the LU-factorized
-    :class:`~repro.thermal.solver.ThermalSolver` and the
-    :class:`~repro.power.power_model.PowerModel` (whose
-    :class:`~repro.sim.block_index.BlockIndex` is the canonical block order
-    of every per-interval vector).  The coupled engine feeds it one drained
-    activity-count vector per interval; :meth:`replay` feeds it a whole
-    captured :class:`~repro.sim.activity_trace.ActivityTrace` instead —
-    the same arithmetic, in the same order, so the results are bit-identical.
-    """
-
-    def __init__(
-        self,
-        config: ProcessorConfig,
-        interval_cycles: Optional[int] = None,
-        *,
-        block_parameters=None,
-        floorplan=None,
-        block_groups=None,
-        solver_backend: str = "auto",
-        solver_ordering: str = "colamd",
-    ) -> None:
-        """Build the physics of one die.
-
-        By default the die is the single-core processor ``config`` describes:
-        block power parameters from the power model, the paper's floorplan,
-        the paper's block groups.  The chip layer (:mod:`repro.chip`) instead
-        injects a *composite* die — per-core namespaced block parameters, a
-        :func:`~repro.thermal.floorplan.compose_floorplans` core grid and
-        chip-level block groups — and every downstream stage (RC network,
-        solver, power model, block index) composes without change.
-
-        ``solver_backend`` selects the thermal solver's factorization
-        (``"auto"``, ``"dense"`` or ``"sparse"``; see
-        :mod:`repro.thermal.solver`).  The default ``"auto"`` resolves to
-        dense on every single-core die and small composite — bit-identical
-        to the pre-sparse solver — and to sparse at
-        :data:`~repro.thermal.solver.SPARSE_NODE_THRESHOLD` nodes and
-        above.  ``solver_ordering`` is the sparse backend's fill-reducing
-        column ordering (``"colamd"`` or ``"natural"``).
-        """
-        self.config = config
-        self.interval_cycles = interval_cycles or config.thermal.interval_cycles
-        if self.interval_cycles <= 0:
-            raise ValueError("interval_cycles must be positive")
-        self.block_parameters = (
-            dict(block_parameters)
-            if block_parameters is not None
-            else build_block_parameters(config)
-        )
-        self.block_areas = {
-            name: params.area_mm2 for name, params in self.block_parameters.items()
-        }
-        self.floorplan = (
-            floorplan
-            if floorplan is not None
-            else build_floorplan(config, self.block_areas)
-        )
-        self.block_groups = (
-            dict(block_groups) if block_groups is not None else blocks.block_groups(config)
-        )
-        # The RC network and factorized solver are pure functions of the
-        # floorplan geometry + thermal config, so they come from the
-        # process-global warm cache: a persistent pool worker (or process
-        # pool child) replaying a sweep factorizes each distinct die once,
-        # not once per cell.  A warm bundle is bit-identical to a fresh one
-        # (same inputs, same factorization), and REPRO_WARM_CACHE=0 forces
-        # fresh construction.
-        self.network, self.solver = solver_bundle(
-            self.floorplan,
-            config.thermal,
-            backend=solver_backend,
-            ordering=solver_ordering,
-        )
-        #: The resolved solver backend ("dense" or "sparse").
-        self.solver_backend = self.solver.backend
-        self.power_model = PowerModel(config.power, self.block_parameters)
-
-        # One block index (the power model's order) for every per-interval
-        # vector, plus the explicit permutation that scatters block vectors
-        # into thermal-node space.  The activity counters, the floorplan and
-        # the power model each enumerate blocks in their own order, so
-        # nothing here assumes the orders agree.
-        self.block_index = self.power_model.index
-        self.node_positions = self.network.node_positions(self.block_index.names)
-        self._node_power = np.zeros(self.network.num_nodes)
-
-        self._thermal_state = self.network.uniform_state(config.thermal.ambient_celsius)
-        self.temperature_array: np.ndarray = self._thermal_state[self.node_positions]
-        self.warmup_temperatures: Dict[str, float] = self.block_index.mapping_from_array(
-            self.temperature_array
-        )
-        self.emergency_intervals = 0
-
-    # ------------------------------------------------------------------
-    def warmup(
-        self,
-        activity_counts: np.ndarray,
-        cycles,
-        gated_mask: Optional[np.ndarray],
-    ) -> None:
-        """Warm the die to the steady state of its nominal power.
-
-        ``activity_counts`` are the first interval's per-block access counts
-        (block-index order) over ``cycles`` cycles (a scalar, or a per-block
-        vector on a composite die whose cores ran different cycle counts);
-        the resulting dynamic power (W) is held constant while the
-        leakage-temperature fixed point iterates (temperatures in degrees
-        Celsius, limit 381 K).
-        """
-        state = exact_warmup_state(
-            self.solver,
-            self.power_model,
-            self.config,
-            activity_counts,
-            cycles,
-            gated_mask,
-            self.node_positions,
-        )
-        self._thermal_state = state
-        self.temperature_array = state[self.node_positions]
-        self.warmup_temperatures = self.block_index.mapping_from_array(
-            self.temperature_array
-        )
-
-    def advance(self, dynamic: np.ndarray, leakage: np.ndarray, dt: float) -> None:
-        """Shared thermal step of every interval: block power -> temperatures.
-
-        Scatters the block power vectors (W) into thermal-node space,
-        advances the RC network by ``dt`` seconds, refreshes the cached
-        block-temperature slice and counts emergency-limit intervals.  The
-        coupled pipeline, the clock-gated DTM path and trace replay all step
-        here, so the bookkeeping cannot diverge between them.
-        """
-        node_power = self._node_power
-        node_power[:] = 0.0
-        node_power[self.node_positions] = dynamic + leakage
-        self._thermal_state = self.solver.advance_nodes(
-            self._thermal_state, node_power, dt
-        )
-        # Fancy indexing copies, so each record owns its temperature vector.
-        self.temperature_array = self._thermal_state[self.node_positions]
-        if (
-            float(self.temperature_array.max())
-            >= self.config.thermal.emergency_limit_celsius
-        ):
-            self.emergency_intervals += 1
-
-    def _advance_and_record(
-        self,
-        dynamic: np.ndarray,
-        leakage: np.ndarray,
-        dt: float,
-        cycle: int,
-        seconds: float,
-    ) -> IntervalRecord:
-        """:meth:`advance`, then the interval's record."""
-        self.advance(dynamic, leakage, dt)
-        return IntervalRecord.from_arrays(
-            cycle=cycle,
-            seconds=seconds,
-            block_names=self.block_index.names,
-            dynamic_power=dynamic,
-            leakage_power=leakage,
-            temperature=self.temperature_array,
-        )
-
-    def interval_pipeline(
-        self,
-        activity_counts: np.ndarray,
-        cycles_elapsed,
-        cycle: int,
-        seconds: float,
-        gated_mask: Optional[np.ndarray] = None,
-        dynamic_scale: Optional[np.ndarray] = None,
-        leakage_scale: Optional[np.ndarray] = None,
-        dt_cycles: Optional[int] = None,
-    ) -> IntervalRecord:
-        """The power/thermal hot path of one interval: counts -> record.
-
-        Converts a drained activity-count vector (block-index order) into
-        dynamic and leakage power (W), advances the thermal RC network by the
-        interval's wall-clock duration (s), tracks the emergency-limit
-        counter and returns the interval's :class:`IntervalRecord` — all on
-        NumPy vectors, with no per-block dict allocation.
-
-        ``dynamic_scale`` / ``leakage_scale`` are the DTM DVFS power
-        multiplier vectors (see :meth:`PowerModel.compute_arrays`); the
-        frequency component of DVFS is realized through the fetch duty, so
-        it arrives here already folded into ``activity_counts``.  The
-        ``None`` defaults leave the arithmetic bit-identical to the pre-DTM
-        pipeline.
-
-        ``cycles_elapsed`` may be a per-block vector on a composite die (the
-        chip layer concatenates per-core counts whose final intervals ran
-        different lengths); ``dt_cycles`` then supplies the scalar cycle
-        count the thermal network advances by (the chip clock: the longest
-        any core ran this interval).  It defaults to ``cycles_elapsed``,
-        which must be a scalar in that case.
-        """
-        dynamic, leakage = self.power_model.compute_arrays(
-            activity_counts,
-            cycles_elapsed,
-            self.temperature_array,
-            gated_mask,
-            dynamic_scale,
-            leakage_scale,
-        )
-        if dt_cycles is None:
-            dt_cycles = cycles_elapsed
-        dt = self.config.thermal.interval_seconds * (
-            dt_cycles / self.interval_cycles
-        )
-        return self._advance_and_record(
-            dynamic, leakage, dt, cycle=cycle, seconds=seconds
-        )
-
-    def leakage_only_interval(
-        self,
-        cycle: int,
-        seconds: float,
-        gated_mask: Optional[np.ndarray],
-        leakage_scale: Optional[np.ndarray] = None,
-    ) -> IntervalRecord:
-        """Record one fully clock-gated interval (stop-go DTM).
-
-        The processor executes nothing: dynamic power — clock distribution
-        included — is 0 W, only leakage at the current temperatures is
-        injected, and the thermal network advances by one full nominal
-        interval of wall-clock (the clock is stopped; time is not).  The
-        leakage model's running dynamic-power average is deliberately *not*
-        updated: a gated interval says nothing about the workload's nominal
-        power profile.
-        """
-        dynamic = np.zeros(len(self.block_index))
-        leakage = self.power_model.leakage_model.leakage_power_array(
-            self.temperature_array, gated_mask
-        )
-        if leakage_scale is not None:
-            leakage = leakage * leakage_scale
-        return self._advance_and_record(
-            dynamic,
-            leakage,
-            self.config.thermal.interval_seconds,
-            cycle=cycle,
-            seconds=seconds,
-        )
-
-    # ------------------------------------------------------------------
-    def new_result(self, benchmark: str) -> SimulationResult:
-        """An empty result shell carrying this stage's physics metadata."""
-        return SimulationResult(
-            config_name=self.config.name,
-            benchmark=benchmark,
-            stats=None,  # filled in by the caller
-            block_names=list(self.block_parameters.keys()),
-            block_groups=self.block_groups,
-            block_areas_mm2=self.block_areas,
-            ambient_celsius=self.config.thermal.ambient_celsius,
-            provenance={"interval_cycles": self.interval_cycles},
-        )
-
-    def replay(
-        self,
-        trace: ActivityTrace,
-        max_intervals: Optional[int] = None,
-        warmup: bool = True,
-        dtm_policy: Optional[DTMPolicy] = None,
-    ) -> SimulationResult:
-        """Replay a captured activity trace through this cell's physics.
-
-        The one-trace layout of :mod:`repro.sim.group_replay`'s exact walk:
-        the same arithmetic, in the same order, as the coupled
-        :meth:`SimulationEngine.run` loop downstream of the activity
-        counters, so the result is bit-identical to simulating the cell
-        coupled, which ``tests/test_campaign_replay.py`` locks against the
-        golden fixtures.
-
-        ``dtm_policy`` may only be a non-feedback policy (the no-op
-        ``"none"``); its telemetry is reconstructed exactly as the coupled
-        run would have recorded it.
-        """
-        check_traces([trace], self.block_index.names, self.interval_cycles)
-        cell = ReplayCell(self.config, dtm_policy, self.interval_cycles)
-        stack = stack_traces([trace], 1, self.interval_cycles, max_intervals)
-        return replay_exact(cell, self, stack, warmup)
-
-
-class SimulationEngine:
+class SimulationEngine(ChipEngine):
     """Runs one benchmark on one configuration, producing a SimulationResult.
 
-    Composes a :class:`TimingStage` and a :class:`PhysicsStage` and drives
-    them coupled, one thermal interval at a time.  The historical attribute
-    surface (``engine.processor``, ``engine.solver``, ``engine.block_index``,
-    ...) is preserved as delegating properties.
+    The one-core layout of :class:`~repro.chip.engine.ChipEngine` (see the
+    module docstring): the chip engine's interval loop and capture path over
+    one :class:`TimingStage` and a single-core :class:`PhysicsStage`.
     """
 
-    #: Consecutive fully clock-gated intervals after which the engine aborts:
-    #: a sane stop-go policy releases as soon as leakage-only cooling brings
-    #: the die below its trigger, so a streak this long means the trigger is
-    #: unreachable (e.g. set below the ambient temperature).
-    _MAX_GATED_STREAK = 10_000
+    #: Its one core is the package, so its DTM policy may stop the clock.
+    _core_gating = True
 
     def __init__(
         self,
@@ -630,109 +65,33 @@ class SimulationEngine:
         dtm_policy: Optional[DTMPolicy] = None,
         timing_mode: str = "auto",
     ) -> None:
-        self.config = config
         self.benchmark = benchmark
-        self.interval_cycles = interval_cycles or config.thermal.interval_cycles
-        if self.interval_cycles <= 0:
-            raise ValueError("interval_cycles must be positive")
-
         self.dtm_policy = dtm_policy
-        self.timing_mode = timing_mode
-        stage_cls, self.timing_fallback_reason = select_timing_stage(
-            timing_mode, config, [uop_source]
+        self.cores = 1
+        self.physics = PhysicsStage(config, interval_cycles)
+        self.core_index = self.physics.block_index
+        self._bind_threads(
+            config, [uop_source], [benchmark], [dtm_policy], timing_mode, prewarm_caches
         )
-        self.resolved_timing_mode = (
-            "reference" if self.timing_fallback_reason is not None else "fast"
-        )
-        self.physics = PhysicsStage(config, self.interval_cycles)
-        self.timing = stage_cls(
-            config,
-            uop_source,
-            self.interval_cycles,
-            self.physics.block_index,
-            prewarm_caches=prewarm_caches,
-        )
-
-        # --------------------------------------------------------------
-        # Dynamic thermal management (optional).  The DTM sensor bank spans
-        # every block (the paper's mapping function only needs the trace-
-        # cache banks; DTM policies watch the whole die) in block-index
-        # order, so policy observations are plain vectors.
-        # --------------------------------------------------------------
-        self.dtm_controls: Optional[DTMControls] = None
-        self.dtm_telemetry: Optional[DTMTelemetry] = None
-        self.dtm_sensors: Optional[SensorBank] = None
-        if dtm_policy is not None:
-            # The controls adopt the policy's declared VF table (DVFS/hybrid
-            # policies carry their ``table=`` parameter as ``policy.table``).
-            self.dtm_controls = DTMControls(self.block_index, table=dtm_policy.table)
-            self.dtm_telemetry = DTMTelemetry(self.dtm_controls.table)
-            self.dtm_sensors = SensorBank(self.block_index.names)
-            dtm_policy.bind(self.block_index, config, self.dtm_controls)
 
     # ------------------------------------------------------------------
-    # Delegating views over the two stages (the historical engine surface)
+    # The historical engine surface over the one thread
     # ------------------------------------------------------------------
     @property
+    def timing(self) -> TimingStage:
+        return self.timings[0]
+
+    @property
     def processor(self) -> Processor:
-        return self.timing.processor
+        return self.timings[0].processor
 
     @property
     def hopping(self) -> Optional[BankHoppingController]:
-        return self.timing.hopping
-
-    @property
-    def mapping_policy(self):
-        return self.timing.mapping_policy
-
-    @property
-    def sensors(self) -> SensorBank:
-        return self.timing.sensors
-
-    @property
-    def block_parameters(self):
-        return self.physics.block_parameters
-
-    @property
-    def block_areas(self):
-        return self.physics.block_areas
-
-    @property
-    def floorplan(self):
-        return self.physics.floorplan
-
-    @property
-    def network(self) -> ThermalRCNetwork:
-        return self.physics.network
+        return self.timings[0].hopping
 
     @property
     def solver(self) -> ThermalSolver:
         return self.physics.solver
-
-    @property
-    def power_model(self) -> PowerModel:
-        return self.physics.power_model
-
-    @property
-    def block_index(self) -> BlockIndex:
-        return self.physics.block_index
-
-    @property
-    def warmup_temperatures(self) -> Dict[str, float]:
-        return self.physics.warmup_temperatures
-
-    @property
-    def emergency_intervals(self) -> int:
-        return self.physics.emergency_intervals
-
-    @property
-    def _temperature_array(self) -> np.ndarray:
-        return self.physics.temperature_array
-
-    @property
-    def replay_safe_reason(self) -> Optional[str]:
-        """Why this run cannot be captured for replay (``None`` = it can)."""
-        return timing_feedback_reason(self.config, self.dtm_policy)
 
     def interval_pipeline(
         self,
@@ -760,162 +119,18 @@ class SimulationEngine:
         )
 
     # ------------------------------------------------------------------
-    # Dynamic thermal management
-    # ------------------------------------------------------------------
-    def _apply_dtm(self, interval_index: int) -> bool:
-        """Run the DTM policy hook before simulating interval ``interval_index``.
-
-        The policy observes the previous interval's sensor-quantized block
-        temperatures (degrees Celsius, block-index order) and mutates the
-        clamped controls; the granted fetch duty is translated into the
-        processor's fetch gate.  Returns ``True`` when the policy was
-        granted a fully clock-gated interval (never for interval 0, whose
-        cycles have already run when the post-warm-up observation happens).
-        """
-        controls = self.dtm_controls
-        controls.begin_interval(gating_allowed=interval_index > 0)
-        readings = self.dtm_sensors.read_array(self.physics.temperature_array)
-        observation = DTMObservation(
-            interval_index=interval_index,
-            temperatures=readings,
-            index=self.block_index,
-        )
-        self.dtm_policy.apply(observation, controls)
-        on_cycles = controls.effective_fetch_on_cycles
-        if on_cycles < FETCH_DUTY_PERIOD:
-            self.processor.set_fetch_gate(on_cycles, FETCH_DUTY_PERIOD)
-        else:
-            self.processor.clear_fetch_gate()
-        return controls.gate_interval
-
-    def _gated_interval(self, cycle: int, seconds: float) -> IntervalRecord:
-        """Record one fully clock-gated interval (stop-go DTM).
-
-        Bank hops and remaps are skipped — the paper's mechanisms are
-        clocked, and the clock is off.
-        """
-        _, gated_mask = self.timing.gated_state()
-        leakage_scale = None
-        if self.dtm_controls is not None:
-            _, leakage_scale = self.dtm_controls.power_scales()
-        return self.physics.leakage_only_interval(
-            cycle=cycle,
-            seconds=seconds,
-            gated_mask=gated_mask,
-            leakage_scale=leakage_scale,
-        )
-
-    # ------------------------------------------------------------------
     def run(
         self,
         max_intervals: Optional[int] = None,
         warmup: bool = True,
-        recorder: Optional[TraceRecorder] = None,
+        recorders: Optional[Sequence[TraceRecorder]] = None,
     ) -> SimulationResult:
         """Run the benchmark to completion and return the full result.
 
-        With a ``recorder``, every interval's timing-stage output (activity
-        counts, cycles, gated-bank mask) is also captured for later replay;
-        recording refuses configurations whose timing depends on
-        temperature (see :func:`timing_feedback_reason`), because a trace
-        captured under one physics variant would silently misrepresent
-        another.
+        ``recorders`` (one) also captures the activity trace; see
+        :meth:`run_with_trace`.
         """
-        if recorder is not None:
-            reason = self.replay_safe_reason
-            if reason is not None:
-                raise ValueError(f"cannot capture an activity trace: {reason}")
-        result = self.physics.new_result(self.benchmark)
-        result.stats = self.processor.stats
-        timing = self.timing
-        physics = self.physics
-        interval_index = 0
-        interval_seconds = self.config.thermal.interval_seconds
-        dtm = self.dtm_policy is not None
-        gated_streak = 0
-
-        while not self.processor.finished:
-            if max_intervals is not None and interval_index >= max_intervals:
-                break
-            if dtm and interval_index > 0 and self._apply_dtm(interval_index):
-                # Fully clock-gated interval: wall-clock advances, the
-                # processor does not.
-                gated_streak += 1
-                if gated_streak > self._MAX_GATED_STREAK:
-                    raise RuntimeError(
-                        f"DTM policy {self.dtm_policy.name!r} clock-gated "
-                        f"{gated_streak} consecutive intervals; its trigger "
-                        "temperature is unreachable by cooling"
-                    )
-                result.intervals.append(
-                    self._gated_interval(
-                        cycle=self.processor.cycle,
-                        seconds=(interval_index + 1) * interval_seconds,
-                    )
-                )
-                self.dtm_telemetry.record_interval(self.dtm_controls, gated=True)
-                interval_index += 1
-                continue
-            gated_streak = 0
-            activity_counts, cycles_elapsed = timing.run_interval(self.interval_cycles)
-            if activity_counts is None:
-                break
-            _, gated_mask = timing.gated_state()
-            if recorder is not None:
-                recorder.record(
-                    activity_counts, cycles_elapsed, self.processor.cycle, gated_mask
-                )
-
-            if interval_index == 0 and warmup:
-                physics.warmup(activity_counts, cycles_elapsed, gated_mask)
-                if dtm:
-                    # Let the policy observe the warmed-up die before the
-                    # first power/thermal step: under DTM the processor
-                    # would have been managed throughout the warm-up
-                    # history too, so interval 0's power already runs at
-                    # the policy's operating point.  A whole-interval gate
-                    # cannot apply here (the cycles already ran); the
-                    # controls deny it and the policy re-decides next
-                    # interval.
-                    self._apply_dtm(0)
-
-            dynamic_scale = leakage_scale = None
-            if dtm:
-                dynamic_scale, leakage_scale = self.dtm_controls.power_scales()
-
-            result.intervals.append(
-                physics.interval_pipeline(
-                    activity_counts,
-                    cycles_elapsed,
-                    cycle=self.processor.cycle,
-                    seconds=(interval_index + 1) * interval_seconds,
-                    gated_mask=gated_mask,
-                    dynamic_scale=dynamic_scale,
-                    leakage_scale=leakage_scale,
-                )
-            )
-            if dtm:
-                # Interval 0's cycles ran before the policy could gate fetch
-                # (it only observes the die after warm-up), so its duty and
-                # frequency are charged at nominal.
-                self.dtm_telemetry.record_interval(
-                    self.dtm_controls,
-                    gated=False,
-                    fetch_actuated=interval_index > 0,
-                )
-            timing.apply_bank_management(interval_index, physics.temperature_array)
-            interval_index += 1
-
-        result.warmup_temperature = physics.warmup_temperatures
-        result.stats.trace_cache_hits = self.processor.trace_cache.hits
-        result.stats.trace_cache_misses = self.processor.trace_cache.misses
-        result.stats.trace_cache_hop_flushes = self.processor.trace_cache.hop_flushes
-        if dtm:
-            result.dtm = {
-                "policy": self.dtm_policy.name,
-                **self.dtm_telemetry.as_dict(),
-            }
-        return result
+        return self._run(max_intervals, warmup, recorders)
 
     def run_with_trace(
         self,
@@ -925,22 +140,22 @@ class SimulationEngine:
     ) -> Tuple[SimulationResult, ActivityTrace]:
         """Coupled run that also captures the timing stage's activity trace.
 
-        The returned result is exactly what :meth:`run` would have produced
-        (capture only *observes* the timing stage); the trace, replayed
-        through a :class:`PhysicsStage` built from any physics-side variant
-        of this configuration, reproduces that variant's coupled run
-        bit-for-bit.  ``trace_provenance`` is stamped into the trace
-        document; it may carry *timing-side* generation parameters only
-        (seed, trace length), never anything a physics sweep varies.
+        The one-thread case of :meth:`ChipEngine.run_with_traces`: the
+        result is exactly what :meth:`run` produces, and the trace replays
+        any physics-side variant of this configuration bit-for-bit.
         """
-        recorder = TraceRecorder(
-            self.benchmark,
-            self.physics.block_index.names,
-            self.interval_cycles,
-            provenance=trace_provenance,
-        )
-        result = self.run(max_intervals=max_intervals, warmup=warmup, recorder=recorder)
-        return result, recorder.finish(result.stats)
+        result, (trace,) = self.run_with_traces(max_intervals, warmup, [trace_provenance])
+        return result, trace
+
+    def _finish(self, result: SimulationResult, temperatures, chip_cycles: int):
+        """The single-core result shape: the thread's stats and DTM telemetry."""
+        result.stats = self.processor.stats
+        if self.dtm_policy is not None:
+            result.dtm = {
+                "policy": self.dtm_policy.name,
+                **self.core_telemetry[0].as_dict(),
+            }
+        return result
 
 
 def run_benchmark(

@@ -39,7 +39,7 @@ from repro.isa.microops import MicroOp
 from repro.isa.registers import RegisterSpace
 from repro.sim import blocks, native
 from repro.sim.config import MemoryConfig, ProcessorConfig, TraceCacheConfig
-from repro.sim.engine import TimingStage
+from repro.sim.stages import TimingStage
 from repro.sim.processor import Processor, SimulationDeadlockError
 from repro.sim.stats import SimulationStats
 from repro.workloads.decode import (

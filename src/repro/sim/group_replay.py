@@ -47,8 +47,6 @@ contract allows.
 from __future__ import annotations
 
 import dataclasses
-import hashlib
-import json
 from functools import cached_property
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
@@ -62,6 +60,7 @@ from repro.power.power_model import PowerModel
 from repro.sim.activity_trace import ActivityTrace
 from repro.sim.config import ProcessorConfig
 from repro.sim.results import IntervalRecord, SimulationResult
+from repro.sim.serialization import content_key
 from repro.thermal.solver import ThermalSolver
 
 #: Accepted values of the ``replay_mode`` execution knob.
@@ -97,8 +96,7 @@ def thermal_group_key(config: ProcessorConfig, block_areas: Dict[str, float]) ->
         "thermal": dataclasses.asdict(config.thermal),
         "areas": {name: float(area) for name, area in block_areas.items()},
     }
-    payload = json.dumps(material, sort_keys=True, separators=(",", ":"), default=str)
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+    return content_key(material)
 
 
 # ----------------------------------------------------------------------
@@ -234,7 +232,7 @@ class ReplayCell:
 
     def die(self):
         """A fresh physics stage over this cell's die."""
-        from repro.sim.engine import PhysicsStage
+        from repro.sim.stages import PhysicsStage
 
         return PhysicsStage(
             self.config, self.interval_cycles, block_parameters=self.core_parameters

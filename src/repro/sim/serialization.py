@@ -9,6 +9,7 @@ queries as a freshly simulated one.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import threading
@@ -28,6 +29,18 @@ from repro.sim.stats import SimulationStats
 #: chip aggregates) written by multi-core runs.  Files of any earlier
 #: version still load, with the missing mappings empty.
 SCHEMA_VERSION = 4
+
+
+def content_key(material) -> str:
+    """The sha256 hex digest of ``material`` as canonical JSON.
+
+    The one content key of the package: result-cache cells, trace
+    artifacts, batched-replay sub-groups and warm solver bundles are all
+    identified by it.  Sorted keys and no whitespace make the key
+    independent of dict order and interpreter version.
+    """
+    payload = json.dumps(material, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 #: Schema versions :func:`result_from_dict` can reconstruct.
 SUPPORTED_SCHEMA_VERSIONS = (1, 2, 3, 4)

@@ -40,8 +40,6 @@ layers) so :class:`~repro.sim.engine.PhysicsStage` and
 from __future__ import annotations
 
 import dataclasses
-import hashlib
-import json
 import mmap
 import os
 import threading
@@ -51,6 +49,7 @@ from pathlib import Path
 from typing import Dict, Optional, Tuple
 
 from repro.sim.activity_trace import ActivityTrace
+from repro.sim.serialization import content_key
 from repro.thermal.rc_model import ThermalRCNetwork
 from repro.thermal.solver import ThermalSolver
 
@@ -102,8 +101,7 @@ def solver_key(floorplan, thermal_config, backend: str, ordering: str) -> str:
         "backend": backend,
         "ordering": ordering,
     }
-    canonical = json.dumps(material, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+    return content_key(material)
 
 
 class WarmCache:

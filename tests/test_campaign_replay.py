@@ -272,35 +272,6 @@ def test_feedback_policy_cells_never_replay():
     assert outcome.cells_executed == 2
 
 
-def test_legacy_run_cells_only_executor_still_works():
-    """An Executor subclass predating run_tasks gets the coupled path."""
-    from repro.campaign import execute_cell
-
-    class LegacyExecutor(SerialExecutor):
-        run_tasks = None  # simulate a subclass that never implemented it
-
-        def run_cells(self, cells):
-            results = []
-            for spec in cells:
-                results.append(execute_cell(spec))
-                self.cells_executed += 1
-            return results
-
-    # Guard the guard: the detection must treat this class as legacy.
-    from repro.campaign.executors import Executor
-
-    LegacyExecutor.run_tasks = Executor.run_tasks
-
-    campaign = _physics_sweep(variants=2, benchmarks=("gzip",))
-    legacy = run_campaign(campaign, executor=LegacyExecutor())
-    assert legacy.cells_executed == 2
-    assert legacy.cells_replayed == 0
-    modern = run_campaign(campaign, executor=SerialExecutor())
-    assert not golden._compare(
-        _digest_outcome(legacy), _digest_outcome(modern), "legacy", reltol=0
-    )
-
-
 def test_mixed_policy_axis_splits_between_replay_and_coupled():
     campaign = _physics_sweep(variants=2, benchmarks=("gzip",))
     mixed = Campaign(

@@ -259,6 +259,27 @@ def test_core_migration_moves_hot_thread_to_idle_core():
     assert result.chip["policy"].startswith("core_migration")
 
 
+def test_migrations_happen_only_in_simulated_intervals():
+    """The run ends when every processor drains, not one interval later.
+
+    Here the last thread drains at the end of an interval while a core
+    sits idle; no policy step, and so no migration, may follow it.
+    """
+    sources = [_uops(b, n=1500) for b in HETEROGENEOUS]
+    result = ChipEngine(
+        baseline_config(),
+        sources,
+        list(HETEROGENEOUS),
+        cores=3,
+        interval_cycles=INTERVAL,
+        chip_policy="core_migration:trigger=60",
+        core_policies=["hybrid:target=60"] * 2,
+    ).run()
+    log = result.chip["migration_log"]
+    assert log
+    assert all(move["interval"] < len(result.intervals) for move in log), log
+
+
 def test_core_migration_needs_an_idle_core():
     config = baseline_config()
     result = _chip(

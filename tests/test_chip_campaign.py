@@ -175,19 +175,6 @@ def test_feedback_chip_policy_falls_back_to_coupled():
     assert "replayed" not in managed.provenance
 
 
-def test_chip_campaign_requires_run_tasks_executor():
-    from repro.campaign.executors import Executor, execute_cell
-
-    class Legacy(Executor):
-        def run_cells(self, cells):
-            results = [execute_cell(spec) for spec in cells]
-            self.cells_executed += len(cells)
-            return results
-
-    with pytest.raises(ValueError, match="run_tasks"):
-        run_campaign(_chip_campaign(), executor=Legacy())
-
-
 # ----------------------------------------------------------------------
 # Serialization (schema v4)
 # ----------------------------------------------------------------------

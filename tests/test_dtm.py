@@ -108,6 +108,30 @@ def test_adversarial_policy_cannot_escape_the_actuator_bounds():
     assert set(result.dtm["dvfs_residency"]) <= legal_ratios
 
 
+class _AlwaysGatePolicy(DTMPolicy):
+    """Requests a whole-interval clock gate every interval."""
+
+    def __init__(self) -> None:
+        super().__init__("always_gate")
+
+    def apply(self, observation: DTMObservation, controls: DTMControls) -> None:
+        controls.request_interval_gate()
+
+
+def test_unbounded_gating_streak_aborts_naming_the_policy(monkeypatch):
+    """A policy that never releases stop-go cannot hang the run."""
+    from repro.sim.engine import SimulationEngine
+
+    monkeypatch.setattr(SimulationEngine, "_MAX_GATED_STREAK", 4)
+    config = scale_paper_intervals(baseline_config(), 800)
+    trace = TraceGenerator("gzip", seed=3).generate(2_500)
+    with pytest.raises(RuntimeError, match="'always_gate' clock-gated 5 consecutive"):
+        run_benchmark(
+            config, trace.uops, "gzip", interval_cycles=800,
+            dtm_policy=_AlwaysGatePolicy(),
+        )
+
+
 # ----------------------------------------------------------------------
 # 2. Efficacy: hybrid DTM cools the thermal virus
 # ----------------------------------------------------------------------

@@ -204,6 +204,18 @@ def test_repro_native_selects_the_reference_path(monkeypatch):
     assert "REPRO_NATIVE" in engine.timing_fallback_reason
 
 
+def test_missing_compiler_falls_back_with_reason(monkeypatch):
+    """A host without a C compiler runs the reference loop and says so."""
+    monkeypatch.delenv("REPRO_NATIVE", raising=False)
+    monkeypatch.setattr(native, "_compiler", lambda: None)
+    monkeypatch.setattr(native, "_lib", False)
+    reason = "no C compiler found to build the native core"
+    assert native.native_unavailable_reason(baseline_config()) == reason
+    engine = SimulationEngine(baseline_config(), _uops(), "gzip")
+    assert engine.resolved_timing_mode == "reference"
+    assert engine.timing_fallback_reason == reason
+
+
 def test_native_core_engaged_when_available(native_core):
     """Every preset, distributed ones included, runs on the compiled core."""
     for config_factory in (

@@ -1,12 +1,14 @@
 """Golden end-to-end regression fixtures (the fast-path equivalence lock).
 
-Two small fixed-seed campaigns — one centralized (the paper's baseline
-frontend) and one distributed + bank-hopping + biased-mapping frontend — are
-digested into JSON fixtures under ``tests/golden/``.  The digests capture
-everything a campaign produces: the integer timing statistics, the warm-up
-temperatures, the full per-interval per-block temperature trace, the
-per-interval dynamic/leakage power totals and the paper's three temperature
-metrics for every block group.
+Three small fixed-seed campaigns — one centralized (the paper's baseline
+frontend), one distributed + bank-hopping + biased-mapping frontend, and one
+baseline frontend under two closed-loop DTM policies (stop-go clock gating
+and hybrid throttling/DVFS) — are digested into JSON fixtures under
+``tests/golden/``.  The digests capture everything a campaign produces: the
+integer timing statistics, the warm-up temperatures, the full per-interval
+per-block temperature trace, the per-interval dynamic/leakage power totals,
+the paper's three temperature metrics for every block group and, on DTM
+cells, the policy telemetry.
 
 The fixtures were generated with the original dict-per-block power/thermal
 pipeline (before the array-backed fast path landed), so a passing run proves
@@ -48,8 +50,13 @@ GOLDEN_SETTINGS = ExperimentSettings(
 )
 
 
+#: The DTM campaign's policies: stop-go gating (whole-interval clock gating,
+#: the leakage-only interval path) and hybrid fetch throttling + DVFS.
+GOLDEN_DTM_POLICIES = ("clock_gate:trigger=45", "hybrid:target=45,emergency=50")
+
+
 def _golden_campaigns():
-    """The two locked campaigns: centralized and distributed+bank-hopping."""
+    """The locked campaigns: centralized, distributed+bank-hopping and DTM."""
     return {
         "centralized": Campaign.single(
             baseline_config(), GOLDEN_SETTINGS, name="golden_centralized"
@@ -57,12 +64,18 @@ def _golden_campaigns():
         "distributed_hopping": Campaign.single(
             distributed_frontend_config(), GOLDEN_SETTINGS, name="golden_distributed"
         ),
+        "dtm": Campaign(
+            [baseline_config()],
+            GOLDEN_SETTINGS,
+            name="golden_dtm",
+            dtm_policies=GOLDEN_DTM_POLICIES,
+        ),
     }
 
 
 def _digest_result(result: SimulationResult) -> dict:
     """Everything worth locking about one simulated cell, JSON-ready."""
-    return {
+    digest = {
         "stats": {
             "cycles": result.stats.cycles,
             "fetched_uops": result.stats.fetched_uops,
@@ -91,6 +104,9 @@ def _digest_result(result: SimulationResult) -> dict:
         ],
         "metrics": result.all_temperature_metrics(),
     }
+    if result.dtm:
+        digest["dtm"] = result.dtm
+    return digest
 
 
 def _digest_campaign(name: str, campaign: Campaign) -> dict:
@@ -174,3 +190,15 @@ def test_golden_campaign_metrics(name, request):
         "golden metric drift detected (regenerate only if the modelling "
         "change is intentional):\n  " + "\n  ".join(problems[:40])
     )
+
+
+def test_golden_dtm_fixture_pins_stop_go():
+    """The clock-gating cells of the DTM fixture really gate whole intervals."""
+    cells = json.loads(_fixture_path("dtm").read_text())["cells"]
+    gated = {
+        name: cell["dtm"]["gated_intervals"]
+        for name, cell in cells.items()
+        if "@clock_gate" in name
+    }
+    assert len(gated) == len(GOLDEN_SETTINGS.benchmarks)
+    assert all(count > 0 for count in gated.values()), gated

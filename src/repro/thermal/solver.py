@@ -289,7 +289,12 @@ class ThermalSolver:
         if self.backend == "sparse":
             return self._splu.solve(rhs)
         if self._lu is not None:
-            return _lu_solve(self._lu, rhs, overwrite_b=True, check_finite=False)
+            # LAPACK's getrs wrapper shifts the pivot array to 1-based in
+            # place for the duration of the call (with the GIL released), so
+            # threads sharing this solver through the warm cache would see
+            # each other's shifted pivots: each solve gets its own copy.
+            lu, piv = self._lu
+            return _lu_solve((lu, piv.copy()), rhs, overwrite_b=True, check_finite=False)
         return np.linalg.solve(self._g, rhs)
 
     # ------------------------------------------------------------------

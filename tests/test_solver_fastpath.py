@@ -14,11 +14,15 @@ pieces of that promise:
   reuse the steady-interval propagator);
 * the warm-up fixed point converges, and exits early at the 381 K
   emergency limit when the power is pathological;
+* one solver shared by several threads (the warm cache hands the same
+  bundle to every cell of a process) solves exactly as it does alone;
 * the dict and array entry points of the power/leakage/activity layers
   produce identical numbers.
 """
 
 from __future__ import annotations
+
+import threading
 
 import numpy as np
 import pytest
@@ -187,6 +191,27 @@ def test_batched_advance_matches_per_column(network, solver):
         )
     with pytest.raises(ValueError):
         solver.advance_nodes_batch(states, node_power, 0.0)
+
+
+def test_shared_solver_is_exact_across_threads(network, solver):
+    """Concurrent steady solves on one solver match the serial answers."""
+    rng = np.random.default_rng(11)
+    powers = [rng.random(network.num_nodes) for _ in range(8)]
+    expected = [solver.steady_state_nodes(power) for power in powers]
+    mismatches = []
+
+    def solve_many(offset: int) -> None:
+        for k in range(offset, offset + 1500):
+            result = solver.steady_state_nodes(powers[k % 8])
+            if not np.array_equal(result, expected[k % 8]):
+                mismatches.append(k)
+
+    threads = [threading.Thread(target=solve_many, args=(i,)) for i in range(4)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join()
+    assert not mismatches
 
 
 # ----------------------------------------------------------------------

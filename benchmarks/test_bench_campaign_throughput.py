@@ -13,9 +13,10 @@ The sweep: one benchmark trace, :data:`SWEEP_CELLS` configurations that
 differ only in leakage fraction and package convection resistance.  Coupled,
 every cell pays the per-uop timing simulation; with replay, exactly one cell
 does and the rest ride the captured activity trace through the array-backed
-physics stage.  The acceptance floor (>= 3x cells/s) is asserted directly:
-replay removes ~95% of per-cell work here, so the margin is wide even on
-noisy CI hardware.
+physics stage.  The acceptance floor (>= 3x cells/s) is asserted directly
+on the best of :data:`TIMING_ROUNDS` alternating coupled/replayed runs, so
+one slow moment under load cannot fail it: a ratio of two single-shot
+timings would.
 
 Schema v2 adds the ``replay_batched`` section: the replay *phase itself*
 timed in isolation (one captured trace, :func:`execute_replay_group` over
@@ -35,6 +36,7 @@ import json
 import os
 import time
 from pathlib import Path
+from typing import Tuple
 
 from repro.campaign import (
     Campaign,
@@ -54,6 +56,8 @@ SWEEP_CELLS = 8
 SWEEP_TRACE_UOPS = 4_000
 #: Acceptance floor for the two-stage path on this sweep.
 MIN_SPEEDUP = 3.0
+#: Alternating coupled/replayed runs; each side is taken at its fastest.
+TIMING_ROUNDS = 5
 
 #: Trace length for the batched-replay phase measurement (~100 thermal
 #: intervals at the paper's interval scaling): interval-chain-dominated,
@@ -165,11 +169,27 @@ def _batched_replay_section() -> dict:
     }
 
 
+def _best_alternating(campaign: Campaign) -> Tuple[dict, dict]:
+    """Best-of-:data:`TIMING_ROUNDS` coupled and replayed runs, interleaved.
+
+    Alternating the two sides exposes both to the same load drift, and each
+    side's fastest run is its least disturbed one.
+    """
+    coupled = replayed = None
+    for _ in range(TIMING_ROUNDS):
+        run = _timed_run(campaign, replay=False)
+        if coupled is None or run["seconds"] < coupled["seconds"]:
+            coupled = run
+        run = _timed_run(campaign, replay=True)
+        if replayed is None or run["seconds"] < replayed["seconds"]:
+            replayed = run
+    return coupled, replayed
+
+
 def test_bench_campaign_replay_throughput_json(report_writer):
     """Measure the physics sweep both ways and emit ``BENCH_campaign.json``."""
     campaign = _physics_sweep()
-    coupled = _timed_run(campaign, replay=False)
-    replayed = _timed_run(campaign, replay=True)
+    coupled, replayed = _best_alternating(campaign)
     assert coupled["cells_executed"] == SWEEP_CELLS
     assert replayed["cells_executed"] == 1
     assert replayed["cells_replayed"] == SWEEP_CELLS - 1
@@ -185,6 +205,7 @@ def test_bench_campaign_replay_throughput_json(report_writer):
             "sweep_cells": SWEEP_CELLS,
             "trace_uops": SWEEP_TRACE_UOPS,
             "executor": "SerialExecutor",
+            "timing_rounds": TIMING_ROUNDS,
         },
         "coupled": coupled,
         "replay": replayed,

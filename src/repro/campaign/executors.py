@@ -41,7 +41,7 @@ from repro.campaign.spec import RunSpec
 from repro.sim.activity_trace import ActivityTrace
 from repro.sim.results import SimulationResult
 from repro.sim.warmcache import resolve_trace, warm_snapshot
-from repro.workloads.generator import TraceGenerator
+from repro.workloads.generator import WorkloadSpec
 
 _Task = TypeVar("_Task")
 _Result = TypeVar("_Result")
@@ -111,11 +111,12 @@ def _build_engine(spec: RunSpec):
         from repro.dtm import make_policy
 
         dtm_policy = make_policy(spec.dtm_policy)
-    generator = TraceGenerator(spec.benchmark, seed=spec.seed)
-    trace = generator.generate(spec.trace_uops)
+    # The engine takes the workload by name: the native timing path
+    # generates and decodes it in one pass, the reference path expands it
+    # through the Python generator.
     return SimulationEngine(
         spec.config,
-        trace.uops,
+        WorkloadSpec(spec.benchmark, spec.seed, spec.trace_uops),
         spec.benchmark,
         interval_cycles=spec.interval_cycles,
         dtm_policy=dtm_policy,
@@ -197,13 +198,13 @@ def execute_chip_cell(spec) -> SimulationResult:
     """Simulate one chip cell coupled: N timing stages, one composite physics.
 
     ``spec`` is a :class:`~repro.chip.ChipRunSpec`; like every executor
-    function, this builds everything (trace generators, engines, the chip
-    policy) inside the executing process so tasks stay picklable.
+    function, this builds everything (workloads, engines, the chip policy)
+    inside the executing process so tasks stay picklable.
     """
     from repro.chip import ChipEngine
 
     sources = [
-        TraceGenerator(benchmark, seed=spec.seed).generate(uops).uops
+        WorkloadSpec(benchmark, spec.seed, uops)
         for benchmark, uops in zip(spec.benchmarks, spec.trace_uops)
     ]
     engine = ChipEngine(

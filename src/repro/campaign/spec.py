@@ -15,7 +15,8 @@ cache recognise already-simulated cells across runs.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, replace
+import functools
+from dataclasses import dataclass, fields, is_dataclass, replace
 from typing import Dict, Iterable, Optional, Tuple
 
 from repro.campaign.builder import scale_paper_intervals
@@ -115,14 +116,31 @@ class ExperimentSettings:
 
 
 def _jsonable(value):
-    """Recursively convert a value into canonical JSON-serializable form."""
+    """Recursively convert a value into canonical JSON-serializable form.
+
+    A dataclass instance converts field by field to the same form as its
+    :func:`dataclasses.asdict` would, without ``asdict``'s deep copies.
+    """
+    if type(value) in _PLAIN_TYPES:
+        return value
     if isinstance(value, enum.Enum):
         return value.value
     if isinstance(value, dict):
         return {str(key): _jsonable(item) for key, item in value.items()}
     if isinstance(value, (list, tuple)):
         return [_jsonable(item) for item in value]
+    if is_dataclass(value) and not isinstance(value, type):
+        return {name: _jsonable(getattr(value, name)) for name in _field_names(type(value))}
     return value
+
+
+#: Values :func:`_jsonable` returns as they are (exact types, not subclasses).
+_PLAIN_TYPES = frozenset((str, int, float, bool, type(None)))
+
+
+@functools.lru_cache(maxsize=None)
+def _field_names(cls) -> Tuple[str, ...]:
+    return tuple(field.name for field in fields(cls))
 
 
 def variant_name(config_name: str, dtm_policy: Optional[str]) -> str:
@@ -205,7 +223,7 @@ class RunSpec:
         minted before the policy axis existed still matches its cell.
         """
         material: Dict[str, object] = {
-            "config": _jsonable(self.config.to_dict()),
+            "config": _jsonable(self.config),
             "benchmark": self.benchmark,
             "trace_uops": self.trace_uops,
             "interval_cycles": self.interval_cycles,
@@ -249,7 +267,7 @@ class RunSpec:
         ``"none"`` share one trace; feedback-bearing policies never get
         here, they are excluded by :meth:`replay_reason`).
         """
-        config = _jsonable(self.config.to_dict())
+        config = _jsonable(self.config)
         timing_config = {
             key: value
             for key, value in config.items()

@@ -61,7 +61,6 @@ from repro.dtm.controls import (
 )
 from repro.dtm.policies import DTMObservation, DTMPolicy, make_policy
 from repro.isa.microops import MicroOp
-from repro.power.energy import build_block_parameters
 from repro.power.power_model import PowerModel
 from repro.sim import blocks
 from repro.sim.activity_trace import ActivityTrace, TraceRecorder, timing_feedback_reason
@@ -71,6 +70,7 @@ from repro.sim.group_replay import ReplayCell, TraceStack, replay_cells
 from repro.sim.results import SimulationResult
 from repro.sim.stages import PhysicsStage, TimingStage, select_timing_stage
 from repro.sim.stats import SimulationStats
+from repro.sim.warmcache import core_layout
 from repro.thermal.floorplan import compose_floorplans
 from repro.thermal.sensors import SensorBank
 
@@ -132,11 +132,7 @@ def build_chip_physics(
     """
     if cores < 1:
         raise ValueError("a chip needs at least one core")
-    core_parameters = build_block_parameters(config)
-    core_areas = {name: p.area_mm2 for name, p in core_parameters.items()}
-    from repro.thermal.floorplan import build_floorplan
-
-    core_plan = build_floorplan(config, core_areas)
+    core_parameters, core_plan, _ = core_layout(config)
     chip_plan = compose_floorplans(
         [core_plan] * cores,
         [core_prefix(c) for c in range(cores)],
@@ -308,7 +304,9 @@ class ChipEngine:
     """Runs one multi-programmed workload mix on an N-core chip.
 
     ``uop_sources`` / ``benchmarks`` describe the *threads* (at most one per
-    core; fewer threads leave idle cores for migration to use).  Thread
+    core; fewer threads leave idle cores for migration to use).  A source is
+    a :class:`~repro.workloads.generator.WorkloadSpec` (generated natively
+    on the fast path), a ``MicroOp`` sequence or a ``MicroOp`` stream.  Thread
     ``t`` starts on core ``t``; only the ``core_migration`` chip policy ever
     moves it.
 
@@ -646,8 +644,7 @@ class ChipEngine:
                 timing.processor.ul2.extra_miss_latency = self._contention_extra[t]
             thread_counts, thread_cycles = timing.run_interval(self.interval_cycles)
             if thread_counts is None:
-                self._finished[t] = True
-                self.core_thread[self.thread_core[t]] = -1
+                self._retire(t)
                 continue
             outputs.append((t, thread_counts, thread_cycles))
             if recorders is not None:
@@ -671,6 +668,11 @@ class ChipEngine:
         counts = self._die_vector([(t, c) for t, c, _ in outputs], 0.0)
         cycles = self._die_vector([(t, n) for t, _, n in outputs], self.interval_cycles)
         return counts, cycles, chip_cycles, self._gated_mask(ran), ran
+
+    def _retire(self, thread: int) -> None:
+        """Mark ``thread`` finished and leave its core idle."""
+        self._finished[thread] = True
+        self.core_thread[self.thread_core[thread]] = -1
 
     def _run(
         self,
@@ -780,6 +782,10 @@ class ChipEngine:
                         interval_index,
                         physics.temperature_array[self._core_slice(self.thread_core[t])],
                     )
+                if self.timings[t].processor.finished:
+                    # Drained in this interval: the next policy step sees
+                    # its core idle and can no longer migrate it.
+                    self._retire(t)
             interval_index += 1
 
         result.warmup_temperature = physics.warmup_temperatures

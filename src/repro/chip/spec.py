@@ -143,7 +143,7 @@ class ChipRunSpec:
         material: Dict[str, object] = {
             "chip": True,
             "cores": self.cores,
-            "config": _jsonable(self.config.to_dict()),
+            "config": _jsonable(self.config),
             "benchmarks": list(self.benchmarks),
             "trace_uops": list(self.trace_uops),
             "interval_cycles": self.interval_cycles,

@@ -95,24 +95,24 @@ class LeakageModel:
         intervals = self._intervals
         if intervals == 0:
             return np.zeros(len(self._blocks))
-        # The loop runs on plain Python floats (``tolist``) — bit-identical
-        # to NumPy scalar arithmetic (both are IEEE doubles) but several
-        # times faster for the ~50 blocks of a floorplan.
-        sums = self._dynamic_power_sum.tolist()
-        temps = temperatures.tolist() if isinstance(temperatures, np.ndarray) else list(temperatures)
-        gated = gated_mask.tolist() if gated_mask is not None else None
-        ambient = self.config.ambient_celsius
-        fraction = self.config.leakage_fraction_at_ambient
-        coefficient = self.config.leakage_temperature_coefficient
-        max_delta = self.MAX_DELTA_CELSIUS
-        exp = math.exp
-        out = [0.0] * len(sums)
-        for i, nominal_sum in enumerate(sums):
-            if gated is not None and gated[i]:
-                continue
-            delta = min(temps[i] - ambient, max_delta)
-            out[i] = (nominal_sum / intervals) * (fraction * exp(coefficient * delta))
-        return np.array(out)
+        # Only the exponential runs element by element, as :func:`math.exp`
+        # on plain Python floats; the difference, clamp, products and
+        # quotient are single IEEE-rounded NumPy operations, bit-identical to
+        # the same scalar expressions.
+        config = self.config
+        delta = np.minimum(
+            np.asarray(temperatures, dtype=float) - config.ambient_celsius,
+            self.MAX_DELTA_CELSIUS,
+        )
+        growth = np.array(
+            list(map(math.exp, (config.leakage_temperature_coefficient * delta).tolist()))
+        )
+        out = (self._dynamic_power_sum / intervals) * (
+            config.leakage_fraction_at_ambient * growth
+        )
+        if gated_mask is not None:
+            out[np.asarray(gated_mask, dtype=bool)] = 0.0
+        return out
 
     def leakage_power_batch(
         self,

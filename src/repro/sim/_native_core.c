@@ -13,9 +13,17 @@
  * partition's capacity.  All steering policies, fetch gates, bank
  * gating/mapping control and the UL2 extra-miss actuator are supported.
  *
+ * The same library carries the workload front end (wl_generate, at the end
+ * of this file): a twin of repro/workloads/generator.py that generates a
+ * workload and decodes it in one pass, draw for draw with the Python
+ * generator, and is locked byte-identical to
+ * decode_workload(TraceGenerator(...).generate(n).uops) by
+ * tests/test_native_workload.py.
+ *
  * Built at runtime by repro/sim/native.py with the system C compiler and
  * loaded through ctypes; when no compiler is available the engines run the
- * reference Processor instead, producing the same outputs.
+ * reference Processor over the Python generator instead, producing the same
+ * outputs.
  */
 
 #include <stdint.h>
@@ -26,11 +34,11 @@ typedef int64_t i64;
 
 /* ABI version: bump on any layout/parameter change so a stale cached
  * shared object is never loaded against newer Python glue. */
-#define FP_ABI 7
+#define FP_ABI 8
 
 /* Parameter vector layout (keep in sync with repro/sim/native.py). */
 enum {
-    P_N, P_NLINES, P_NCL, P_NF, P_NBLOCKS,
+    P_N, P_LINE_UOPS, P_NCL, P_NF, P_NBLOCKS,
     P_FWIDTH, P_DWIDTH, P_CWIDTH, P_IWIDTH, P_DISPLAT,
     P_PRESCHED_CAP, P_MP_PENALTY, P_FBUF, P_DEADLOCK, P_READY_OFF,
     P_UL2_HIT, P_UL2_MISS, P_DC_HIT, P_COMMIT_LAG, P_ROB_CAP,
@@ -148,9 +156,12 @@ typedef struct {
     int *rob_b, *front_of, *rat_b, *tc_b, *dl1_b, *dtlb_b, *ifu_b,
         *fpfu_b, *mob_b, *rfb, *sched_flat, *qsel, *fu_b;
     /* --- decoded workload (borrowed pointers, kept alive by Python) --- */
-    const i64 *cls, *lat, *addr, *isbr, *mp, *dest, *srcs /* n x 2 */,
-        *ineed, *fneed;
-    const i64 *l_start, *l_end, *l_pc, *l_fc, *l_ex;
+    const i64 *cls, *lat, *addr, *dest, *srcs /* n x 2 */, *ineed, *fneed;
+    const uint8_t *isbr, *mp;
+    /* --- trace lines, segmented at creation (owned) --- */
+    i64 n_lines;
+    i64 *l_start, *l_end, *l_pc, *l_fc;
+    uint8_t *l_ex;
     /* --- activity accumulator (borrowed, block-index order) --- */
     i64 *acc;
 
@@ -211,17 +222,52 @@ static int *copy_i32(const i64 *src, int n) {
     return out;
 }
 
+/* Chop the uop stream into trace-cache lines exactly as the reference fetch
+ * unit assembles them (FetchUnit._assemble_line): up to line_uops uops,
+ * ending early after the third branch.  l_ex marks the line whose assembly
+ * hit the end of the stream mid-pull -- the cycle at which the reference
+ * latches its exhausted flag -- i.e. a line cut short by the stream end
+ * rather than by the uop cap or the branch rule. */
+static void segment_lines(S *s, const i64 *pc, i64 n, i64 line_uops, i64 fwidth) {
+    size_t cap = (size_t)n + 1;
+    s->l_start = (i64 *)malloc(sizeof(i64) * cap);
+    s->l_end = (i64 *)malloc(sizeof(i64) * cap);
+    s->l_pc = (i64 *)malloc(sizeof(i64) * cap);
+    s->l_fc = (i64 *)malloc(sizeof(i64) * cap);
+    s->l_ex = (uint8_t *)malloc(cap);
+    i64 nl = 0;
+    for (i64 i = 0; i < n;) {
+        i64 limit = i + line_uops < n ? i + line_uops : n;
+        int branches = 0, stopped = 0;
+        i64 j = i;
+        while (j < limit) {
+            if (s->isbr[j++] && ++branches >= 3) {
+                stopped = 1;
+                break;
+            }
+        }
+        i64 length = j - i;
+        i64 fc = (length + fwidth - 1) / fwidth;
+        s->l_start[nl] = i;
+        s->l_end[nl] = j;
+        s->l_pc[nl] = pc[i];
+        s->l_fc[nl] = fc < 1 ? 1 : fc;
+        s->l_ex[nl] = j == n && length < line_uops && !stopped;
+        nl++;
+        i = j;
+    }
+    s->n_lines = nl;
+}
+
 void *fp_create(const i64 *params,
                 const i64 *rob_b, const i64 *front_of, const i64 *rat_b,
                 const i64 *tc_b, const i64 *dl1_b, const i64 *dtlb_b,
                 const i64 *ifu_b, const i64 *fpfu_b, const i64 *mob_b,
                 const i64 *rfb, const i64 *sched_flat, const i64 *qsel,
                 const i64 *fu_b,
-                const i64 *cls, const i64 *lat, const i64 *addr,
-                const i64 *isbr, const i64 *mp, const i64 *dest,
+                const i64 *pc, const i64 *cls, const i64 *lat, const i64 *addr,
+                const uint8_t *isbr, const uint8_t *mp, const i64 *dest,
                 const i64 *srcs, const i64 *ineed, const i64 *fneed,
-                const i64 *l_start, const i64 *l_end, const i64 *l_pc,
-                const i64 *l_fc, const i64 *l_ex,
                 i64 *acc) {
     S *s = (S *)calloc(1, sizeof(S));
     memcpy(s->p, params, sizeof(i64) * P_COUNT);
@@ -246,9 +292,8 @@ void *fp_create(const i64 *params,
 
     s->cls = cls; s->lat = lat; s->addr = addr; s->isbr = isbr; s->mp = mp;
     s->dest = dest; s->srcs = srcs; s->ineed = ineed; s->fneed = fneed;
-    s->l_start = l_start; s->l_end = l_end; s->l_pc = l_pc;
-    s->l_fc = l_fc; s->l_ex = l_ex;
     s->acc = acc;
+    segment_lines(s, pc, s->p[P_N], s->p[P_LINE_UOPS], s->p[P_FWIDTH]);
 
     int tcb = (int)s->p[P_TC_BANKS];
     s->tc_sets = (Cache *)malloc(sizeof(Cache) * (size_t)tcb);
@@ -353,6 +398,7 @@ void fp_destroy(void *sv) {
     free(s->pool); free(s->freerec);
     free(s->cal_head); free(s->cal_tail);
     free(s->disp);
+    free(s->l_start); free(s->l_end); free(s->l_pc); free(s->l_fc); free(s->l_ex);
     free(s);
 }
 
@@ -523,7 +569,7 @@ i64 fp_run_to(void *sv, i64 target, i64 gate_on, i64 gate_period) {
     const int n_links = (int)s->p[P_NLINKS];
     const i64 p2p_hop = s->p[P_P2P_HOP];
     const i64 num_int = s->p[P_NUM_INT_ARCH];
-    const i64 n_lines = s->p[P_NLINES];
+    const i64 n_lines = s->n_lines;
     const i64 code_copy = s->p[P_CODE_COPY];
     const i64 code_load = s->p[P_CODE_LOAD];
     const i64 code_store = s->p[P_CODE_STORE];
@@ -990,5 +1036,259 @@ i64 fp_run_to(void *sv, i64 target, i64 gate_on, i64 gate_period) {
         }
     }
     s->cycle = cycle;
+    return 0;
+}
+
+/* ---- workload front end ----------------------------------------------
+ *
+ * A twin of TraceGenerator (repro/workloads/generator.py): the static loop
+ * bodies (_build_program, _pick_compute_class, random.shuffle), then the
+ * dynamic walk (stream, _advance_phase, _instantiate, _pick_source,
+ * _allocate_dest, _next_address), decoded in the same pass into the
+ * DecodedWorkload arrays.  Every constant, derived threshold, class code
+ * and latency comes from Python (generator.native_inputs and the decode
+ * tables); the random stream continues from random.Random's state after
+ * seeding, so only CPython's MT19937 output functions are reproduced here:
+ * genrand_uint32, random() (genrand_res53) and getrandbits() with the
+ * rejection loop of _randbelow. */
+
+/* Integer inputs (keep in sync with repro/sim/native.py GEN_INT_NAMES). */
+enum {
+    G_NUM_HOT_LOOPS, G_PHASE_LENGTH_UOPS,
+    G_NUM_LOADS, G_NUM_STORES, G_NUM_BRANCHES, G_NUM_COMPUTE,
+    G_CODE_BASE, G_LOOP_PC_STRIDE, G_INSTRUCTION_BYTES,
+    G_DATA_BASE, G_BYTES_PER_LOOP, G_SPAN, G_HOT_SPAN, G_WORKING_SET_BYTES,
+    G_SEQUENTIAL_STRIDE, G_RECENT_WINDOW, G_RECENT_START,
+    G_NUM_INT, G_NUM_FP,
+    G_CODE_IALU, G_CODE_IMUL, G_CODE_IDIV,
+    G_CODE_FPADD, G_CODE_FPMUL, G_CODE_FPDIV,
+    G_CODE_LOAD, G_CODE_STORE, G_CODE_BRANCH,
+    G_COUNT
+};
+
+/* Float inputs (keep in sync with repro/sim/native.py GEN_FLOAT_NAMES). */
+enum {
+    F_FP_FRACTION, F_LONG_OP_FRACTION, F_FPMUL_SHARE, F_IMUL_SHARE,
+    F_BRANCH_MISPREDICTION_RATE, F_DEPENDENCY_P,
+    F_SPATIAL_LOCALITY, F_IRREGULAR_BELOW, F_NEXT_REGION_PROBABILITY,
+    F_COUNT
+};
+
+#define MT_N 624
+#define MT_M 397
+
+typedef struct { uint32_t mt[MT_N]; int mti; } MT;
+
+static uint32_t mt_next(MT *r) {
+    static const uint32_t mag01[2] = {0x0U, 0x9908b0dfU};
+    uint32_t y;
+    if (r->mti >= MT_N) {
+        int kk;
+        for (kk = 0; kk < MT_N - MT_M; kk++) {
+            y = (r->mt[kk] & 0x80000000U) | (r->mt[kk + 1] & 0x7fffffffU);
+            r->mt[kk] = r->mt[kk + MT_M] ^ (y >> 1) ^ mag01[y & 0x1U];
+        }
+        for (; kk < MT_N - 1; kk++) {
+            y = (r->mt[kk] & 0x80000000U) | (r->mt[kk + 1] & 0x7fffffffU);
+            r->mt[kk] = r->mt[kk + (MT_M - MT_N)] ^ (y >> 1) ^ mag01[y & 0x1U];
+        }
+        y = (r->mt[MT_N - 1] & 0x80000000U) | (r->mt[0] & 0x7fffffffU);
+        r->mt[MT_N - 1] = r->mt[MT_M - 1] ^ (y >> 1) ^ mag01[y & 0x1U];
+        r->mti = 0;
+    }
+    y = r->mt[r->mti++];
+    y ^= (y >> 11);
+    y ^= (y << 7) & 0x9d2c5680U;
+    y ^= (y << 15) & 0xefc60000U;
+    y ^= (y >> 18);
+    return y;
+}
+
+/* random.random(): 53-bit resolution from two draws. */
+static double mt_random(MT *r) {
+    uint32_t a = mt_next(r) >> 5, b = mt_next(r) >> 6;
+    return (a * 67108864.0 + b) * (1.0 / 9007199254740992.0);
+}
+
+/* random.getrandbits(k), 1 <= k <= 64: 32-bit words least significant
+ * first, the last word keeping the top bits of its draw. */
+static uint64_t mt_bits(MT *r, int k) {
+    if (k <= 32) return mt_next(r) >> (32 - k);
+    uint64_t low = mt_next(r);
+    uint64_t high = mt_next(r) >> (64 - k);
+    return low | (high << 32);
+}
+
+/* random._randbelow(n), n > 0: getrandbits(n.bit_length()) until < n. */
+static i64 mt_below(MT *r, i64 n) {
+    int k = 0;
+    for (uint64_t v = (uint64_t)n; v; v >>= 1) k++;
+    uint64_t x = mt_bits(r, k);
+    while (x >= (uint64_t)n) x = mt_bits(r, k);
+    return (i64)x;
+}
+
+/* The recent destinations of one register class: an append-only window
+ * that drops its oldest entry beyond `cap` (a list append + pop(0)). */
+typedef struct { i64 buf[64]; int head, len, cap; i64 next, num; } Recent;
+
+static i64 recent_allocate(Recent *q) {
+    i64 index = q->next % q->num;
+    q->next++;
+    if (q->len < q->cap) {
+        q->buf[(q->head + q->len) % q->cap] = index;
+        q->len++;
+    } else {
+        q->buf[q->head] = index;
+        q->head = (q->head + 1) % q->cap;
+    }
+    return index;
+}
+
+/* _pick_source: a geometric distance back into the window.  The draw comes
+ * first, so a walk that reaches the window's end still consumes one. */
+static i64 recent_pick(Recent *q, MT *r, double p) {
+    int distance = 1;
+    while (mt_random(r) > p && distance < q->len) distance++;
+    return q->buf[(q->head + q->len - distance) % q->cap] % q->num;
+}
+
+static i64 pick_compute(MT *r, const i64 *g, const double *f) {
+    int use_fp = mt_random(r) < f[F_FP_FRACTION];
+    int long_op = mt_random(r) < f[F_LONG_OP_FRACTION];
+    if (use_fp) {
+        if (!long_op) return g[G_CODE_FPADD];
+        return mt_random(r) < f[F_FPMUL_SHARE] ? g[G_CODE_FPMUL] : g[G_CODE_FPDIV];
+    }
+    if (!long_op) return g[G_CODE_IALU];
+    return mt_random(r) < f[F_IMUL_SHARE] ? g[G_CODE_IMUL] : g[G_CODE_IDIV];
+}
+
+i64 wl_int_param_count(void) { return G_COUNT; }
+i64 wl_float_param_count(void) { return F_COUNT; }
+
+/* Generate n uops and decode them into the caller's arrays (in the order
+ * of repro.workloads.decode.ARRAY_FIELDS).  Returns 0, or -1 when the
+ * inputs are out of range or memory runs out. */
+i64 wl_generate(const i64 *state, const i64 *g, const double *f,
+                const i64 *lat_by_code, i64 n,
+                i64 *pc, i64 *cls, i64 *lat, i64 *addr,
+                uint8_t *isbr, uint8_t *mp, i64 *dest, i64 *srcs,
+                i64 *ineed, i64 *fneed) {
+    const i64 loops = g[G_NUM_HOT_LOOPS];
+    const i64 window = g[G_RECENT_WINDOW];
+    if (loops <= 0 || g[G_NUM_BRANCHES] < 1 || window < 1 || window > 64
+        || g[G_RECENT_START] > window || state[MT_N] < 0 || state[MT_N] > MT_N)
+        return -1;
+    MT r;
+    for (int i = 0; i < MT_N; i++) r.mt[i] = (uint32_t)state[i];
+    r.mti = (int)state[MT_N];
+
+    /* Static program: per loop, the shuffled class mix plus the back-edge. */
+    const i64 mixed = g[G_NUM_LOADS] + g[G_NUM_STORES] + g[G_NUM_BRANCHES] - 1
+        + g[G_NUM_COMPUTE];
+    const i64 body = mixed + 1;
+    i64 *program = (i64 *)malloc(sizeof(i64) * (size_t)(loops * body));
+    if (!program) return -1;
+    for (i64 l = 0; l < loops; l++) {
+        i64 *c = program + l * body;
+        i64 k = 0;
+        for (i64 i = 0; i < g[G_NUM_LOADS]; i++) c[k++] = g[G_CODE_LOAD];
+        for (i64 i = 0; i < g[G_NUM_STORES]; i++) c[k++] = g[G_CODE_STORE];
+        for (i64 i = 0; i < g[G_NUM_BRANCHES] - 1; i++) c[k++] = g[G_CODE_BRANCH];
+        for (i64 i = 0; i < g[G_NUM_COMPUTE]; i++) c[k++] = pick_compute(&r, g, f);
+        for (i64 i = mixed - 1; i >= 1; i--) {  /* random.shuffle */
+            i64 j = mt_below(&r, i + 1);
+            i64 t = c[i];
+            c[i] = c[j];
+            c[j] = t;
+        }
+        c[k] = g[G_CODE_BRANCH];
+    }
+
+    Recent rec_int = {{0}, 0, 0, (int)window, g[G_RECENT_START], g[G_NUM_INT]};
+    Recent rec_fp = {{0}, 0, 0, (int)window, g[G_RECENT_START], g[G_NUM_FP]};
+    for (i64 i = 0; i < g[G_RECENT_START]; i++) {
+        rec_int.buf[rec_int.len++] = i;
+        rec_fp.buf[rec_fp.len++] = i;
+    }
+    const double p = f[F_DEPENDENCY_P];
+    const i64 fp_base = g[G_NUM_INT];  /* FP registers follow the int ones */
+    i64 current = 0, in_phase = 0, seq = 0, produced = 0;
+
+    while (produced < n) {
+        const i64 *c = program + current * body;
+        const i64 base_pc = g[G_CODE_BASE] + current * g[G_LOOP_PC_STRIDE];
+        const i64 array_base = g[G_DATA_BASE] + current * g[G_BYTES_PER_LOOP];
+        for (i64 slot = 0; slot < body; slot++) {
+            const i64 u = produced;
+            const i64 code = c[slot];
+            i64 *sp = srcs + 2 * u;
+            pc[u] = base_pc + slot * g[G_INSTRUCTION_BYTES];
+            cls[u] = code;
+            lat[u] = lat_by_code[code];
+            addr[u] = -1;
+            isbr[u] = 0;
+            mp[u] = 0;
+            dest[u] = -1;
+            sp[0] = sp[1] = -1;
+            ineed[u] = fneed[u] = 0;
+            int memory = 0;
+            if (code == g[G_CODE_BRANCH]) {
+                isbr[u] = 1;
+                if (slot != body - 1)
+                    (void)mt_random(&r);  /* its direction, which decoding drops */
+                mp[u] = mt_random(&r) < f[F_BRANCH_MISPREDICTION_RATE];
+                sp[0] = recent_pick(&rec_int, &r, p);
+                ineed[u] = 1;
+            } else if (code == g[G_CODE_LOAD]) {
+                dest[u] = recent_allocate(&rec_int);
+                sp[0] = recent_pick(&rec_int, &r, p);
+                ineed[u] = 2;
+                memory = 1;
+            } else if (code == g[G_CODE_STORE]) {
+                sp[0] = recent_pick(&rec_int, &r, p);
+                sp[1] = recent_pick(&rec_int, &r, p);
+                ineed[u] = 2;
+                memory = 1;
+            } else if (code == g[G_CODE_FPADD] || code == g[G_CODE_FPMUL]
+                       || code == g[G_CODE_FPDIV]) {
+                dest[u] = fp_base + recent_allocate(&rec_fp);
+                sp[0] = fp_base + recent_pick(&rec_fp, &r, p);
+                sp[1] = fp_base + recent_pick(&rec_fp, &r, p);
+                fneed[u] = 3;
+            } else {
+                dest[u] = recent_allocate(&rec_int);
+                sp[0] = recent_pick(&rec_int, &r, p);
+                sp[1] = recent_pick(&rec_int, &r, p);
+                ineed[u] = 3;
+            }
+            if (memory) {  /* _next_address */
+                double roll = mt_random(&r);
+                if (roll < f[F_SPATIAL_LOCALITY]) {
+                    seq = (seq + g[G_SEQUENTIAL_STRIDE]) % g[G_HOT_SPAN];
+                    addr[u] = array_base + seq;
+                } else if (roll < f[F_IRREGULAR_BELOW]) {
+                    addr[u] = array_base + mt_below(&r, g[G_SPAN]);
+                } else {
+                    addr[u] = g[G_DATA_BASE] + mt_below(&r, g[G_WORKING_SET_BYTES]);
+                }
+            }
+            produced++;
+            in_phase++;
+            if (produced >= n) break;
+        }
+        if (produced >= n) break;
+        if (in_phase >= g[G_PHASE_LENGTH_UOPS]) {  /* _advance_phase */
+            in_phase = 0;
+            if (loops != 1) {
+                if (mt_random(&r) < f[F_NEXT_REGION_PROBABILITY])
+                    current = (current + 1) % loops;
+                else
+                    current = mt_below(&r, loops);
+            }
+        }
+    }
+    free(program);
     return 0;
 }

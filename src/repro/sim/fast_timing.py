@@ -4,10 +4,14 @@
 :class:`~repro.sim.processor.Processor` models, but in the native core that
 :mod:`repro.sim.native` compiles from ``_native_core.c``.  The workload is
 decoded once up front (:class:`~repro.workloads.decode.DecodedWorkload`:
-dense per-uop arrays plus pre-segmented trace-cache lines), handed to the C
-side with the configuration's block-id tables, and advanced one interval at
-a time.  The Python shell owns only what the engines read or steer: the
-activity accumulator, :class:`~repro.sim.stats.SimulationStats`, the fetch
+dense per-uop arrays, which the core segments into trace-cache lines),
+handed to the C side with the configuration's block-id tables, and advanced
+one interval at a time.  A :class:`~repro.workloads.generator.WorkloadSpec`
+is generated and decoded natively in one pass
+(:func:`~repro.sim.native.generate_decoded`); an explicit ``MicroOp``
+sequence goes through :func:`~repro.workloads.decode.decode_workload`.  The
+Python shell owns only what the engines read or steer: the activity
+accumulator, :class:`~repro.sim.stats.SimulationStats`, the fetch
 gate and thin views over the C-side trace cache and UL2.
 
 The contract is strict: for any materialized workload and any
@@ -29,7 +33,8 @@ file port counters, and the steering/queue bookkeeping counters.
 from __future__ import annotations
 
 import ctypes
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+import weakref
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -51,6 +56,7 @@ from repro.workloads.decode import (
     DecodedWorkload,
     decode_workload,
 )
+from repro.workloads.generator import WorkloadSpec
 
 
 def _i64(values) -> np.ndarray:
@@ -133,19 +139,19 @@ class FastProcessor:
     def __init__(
         self,
         config: ProcessorConfig,
-        uops: Sequence[MicroOp],
-        register_space: Optional[RegisterSpace] = None,
-        decoded: Optional[DecodedWorkload] = None,
+        workload: Union[Sequence[MicroOp], WorkloadSpec],
     ) -> None:
         reason = native.native_unavailable_reason(config)
         if reason is not None:
             raise RuntimeError(f"the native timing core is unavailable: {reason}")
         self._lib = lib = native.load_library()
         self.config = config
-        registers = register_space or RegisterSpace()
-        if decoded is None:
-            decoded = decode_workload(uops, registers.num_int)
-        self.decoded = decoded
+        num_int, num_fp = RegisterSpace.DEFAULT_INT, RegisterSpace.DEFAULT_FP
+        if isinstance(workload, WorkloadSpec):
+            decoded = native.generate_decoded(workload.benchmark, workload.seed, workload.uops)
+        else:
+            decoded = decode_workload(workload, num_int)
+        self.decoded: DecodedWorkload = decoded
         self.cycle = 0
         self.stats = SimulationStats()
         self.activity = FastActivity(blocks.all_blocks(config))
@@ -156,11 +162,10 @@ class FastProcessor:
         tc = fe.trace_cache
         self._ncl = ncl = be.num_clusters
         nf = fe.num_frontends
-        lines = decoded.lines(tc.line_uops, fe.fetch_width)
         n_codes = len(UOP_CLASS_CODES)
         params = dict(
             n=decoded.n,
-            n_lines=len(lines),
+            line_uops=tc.line_uops,
             ncl=ncl,
             nf=nf,
             n_blocks=len(self.activity.acc),
@@ -209,8 +214,8 @@ class FastProcessor:
             ),
             dl1_assoc=be.dcache_associativity,
             dl1_line_bytes=be.dcache_line_bytes,
-            num_int_arch=registers.num_int,
-            arch_total=registers.total,
+            num_int_arch=num_int,
+            arch_total=num_int + num_fp,
             n_codes=n_codes,
             code_copy=CODE_COPY,
             code_load=CODE_LOAD,
@@ -279,17 +284,16 @@ class FastProcessor:
             _i64(sched_of_queue),
             _i64(queue_kind),
             _i64(fu_of),
-            _i64(decoded.cls_list),
-            _i64(decoded.latency_list),
-            _i64(decoded.mem_addr_list),
-            _i64(decoded.is_branch_list),
-            _i64(decoded.mispredicted_list),
-            _i64(decoded.dest_flat_list),
+            decoded.pc,
+            decoded.op_class,
+            decoded.latency,
+            decoded.mem_addr,
+            decoded.is_branch,
+            decoded.mispredicted,
+            decoded.dest_flat,
             decoded.source_flats,
-            _i64(decoded.int_needed_list),
-            _i64(decoded.fp_needed_list),
-            # Per line: start, end, head pc, fetch cycles, sets-exhausted.
-            *(_i64([line[k] for line in lines]) for k in range(5)),
+            decoded.int_needed,
+            decoded.fp_needed,
             self.activity.acc,
         ]
         self._keep = arrays  # the C side borrows these buffers
@@ -298,6 +302,9 @@ class FastProcessor:
             raise MemoryError("native core state allocation failed")
         self._snap = np.zeros(native.S_DISP0 + ncl, dtype=np.int64)
 
+        # The views reach back through weak proxies, so no reference cycle
+        # keeps the C state (megabytes of cache tags) alive until the next
+        # cyclic collection: a dropped processor frees it at once.
         self.trace_cache = NativeTraceCache(self, tc, mem.ul2_hit_latency)
         self.ul2 = NativeUL2(self, mem)
 
@@ -315,16 +322,15 @@ class FastProcessor:
     # ------------------------------------------------------------------
     # Reference-compatible control surface
     # ------------------------------------------------------------------
-    def prewarm_ul2(self, addresses: Optional[Sequence[int]] = None) -> None:
+    def prewarm_ul2(self) -> None:
         """Functionally warm the UL2 with the workload's data footprint.
 
-        Touches every memory address (the decoded workload's by default),
-        then resets the UL2 hit/miss counters — the warm-up is functional
-        only.  The engine calls this instead of its generic per-uop loop.
+        Touches every memory address of the decoded workload, then resets
+        the UL2 hit/miss counters — the warm-up is functional only.  The
+        engine calls this instead of its generic per-uop loop.
         """
-        if addresses is None:
-            addresses = [a for a in self.decoded.mem_addr_list if a >= 0]
-        arr = _i64(addresses)
+        mem_addr = self.decoded.mem_addr
+        arr = mem_addr[mem_addr >= 0]
         if len(arr):
             self._lib.fp_ul2_warm(self._state, _ptr(arr), len(arr))
         self._lib.fp_ul2_reset_stats(self._state)
@@ -401,7 +407,7 @@ class NativeTraceCache:
     def __init__(
         self, core: FastProcessor, config: TraceCacheConfig, ul2_hit_latency: int
     ) -> None:
-        self._core = core
+        self._core = weakref.proxy(core)
         self.config = config
         self.ul2_hit_latency = ul2_hit_latency
         self._gated = [False] * config.physical_banks
@@ -477,7 +483,7 @@ class NativeUL2:
     """Access/counter view over the C-side UL2 model."""
 
     def __init__(self, core: FastProcessor, config: MemoryConfig) -> None:
-        self._core = core
+        self._core = weakref.proxy(core)
         self.config = config
         self.line_bytes = config.line_bytes
         self.associativity = config.ul2_associativity
@@ -527,21 +533,19 @@ class NativeUL2:
 class FastTimingStage(TimingStage):
     """:class:`~repro.sim.engine.TimingStage` running a :class:`FastProcessor`.
 
-    Only constructible over a *materialized* uop source: the batch decode
-    needs the whole workload up front.  Streaming sources must use the
-    reference stage (the engine's ``timing_mode="auto"`` does this
-    automatically).
+    Only constructible over a whole workload — a
+    :class:`~repro.workloads.generator.WorkloadSpec`, decoded natively, or a
+    materialized uop sequence, batch-decoded — since the core takes every
+    uop up front.  Streaming sources must use the reference stage (the
+    engine's ``timing_mode="auto"`` does this automatically).
     """
 
-    def _build_processor(
-        self,
-        config: ProcessorConfig,
-        uop_stream: Iterable[MicroOp],
-        materialized: Optional[Sequence[MicroOp]],
-    ):
-        if materialized is None:
+    def _build_processor(self, config: ProcessorConfig, uop_source) -> FastProcessor:
+        if not isinstance(uop_source, (Sequence, WorkloadSpec)):
             raise ValueError(
-                "FastTimingStage needs a materialized uop sequence; "
-                "streaming sources must use the reference TimingStage"
+                "FastTimingStage needs a materialized uop sequence or a "
+                "WorkloadSpec; streaming sources must use the reference TimingStage"
             )
-        return FastProcessor(config, materialized)
+        processor = FastProcessor(config, uop_source)
+        self._prewarm_source = processor.decoded
+        return processor

@@ -54,13 +54,13 @@ import numpy as np
 
 from repro.dtm.controls import DTMControls, DTMTelemetry
 from repro.dtm.policies import DTMPolicy
-from repro.power.energy import build_block_parameters
 from repro.power.leakage import batched_leakage_kernel
 from repro.power.power_model import PowerModel
 from repro.sim.activity_trace import ActivityTrace
 from repro.sim.config import ProcessorConfig
 from repro.sim.results import IntervalRecord, SimulationResult
 from repro.sim.serialization import content_key
+from repro.sim.warmcache import core_layout
 from repro.thermal.solver import ThermalSolver
 
 #: Accepted values of the ``replay_mode`` execution knob.
@@ -222,7 +222,7 @@ class ReplayCell:
     @cached_property
     def core_parameters(self):
         """Block power parameters of one core, in trace block order."""
-        return build_block_parameters(self.config)
+        return dict(core_layout(self.config)[0])
 
     def group_key(self) -> str:
         """Cells with equal keys share one die (floorplan, network, solver)."""
@@ -234,9 +234,7 @@ class ReplayCell:
         """A fresh physics stage over this cell's die."""
         from repro.sim.stages import PhysicsStage
 
-        return PhysicsStage(
-            self.config, self.interval_cycles, block_parameters=self.core_parameters
-        )
+        return PhysicsStage(self.config, self.interval_cycles)
 
     def power_model(self) -> PowerModel:
         """This cell's power model over its die's block order."""

@@ -1,10 +1,18 @@
-"""Runtime-compiled native timing core.
+"""Runtime-compiled native timing core and workload front end.
 
 This module compiles :file:`_native_core.c` with the system C compiler at
 first use, caches the shared object keyed by the source hash and ABI
 version, and loads it through :mod:`ctypes`.
 :class:`~repro.sim.fast_timing.FastProcessor` drives the loaded core; the
 parameter-vector and stats-snapshot layouts below mirror the C enums.
+
+The same library generates workloads: :func:`generate_decoded` runs the C
+twin of :class:`~repro.workloads.generator.TraceGenerator`, which starts
+from the Python generator's Mersenne Twister state, reads every constant and
+threshold from :func:`~repro.workloads.generator.native_inputs` and the
+class-code and latency tables from :mod:`repro.workloads.decode`, and writes
+the :class:`~repro.workloads.decode.DecodedWorkload` arrays in the same pass
+as it draws — byte-identical to decoding the Python generator's micro-ops.
 
 The core covers every configuration the engines build — every preset,
 centralized or distributed frontends, all steering policies, open- and
@@ -30,11 +38,20 @@ import tempfile
 from pathlib import Path
 from typing import Optional
 
+import numpy as np
+
 from repro.sim.config import ProcessorConfig, SteeringPolicy
+from repro.workloads.decode import (
+    ARRAY_FIELDS,
+    OP_LATENCY_BY_CODE,
+    UOP_CLASS_CODES,
+    DecodedWorkload,
+)
+from repro.workloads.generator import native_inputs
 
 #: Must match FP_ABI in ``_native_core.c``; a mismatched cached .so is
 #: recompiled, never used.
-NATIVE_ABI = 7
+NATIVE_ABI = 8
 
 _SOURCE = Path(__file__).with_name("_native_core.c")
 
@@ -46,7 +63,7 @@ POLICY_CODES = {
 
 # Parameter-vector slots, in the exact order of the C enum.
 PARAM_NAMES = (
-    "n", "n_lines", "ncl", "nf", "n_blocks",
+    "n", "line_uops", "ncl", "nf", "n_blocks",
     "fwidth", "dwidth", "cwidth", "iwidth", "displat",
     "presched_cap", "mp_penalty", "fbuf", "deadlock", "ready_off",
     "ul2_hit", "ul2_miss", "dc_hit", "commit_lag", "rob_cap",
@@ -95,6 +112,25 @@ STAT_SLOTS = (
 )
 
 
+# Workload-generator inputs, in the exact order of the C enums.
+GEN_INT_NAMES = (
+    "num_hot_loops", "phase_length_uops",
+    "num_loads", "num_stores", "num_branches", "num_compute",
+    "code_base", "loop_pc_stride", "instruction_bytes",
+    "data_base", "bytes_per_loop", "span", "hot_span", "working_set_bytes",
+    "sequential_stride", "recent_window", "recent_start",
+    "num_int", "num_fp",
+    "code_ialu", "code_imul", "code_idiv",
+    "code_fpadd", "code_fpmul", "code_fpdiv",
+    "code_load", "code_store", "code_branch",
+)
+GEN_FLOAT_NAMES = (
+    "fp_fraction", "long_op_fraction", "fpmul_share", "imul_share",
+    "branch_misprediction_rate", "dependency_p",
+    "spatial_locality", "irregular_below", "next_region_probability",
+)
+
+
 def native_disabled() -> bool:
     """True when ``REPRO_NATIVE`` asks for the reference timing path."""
     return os.environ.get("REPRO_NATIVE", "").strip().lower() in (
@@ -128,7 +164,7 @@ def _configure(lib: ctypes.CDLL) -> None:
     lib.fp_param_count.restype = i64
     lib.fp_param_count.argtypes = []
     lib.fp_create.restype = ptr
-    lib.fp_create.argtypes = [ptr] * 29
+    lib.fp_create.argtypes = [ptr] * 25
     lib.fp_destroy.restype = None
     lib.fp_destroy.argtypes = [ptr]
     lib.fp_run_to.restype = i64
@@ -147,6 +183,12 @@ def _configure(lib: ctypes.CDLL) -> None:
     lib.fp_ul2_reset_stats.argtypes = [ptr]
     lib.fp_ul2_set_extra_miss.restype = None
     lib.fp_ul2_set_extra_miss.argtypes = [ptr, i64]
+    lib.wl_int_param_count.restype = i64
+    lib.wl_int_param_count.argtypes = []
+    lib.wl_float_param_count.restype = i64
+    lib.wl_float_param_count.argtypes = []
+    lib.wl_generate.restype = i64
+    lib.wl_generate.argtypes = [ptr, ptr, ptr, ptr, i64] + [ptr] * 10
 
 
 def load_library() -> Optional[ctypes.CDLL]:
@@ -184,7 +226,12 @@ def load_library() -> Optional[ctypes.CDLL]:
                     os.unlink(tmp)
         lib = ctypes.CDLL(str(so_path))
         _configure(lib)
-        if lib.fp_abi() != NATIVE_ABI or lib.fp_param_count() != len(PARAM_NAMES):
+        if (
+            lib.fp_abi() != NATIVE_ABI
+            or lib.fp_param_count() != len(PARAM_NAMES)
+            or lib.wl_int_param_count() != len(GEN_INT_NAMES)
+            or lib.wl_float_param_count() != len(GEN_FLOAT_NAMES)
+        ):
             return None
         _lib = lib
         return lib
@@ -207,3 +254,42 @@ def native_unavailable_reason(config: ProcessorConfig) -> Optional[str]:
             return "no C compiler found to build the native core"
         return "the native core failed to build or load"
     return None
+
+
+def generate_decoded(profile, seed: int, uops: int) -> DecodedWorkload:
+    """Generate and decode a workload natively, in one pass.
+
+    ``profile`` is a benchmark name or
+    :class:`~repro.workloads.profiles.WorkloadProfile`.  The arrays equal
+    ``decode_workload(TraceGenerator(profile, seed).generate(uops).uops)``
+    byte for byte.  Raises :class:`RuntimeError` when the library is
+    unavailable (callers check :func:`native_unavailable_reason` first).
+    """
+    if uops <= 0:
+        raise ValueError("uops must be positive")
+    lib = load_library()
+    if lib is None:
+        raise RuntimeError("the native core is unavailable")
+    state, ints, floats = native_inputs(profile, seed)
+    ints.update(
+        {f"code_{cls.name.lower()}": code for cls, code in UOP_CLASS_CODES.items()}
+    )
+    if ints["data_base"] + ints["working_set_bytes"] >= 1 << 63:
+        raise OverflowError("working set does not fit 64-bit addresses")
+    state_arr = np.array(state, dtype=np.int64)
+    int_arr = np.array([ints[name] for name in GEN_INT_NAMES], dtype=np.int64)
+    float_arr = np.array([floats[name] for name in GEN_FLOAT_NAMES], dtype=np.float64)
+    latency_arr = np.array(OP_LATENCY_BY_CODE, dtype=np.int64)
+    out = DecodedWorkload.empty(uops)
+    rc = lib.wl_generate(
+        state_arr.ctypes.data,
+        int_arr.ctypes.data,
+        float_arr.ctypes.data,
+        latency_arr.ctypes.data,
+        uops,
+        # The output arrays, in ARRAY_FIELDS order (the C signature's).
+        *(getattr(out, name).ctypes.data for name, _ in ARRAY_FIELDS),
+    )
+    if rc != 0:
+        raise ValueError(f"the native workload generator rejected {profile!r}")
+    return out

@@ -26,7 +26,7 @@ the configurations that do (thermal-aware mapping, feedback DTM policies).
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -34,7 +34,6 @@ from repro.core.bank_hopping import BankHoppingController
 from repro.core.thermal_mapping import BalancedMappingPolicy, ThermalAwareMappingPolicy
 from repro.dtm.policies import DTMPolicy
 from repro.isa.microops import MicroOp
-from repro.power.energy import build_block_parameters
 from repro.power.power_model import PowerModel
 from repro.sim import blocks, native
 from repro.sim.activity_trace import ActivityTrace
@@ -49,9 +48,9 @@ from repro.sim.group_replay import (
 )
 from repro.sim.processor import Processor
 from repro.sim.results import IntervalRecord, SimulationResult
-from repro.sim.warmcache import solver_bundle
-from repro.thermal.floorplan import build_floorplan
+from repro.sim.warmcache import core_layout, solver_bundle
 from repro.thermal.sensors import SensorBank
+from repro.workloads.generator import WorkloadSpec
 
 
 class TimingStage:
@@ -68,7 +67,7 @@ class TimingStage:
     def __init__(
         self,
         config: ProcessorConfig,
-        uop_source: Iterable[MicroOp],
+        uop_source: Union[Iterable[MicroOp], WorkloadSpec],
         interval_cycles: int,
         block_index: BlockIndex,
         prewarm_caches: bool = True,
@@ -79,21 +78,13 @@ class TimingStage:
         #: laid out in (the physics stage's power-model index).
         self.block_index = block_index
 
-        uop_stream: Iterator[MicroOp]
-        if isinstance(uop_source, Sequence):
-            # A materialized trace: the engine can functionally pre-warm the
-            # UL2 with the trace's footprint, as sampled-simulation
-            # methodologies do, so the short measured slice is not dominated
-            # by cold misses the paper's 200 M-instruction slices would have
-            # amortized.
-            materialized: Optional[Sequence[MicroOp]] = list(uop_source)
-            uop_stream = iter(materialized)
-            self._prewarm_source: Optional[Sequence[MicroOp]] = uop_source
-        else:
-            materialized = None
-            uop_stream = iter(uop_source)
-            self._prewarm_source = None
-        self.processor = self._build_processor(config, uop_stream, materialized)
+        # A whole workload (not a stream) lets the engine functionally
+        # pre-warm the UL2 with the trace's footprint, as sampled-simulation
+        # methodologies do, so the short measured slice is not dominated by
+        # cold misses the paper's 200 M-instruction slices would have
+        # amortized.  ``_build_processor`` records that footprint's source.
+        self._prewarm_source = None
+        self.processor = self._build_processor(config, uop_source)
         if prewarm_caches and self._prewarm_source is not None:
             self._prewarm_memory(self._prewarm_source)
 
@@ -135,17 +126,22 @@ class TimingStage:
         )
 
     # ------------------------------------------------------------------
-    def _build_processor(
-        self,
-        config: ProcessorConfig,
-        uop_stream: Iterator[MicroOp],
-        materialized: Optional[Sequence[MicroOp]],
-    ) -> Processor:
-        """Instantiate the timing core (overridden by the fast path)."""
-        return Processor(config, uop_stream)
+    def _build_processor(self, config: ProcessorConfig, uop_source) -> Processor:
+        """Instantiate the timing core (overridden by the fast path).
+
+        The reference core reads ``MicroOp`` objects, so a
+        :class:`~repro.workloads.generator.WorkloadSpec` is expanded through
+        the Python generator.
+        """
+        if isinstance(uop_source, WorkloadSpec):
+            uop_source = uop_source.expand()
+        if isinstance(uop_source, Sequence):
+            self._prewarm_source = uop_source
+            return Processor(config, iter(list(uop_source)))
+        return Processor(config, iter(uop_source))
 
     # ------------------------------------------------------------------
-    def _prewarm_memory(self, trace: Sequence[MicroOp]) -> None:
+    def _prewarm_memory(self, trace) -> None:
         """Touch the trace's data footprint in the UL2 (functional warm-up).
 
         Only the UL2 is warmed: the small per-cluster L1 caches reach steady
@@ -244,7 +240,7 @@ TIMING_MODES = ("auto", "fast", "reference")
 def select_timing_stage(
     timing_mode: str,
     config: ProcessorConfig,
-    uop_sources: Sequence[Iterable[MicroOp]],
+    uop_sources: Sequence[Union[Iterable[MicroOp], WorkloadSpec]],
 ) -> Tuple[type, Optional[str]]:
     """The timing-stage class of a run, and why it is not the fast path.
 
@@ -255,8 +251,9 @@ def select_timing_stage(
     model's extra UL2 miss latency), so closed-loop runs qualify exactly
     like open-loop ones.  Physics feedback only decides *replay*
     eligibility (:func:`~repro.sim.activity_trace.timing_feedback_reason`).
-    The fast path is out of reach for a streaming uop source (it cannot be
-    batch-decoded) and wherever
+    A :class:`~repro.workloads.generator.WorkloadSpec` or a materialized uop
+    sequence qualifies; the fast path is out of reach for a streaming uop
+    source (it cannot be batch-decoded) and wherever
     :func:`~repro.sim.native.native_unavailable_reason` reports the core
     unavailable (``REPRO_NATIVE=0``, no C compiler or a failed build, more
     than 8 clusters).  Those, and ``timing_mode="reference"``, run the
@@ -270,7 +267,7 @@ def select_timing_stage(
         )
     if timing_mode == "reference":
         return TimingStage, "timing_mode='reference' requested"
-    if all(isinstance(source, Sequence) for source in uop_sources):
+    if all(isinstance(source, (Sequence, WorkloadSpec)) for source in uop_sources):
         fallback = native.native_unavailable_reason(config)
     else:
         fallback = "streaming uop source cannot be batch-decoded"
@@ -312,8 +309,9 @@ class PhysicsStage:
 
         By default the die is the single-core processor ``config`` describes:
         block power parameters from the power model, the paper's floorplan,
-        the paper's block groups.  The chip layer (:mod:`repro.chip`) instead
-        injects a *composite* die — per-core namespaced block parameters, a
+        the paper's block groups (:func:`~repro.sim.warmcache.core_layout`).
+        The chip layer (:mod:`repro.chip`) instead injects all three of a
+        *composite* die — per-core namespaced block parameters, a
         :func:`~repro.thermal.floorplan.compose_floorplans` core grid and
         chip-level block groups — and every downstream stage (RC network,
         solver, power model, block index) composes without change.
@@ -331,22 +329,18 @@ class PhysicsStage:
         self.interval_cycles = interval_cycles or config.thermal.interval_cycles
         if self.interval_cycles <= 0:
             raise ValueError("interval_cycles must be positive")
-        self.block_parameters = (
-            dict(block_parameters)
-            if block_parameters is not None
-            else build_block_parameters(config)
-        )
+        if block_parameters is None:
+            block_parameters, floorplan, block_groups = core_layout(config)
+        elif floorplan is None or block_groups is None:
+            raise ValueError(
+                "an injected die needs block_parameters, floorplan and block_groups"
+            )
+        self.block_parameters = dict(block_parameters)
         self.block_areas = {
             name: params.area_mm2 for name, params in self.block_parameters.items()
         }
-        self.floorplan = (
-            floorplan
-            if floorplan is not None
-            else build_floorplan(config, self.block_areas)
-        )
-        self.block_groups = (
-            dict(block_groups) if block_groups is not None else blocks.block_groups(config)
-        )
+        self.floorplan = floorplan
+        self.block_groups = dict(block_groups)
         # The RC network and factorized solver are pure functions of the
         # floorplan geometry + thermal config, so they come from the
         # process-global warm cache: a persistent pool worker (or process

@@ -16,6 +16,10 @@ task it runs.  This module is that reuse point:
   :func:`~repro.sim.group_replay.thermal_group_key`, which keys on block
   areas only).  The solver's own ``_propagator_cache`` / ``_affine_cache``
   ride along, so a warm hit also skips the per-``dt`` propagator work.
+* **Die layouts** — :func:`core_layout`, each single-core die's block
+  power parameters, floorplan and block groups, memoized on the
+  configuration without the name, power and thermal sections none of them
+  reads, so the cells of a physics sweep lay out their die once.
 * **Decoded traces** — ``ActivityTrace`` objects in a bounded LRU keyed by
   the trace cache key (the :meth:`~repro.campaign.spec.RunSpec.timing_key`),
   so sibling replay tasks over the same trace decode it once per worker.
@@ -40,6 +44,7 @@ layers) so :class:`~repro.sim.engine.PhysicsStage` and
 from __future__ import annotations
 
 import dataclasses
+import functools
 import mmap
 import os
 import threading
@@ -48,8 +53,12 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, Optional, Tuple
 
+from repro.power.energy import build_block_parameters
+from repro.sim import blocks
 from repro.sim.activity_trace import ActivityTrace
+from repro.sim.config import PowerConfig, ProcessorConfig, ThermalConfig
 from repro.sim.serialization import content_key
+from repro.thermal.floorplan import build_floorplan
 from repro.thermal.rc_model import ThermalRCNetwork
 from repro.thermal.solver import ThermalSolver
 
@@ -90,18 +99,53 @@ def solver_key(floorplan, thermal_config, backend: str, ordering: str) -> str:
     that differ only on the power side therefore share one bundle — the
     same sharing unit as
     :func:`~repro.sim.group_replay.thermal_group_key`, refined from block
-    areas to exact geometry.
+    areas to exact geometry.  The encoding and hash are memoized on that
+    content, so a sweep pays them once per distinct die, not once per cell.
     """
+    geometry = tuple(
+        (block.name, block.x, block.y, block.width, block.height)
+        for block in floorplan.blocks()
+    )
+    return _solver_key(geometry, thermal_config, backend, ordering)
+
+
+@functools.lru_cache(maxsize=64)
+def _solver_key(geometry, thermal_config, backend: str, ordering: str) -> str:
     material = {
         "thermal": dataclasses.asdict(thermal_config),
-        "blocks": [
-            (block.name, block.x, block.y, block.width, block.height)
-            for block in floorplan.blocks()
-        ],
+        "blocks": geometry,
         "backend": backend,
         "ordering": ordering,
     }
     return content_key(material)
+
+
+def core_layout(config: ProcessorConfig):
+    """``(block parameters, floorplan, block groups)`` of a single-core die.
+
+    None of the three reads the configuration's name, power or thermal
+    section, so they are memoized per process on the rest of it: every cell
+    of a physics sweep shares one layout.  The returned mappings are shared;
+    callers copy what they keep.  ``REPRO_WARM_CACHE=0`` builds fresh.
+    """
+    if not warm_cache_enabled():
+        return _build_core_layout(config)
+    return _core_layout(
+        dataclasses.replace(config, name="", power=_LAYOUT_POWER, thermal=_LAYOUT_THERMAL)
+    )
+
+
+_LAYOUT_POWER = PowerConfig()
+_LAYOUT_THERMAL = ThermalConfig()
+
+
+def _build_core_layout(config: ProcessorConfig):
+    parameters = build_block_parameters(config)
+    areas = {name: params.area_mm2 for name, params in parameters.items()}
+    return parameters, build_floorplan(config, areas), blocks.block_groups(config)
+
+
+_core_layout = functools.lru_cache(maxsize=32)(_build_core_layout)
 
 
 class WarmCache:

@@ -73,10 +73,11 @@ except ImportError:  # pragma: no cover - scipy is available in the target env
     _expm = None
 
 try:  # Reusable LU factors for the constant conductance matrix.
-    from scipy.linalg import lu_factor as _lu_factor, lu_solve as _lu_solve
+    from scipy.linalg import lu_factor as _lu_factor
+    from scipy.linalg.lapack import dgetrs as _getrs
 except ImportError:  # pragma: no cover - scipy is available in the target env
     _lu_factor = None
-    _lu_solve = None
+    _getrs = None
 
 try:  # Sparse backend: SuperLU over the CSC conductance assembly.
     from scipy.sparse.linalg import splu as _splu
@@ -281,20 +282,25 @@ class ThermalSolver:
         multi-RHS layout (nodes x cells): LAPACK's ``getrs`` and SuperLU's
         ``solve`` both accept either shape.
 
-        Dense path: ``check_finite=False`` skips SciPy's input-validation
-        pass (which costs more than the 50-node triangular solves
-        themselves); it does not change the arithmetic.  The rhs is always
-        a freshly built temporary, so letting LAPACK overwrite it is safe.
+        Dense path: LAPACK's ``getrs`` against the ``lu_factor`` factors,
+        called as :func:`scipy.linalg.lu_solve` calls it but without that
+        function's per-call validation, which costs more than the 50-node
+        triangular solves themselves; the arithmetic is the same.  The rhs
+        is always a freshly built temporary, so letting LAPACK overwrite it
+        is safe.
         """
         if self.backend == "sparse":
             return self._splu.solve(rhs)
         if self._lu is not None:
-            # LAPACK's getrs wrapper shifts the pivot array to 1-based in
-            # place for the duration of the call (with the GIL released), so
+            # The getrs wrapper shifts the pivot array to 1-based in place
+            # for the duration of the call (with the GIL released), so
             # threads sharing this solver through the warm cache would see
             # each other's shifted pivots: each solve gets its own copy.
             lu, piv = self._lu
-            return _lu_solve((lu, piv.copy()), rhs, overwrite_b=True, check_finite=False)
+            solution, info = _getrs(lu, piv.copy(), rhs, overwrite_b=1)
+            if info != 0:
+                raise ValueError(f"illegal value in argument {-info} of LAPACK getrs")
+            return solution
         return np.linalg.solve(self._g, rhs)
 
     # ------------------------------------------------------------------

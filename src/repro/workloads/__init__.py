@@ -17,7 +17,7 @@ from repro.workloads.profiles import (
     get_profile,
 )
 from repro.workloads.decode import DecodedWorkload, decode_workload
-from repro.workloads.generator import TraceGenerator
+from repro.workloads.generator import TraceGenerator, WorkloadSpec
 from repro.workloads.trace import Trace, TraceStatistics
 
 __all__ = [
@@ -27,6 +27,7 @@ __all__ = [
     "WorkloadProfile",
     "get_profile",
     "TraceGenerator",
+    "WorkloadSpec",
     "Trace",
     "TraceStatistics",
     "DecodedWorkload",

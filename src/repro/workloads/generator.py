@@ -17,13 +17,26 @@ The generator produces a micro-op stream with the statistical properties of a
 
 Everything is driven by :class:`random.Random` seeded from the benchmark name
 and an explicit seed, so traces are fully reproducible.
+
+This Python generator is the golden reference.  The native timing core
+(:mod:`repro.sim.native`) carries a twin of it that generates and decodes a
+workload in one pass, straight into
+:class:`~repro.workloads.decode.DecodedWorkload` arrays: it starts from this
+generator's Mersenne Twister state (:func:`native_inputs`), reads every
+constant and every derived threshold from this module, and reproduces each
+draw in the same order, so its arrays equal
+``decode_workload(TraceGenerator(...).generate(n).uops)`` byte for byte
+(``tests/test_native_workload.py`` locks that).  :class:`WorkloadSpec` names
+a workload by what determines it; the engines' fast path decodes it
+natively, the reference path expands it through this generator.
 """
 
 from __future__ import annotations
 
 import random
 import zlib
-from typing import Iterable, Iterator, List, Optional
+from dataclasses import dataclass
+from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Tuple, Union
 
 from repro.isa.microops import MicroOp, UopClass
 from repro.isa.registers import RegisterClass, RegisterSpace
@@ -32,6 +45,90 @@ from repro.workloads.trace import Trace
 
 _INSTRUCTION_BYTES = 4
 _CACHE_LINE_BYTES = 64
+#: PC of the first hot loop, and the static slots left between loop bodies.
+_CODE_BASE = 0x4000_0000
+_LOOP_GAP_UOPS = 16
+#: Base address of the data segment every loop array and random access uses.
+_DATA_BASE = 0x1000_0000
+#: Size of the per-loop hot region that sequential accesses sweep over; it
+#: is capped so that hot-region accesses mostly hit in the 16 KB L1.
+_HOT_SPAN_BYTES = 12 * 1024
+#: Stride of a sequential access within the hot region.
+_SEQUENTIAL_STRIDE = 8
+#: Share of non-sequential accesses that stay inside the loop's own array.
+_IRREGULAR_SHARE = 0.7
+#: Probability that a phase change moves to the next region (else a random one).
+_NEXT_REGION_PROBABILITY = 0.8
+#: Share of long FP ops that are multiplies, and of long integer ops (the
+#: rest are divides).
+_FPMUL_SHARE = 0.8
+_IMUL_SHARE = 0.85
+#: Recent producers a source may depend on, and how many registers of each
+#: class count as already produced when a trace starts.
+_RECENT_WINDOW = 16
+_RECENT_START = 4
+
+
+class _Shape(NamedTuple):
+    """Every number the generator derives from a profile, derived once."""
+
+    num_loads: int
+    num_stores: int
+    num_branches: int
+    num_compute: int
+    working_set_bytes: int
+    bytes_per_loop: int
+    loop_pc_stride: int
+    span: int
+    hot_span: int
+    dependency_p: float
+    irregular_below: float
+
+
+def _shape(profile: WorkloadProfile) -> _Shape:
+    """Derive the program layout and walk thresholds of ``profile``.
+
+    The per-body class counts match the profile's dynamic instruction mix so
+    that repeated execution of the body reproduces the mix exactly.
+    """
+    body_size = profile.loop_body_uops
+    num_loads = max(0, round(profile.load_fraction * body_size))
+    num_stores = max(0, round(profile.store_fraction * body_size))
+    num_branches = max(1, round(profile.branch_fraction * body_size))
+    working_set_bytes = profile.working_set_kb * 1024
+    span = max(_CACHE_LINE_BYTES * 4, working_set_bytes // profile.num_hot_loops)
+    return _Shape(
+        num_loads=num_loads,
+        num_stores=num_stores,
+        num_branches=num_branches,
+        num_compute=max(1, body_size - num_loads - num_stores - num_branches),
+        working_set_bytes=working_set_bytes,
+        bytes_per_loop=max(_CACHE_LINE_BYTES, working_set_bytes // profile.num_hot_loops),
+        loop_pc_stride=(body_size + _LOOP_GAP_UOPS) * _INSTRUCTION_BYTES,
+        span=span,
+        hot_span=min(span, _HOT_SPAN_BYTES),
+        dependency_p=1.0 / max(1.0, profile.mean_dependency_distance),
+        irregular_below=(
+            profile.spatial_locality
+            + (1.0 - profile.spatial_locality) * _IRREGULAR_SHARE
+        ),
+    )
+
+
+def _seeded_rng(profile: WorkloadProfile, seed: int) -> random.Random:
+    # ``zlib.crc32`` rather than ``hash()``: string hashing is randomized
+    # per process (PYTHONHASHSEED), which would make traces — and every
+    # downstream power/thermal number — differ between runs, between
+    # spawn-based worker processes, and against cached campaign results.
+    return random.Random(zlib.crc32(profile.name.encode("utf-8")) ^ seed)
+
+
+def _resolve_profile(profile) -> WorkloadProfile:
+    if isinstance(profile, str):
+        profile = get_profile(profile)
+    if not isinstance(profile, WorkloadProfile):
+        raise TypeError(f"profile must be a WorkloadProfile or name, got {type(profile)}")
+    return profile
 
 
 class _StaticUop:
@@ -78,26 +175,19 @@ class TraceGenerator:
         seed: int = 0,
         register_space: Optional[RegisterSpace] = None,
     ) -> None:
-        if isinstance(profile, str):
-            profile = get_profile(profile)
-        if not isinstance(profile, WorkloadProfile):
-            raise TypeError(f"profile must be a WorkloadProfile or name, got {type(profile)}")
-        self.profile = profile
+        self.profile = profile = _resolve_profile(profile)
         self.seed = seed
         self.registers = register_space or RegisterSpace()
-        # ``zlib.crc32`` rather than ``hash()``: string hashing is randomized
-        # per process (PYTHONHASHSEED), which would make traces — and every
-        # downstream power/thermal number — differ between runs, between
-        # spawn-based worker processes, and against cached campaign results.
-        self._rng = random.Random(zlib.crc32(profile.name.encode("utf-8")) ^ seed)
+        self._shape = _shape(profile)
+        self._rng = _seeded_rng(profile, seed)
         self._loops = self._build_program()
         # Dynamic generation state.
         self._current_loop_index = 0
         self._uops_in_phase = 0
-        self._recent_int_dests: List[int] = list(range(4))
-        self._recent_fp_dests: List[int] = list(range(4))
-        self._next_int_dest = 4
-        self._next_fp_dest = 4
+        self._recent_int_dests: List[int] = list(range(_RECENT_START))
+        self._recent_fp_dests: List[int] = list(range(_RECENT_START))
+        self._next_int_dest = _RECENT_START
+        self._next_fp_dest = _RECENT_START
         self._sequential_addr = 0
 
     # ------------------------------------------------------------------
@@ -106,43 +196,32 @@ class TraceGenerator:
     def _build_program(self) -> List[_LoopBody]:
         """Lay out the hot loops of the synthetic program in a PC space."""
         profile = self.profile
+        shape = self._shape
         loops: List[_LoopBody] = []
-        pc_cursor = 0x4000_0000
-        working_set_bytes = profile.working_set_kb * 1024
-        data_base = 0x1000_0000
-        bytes_per_loop = max(_CACHE_LINE_BYTES, working_set_bytes // profile.num_hot_loops)
+        pc_cursor = _CODE_BASE
         for loop_index in range(profile.num_hot_loops):
-            slots = self._build_loop_slots(profile.loop_body_uops)
+            slots = self._build_loop_slots()
             loops.append(
                 _LoopBody(
                     base_pc=pc_cursor,
                     slots=slots,
-                    array_base=data_base + loop_index * bytes_per_loop,
+                    array_base=_DATA_BASE + loop_index * shape.bytes_per_loop,
                 )
             )
-            pc_cursor += (profile.loop_body_uops + 16) * _INSTRUCTION_BYTES
+            pc_cursor += shape.loop_pc_stride
         return loops
 
-    def _build_loop_slots(self, body_size: int) -> List[_StaticUop]:
-        """Assign a micro-op class to every static slot of one loop body.
-
-        The per-body counts match the profile's dynamic instruction mix so
-        that repeated execution of the body reproduces the mix exactly.
-        """
-        profile = self.profile
+    def _build_loop_slots(self) -> List[_StaticUop]:
+        """Assign a micro-op class to every static slot of one loop body."""
+        shape = self._shape
         rng = self._rng
-        num_loads = max(0, round(profile.load_fraction * body_size))
-        num_stores = max(0, round(profile.store_fraction * body_size))
-        num_branches = max(1, round(profile.branch_fraction * body_size))
-        num_compute = max(1, body_size - num_loads - num_stores - num_branches)
-
         classes: List[UopClass] = []
-        classes.extend([UopClass.LOAD] * num_loads)
-        classes.extend([UopClass.STORE] * num_stores)
+        classes.extend([UopClass.LOAD] * shape.num_loads)
+        classes.extend([UopClass.STORE] * shape.num_stores)
         # The final branch of the body is the loop back-edge; intra-body
         # branches are the rest.
-        classes.extend([UopClass.BRANCH] * (num_branches - 1))
-        for _ in range(num_compute):
+        classes.extend([UopClass.BRANCH] * (shape.num_branches - 1))
+        for _ in range(shape.num_compute):
             classes.append(self._pick_compute_class(rng))
         rng.shuffle(classes)
         classes.append(UopClass.BRANCH)  # loop back-edge, always last
@@ -160,10 +239,10 @@ class TraceGenerator:
         if use_fp:
             if not long_op:
                 return UopClass.FPADD
-            return UopClass.FPMUL if rng.random() < 0.8 else UopClass.FPDIV
+            return UopClass.FPMUL if rng.random() < _FPMUL_SHARE else UopClass.FPDIV
         if not long_op:
             return UopClass.IALU
-        return UopClass.IMUL if rng.random() < 0.85 else UopClass.IDIV
+        return UopClass.IMUL if rng.random() < _IMUL_SHARE else UopClass.IDIV
 
     # ------------------------------------------------------------------
     # Dynamic trace generation
@@ -197,7 +276,7 @@ class TraceGenerator:
             return
         # Mostly move to the next region, occasionally jump to a random one
         # (models irregular control flow between phases).
-        if self._rng.random() < 0.8:
+        if self._rng.random() < _NEXT_REGION_PROBABILITY:
             self._current_loop_index = (self._current_loop_index + 1) % len(self._loops)
         else:
             self._current_loop_index = self._rng.randrange(len(self._loops))
@@ -265,13 +344,13 @@ class TraceGenerator:
             index = self._next_int_dest % self.registers.num_int
             self._next_int_dest += 1
             self._recent_int_dests.append(index)
-            if len(self._recent_int_dests) > 16:
+            if len(self._recent_int_dests) > _RECENT_WINDOW:
                 self._recent_int_dests.pop(0)
             return self.registers.int_reg(index)
         index = self._next_fp_dest % self.registers.num_fp
         self._next_fp_dest += 1
         self._recent_fp_dests.append(index)
-        if len(self._recent_fp_dests) > 16:
+        if len(self._recent_fp_dests) > _RECENT_WINDOW:
             self._recent_fp_dests.pop(0)
         return self.registers.fp_reg(index)
 
@@ -287,8 +366,7 @@ class TraceGenerator:
             if reg_class is RegisterClass.INT
             else self._recent_fp_dests
         )
-        mean = self.profile.mean_dependency_distance
-        p = 1.0 / max(1.0, mean)
+        p = self._shape.dependency_p
         distance = 1
         while self._rng.random() > p and distance < len(recents):
             distance += 1
@@ -296,10 +374,6 @@ class TraceGenerator:
         if reg_class is RegisterClass.INT:
             return self.registers.int_reg(index)
         return self.registers.fp_reg(index)
-
-    #: Size of the per-loop hot region that sequential accesses sweep over;
-    #: it is capped so that hot-region accesses mostly hit in the 16 KB L1.
-    _HOT_SPAN_BYTES = 12 * 1024
 
     def _next_address(self, loop: _LoopBody) -> int:
         """Generate the next data address for a memory micro-op.
@@ -309,20 +383,19 @@ class TraceGenerator:
         loop's full array or, occasionally, a random location of the whole
         working set (L1 misses that mostly hit in the UL2 once warm).
         """
-        profile = self.profile
-        working_set_bytes = profile.working_set_kb * 1024
-        span = max(_CACHE_LINE_BYTES * 4, working_set_bytes // profile.num_hot_loops)
-        hot_span = min(span, self._HOT_SPAN_BYTES)
+        shape = self._shape
         roll = self._rng.random()
-        if roll < profile.spatial_locality:
+        if roll < self.profile.spatial_locality:
             # Sequential (stride ~ 8 bytes) access within the loop's hot region.
-            self._sequential_addr = (self._sequential_addr + 8) % hot_span
+            self._sequential_addr = (
+                self._sequential_addr + _SEQUENTIAL_STRIDE
+            ) % shape.hot_span
             return loop.array_base + self._sequential_addr
-        if roll < profile.spatial_locality + (1.0 - profile.spatial_locality) * 0.7:
+        if roll < shape.irregular_below:
             # Strided / irregular access within the loop's own array.
-            return loop.array_base + self._rng.randrange(span)
+            return loop.array_base + self._rng.randrange(shape.span)
         # Random access anywhere in the working set.
-        return 0x1000_0000 + self._rng.randrange(working_set_bytes)
+        return _DATA_BASE + self._rng.randrange(shape.working_set_bytes)
 
     # ------------------------------------------------------------------
     # Introspection helpers
@@ -339,6 +412,80 @@ class TraceGenerator:
             f"{self.profile.loop_body_uops} uops, working set "
             f"{self.profile.working_set_kb} KB"
         )
+
+
+@dataclass(frozen=True)
+class WorkloadSpec:
+    """A generated workload, named by what determines it.
+
+    ``benchmark`` (a profile name or :class:`WorkloadProfile`), ``seed`` and
+    ``uops`` fix every micro-op, so the engines take this small value in
+    place of a materialized ``MicroOp`` list: the native timing path
+    generates and decodes it in one pass
+    (:func:`repro.sim.native.generate_decoded`), and the reference path
+    expands it through the Python generator (:meth:`expand`).
+    """
+
+    benchmark: Union[str, WorkloadProfile]
+    seed: int
+    uops: int
+
+    def __post_init__(self) -> None:
+        if self.uops <= 0:
+            raise ValueError("uops must be positive")
+
+    def expand(self) -> List[MicroOp]:
+        """The workload's micro-ops, from the golden Python generator."""
+        return TraceGenerator(self.benchmark, seed=self.seed).generate(self.uops).uops
+
+
+def native_inputs(
+    profile, seed: int
+) -> Tuple[Tuple[int, ...], Dict[str, int], Dict[str, float]]:
+    """What the native twin of :class:`TraceGenerator` starts from.
+
+    Returns the Mersenne Twister state right after seeding (the 624 state
+    words plus the position, as :meth:`random.Random.getstate` gives them,
+    so the twin never re-implements CPython's seeding) and every integer and
+    float the generator reads, computed by the generator's own expressions.
+    """
+    profile = _resolve_profile(profile)
+    shape = _shape(profile)
+    _, state, _ = _seeded_rng(profile, seed).getstate()
+    ints = {
+        "num_hot_loops": profile.num_hot_loops,
+        "phase_length_uops": profile.phase_length_uops,
+        "num_loads": shape.num_loads,
+        "num_stores": shape.num_stores,
+        "num_branches": shape.num_branches,
+        "num_compute": shape.num_compute,
+        "code_base": _CODE_BASE,
+        "loop_pc_stride": shape.loop_pc_stride,
+        "instruction_bytes": _INSTRUCTION_BYTES,
+        "data_base": _DATA_BASE,
+        "bytes_per_loop": shape.bytes_per_loop,
+        "span": shape.span,
+        "hot_span": shape.hot_span,
+        "working_set_bytes": shape.working_set_bytes,
+        "sequential_stride": _SEQUENTIAL_STRIDE,
+        "recent_window": _RECENT_WINDOW,
+        "recent_start": _RECENT_START,
+        # The default register space, as ``TraceGenerator`` builds it.
+        "num_int": RegisterSpace.DEFAULT_INT,
+        "num_fp": RegisterSpace.DEFAULT_FP,
+    }
+    floats = {
+        "fp_fraction": profile.fp_fraction,
+        "long_op_fraction": profile.long_op_fraction,
+        "fpmul_share": _FPMUL_SHARE,
+        "imul_share": _IMUL_SHARE,
+        "branch_misprediction_rate": profile.branch_misprediction_rate,
+        "dependency_p": shape.dependency_p,
+        "spatial_locality": profile.spatial_locality,
+        "irregular_below": shape.irregular_below,
+        "next_region_probability": _NEXT_REGION_PROBABILITY,
+    }
+    return tuple(state), ints, floats
 
 
 def generate_traces(

@@ -10,6 +10,7 @@ The two contractual equivalences:
 """
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -278,6 +279,32 @@ def test_migrations_happen_only_in_simulated_intervals():
     log = result.chip["migration_log"]
     assert log
     assert all(move["interval"] < len(result.intervals) for move in log), log
+
+
+def test_drained_thread_is_never_migrated():
+    """A thread drained in interval k frees its core for the step of k + 1.
+
+    The short hot thread drains in the first interval; the policy step that
+    follows must see its core idle rather than move (and log) the finished
+    thread while the long thread keeps the run going.
+    """
+    sources = [_uops("thermal_virus", n=600), _uops("idle_crawl", n=3000)]
+    result = ChipEngine(
+        baseline_config(),
+        sources,
+        list(HETEROGENEOUS),
+        cores=3,
+        interval_cycles=INTERVAL,
+        chip_policy="core_migration:trigger=60,margin=0,cooldown=0",
+    ).run()
+    drained = [
+        math.ceil(thread["cycles"] / INTERVAL) - 1 for thread in result.chip["threads"]
+    ]
+    assert drained[0] < drained[1] == len(result.intervals) - 1
+    log = result.chip["migration_log"]
+    assert log
+    late = [move for move in log if move["interval"] > drained[move["thread"]]]
+    assert not late, late
 
 
 def test_core_migration_needs_an_idle_core():

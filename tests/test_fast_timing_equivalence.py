@@ -283,8 +283,8 @@ def test_decode_workload_is_exported():
     uops = _uops(n=64)
     decoded = decode_workload(uops)
     assert decoded.n == len(uops)
-    assert len(decoded.cls_list) == len(uops)
     assert decoded.op_class.shape == (len(uops),)
+    assert decoded.source_flats.shape == (len(uops), 2)
 
 
 # ----------------------------------------------------------------------

@@ -6,7 +6,10 @@ mapping on or off, the interval size, a DTM policy, the benchmark, its seed
 and the trace length.  Each cell runs on the per-uop reference
 ``Processor`` and on the native core and must produce byte-identical
 results (``result_to_dict``), stats payloads and, where the cell can be
-captured for replay, activity-trace JSON.  The hand-picked locks in
+captured for replay, activity-trace JSON.  A second pair runs the same
+cells natively from a :class:`~repro.workloads.generator.WorkloadSpec`
+(generated and decoded by the native front end) against the explicit
+``MicroOp`` list.  The hand-picked locks in
 ``test_fast_timing_equivalence.py`` pin the paper's presets; this file
 covers the combinations between them.
 
@@ -31,7 +34,7 @@ from repro.sim.config import ProcessorConfig, SteeringPolicy
 from repro.sim.engine import SimulationEngine
 from repro.sim.serialization import result_to_dict
 from repro.workloads import SPEC2000_PROFILES
-from repro.workloads.generator import TraceGenerator
+from repro.workloads.generator import TraceGenerator, WorkloadSpec
 
 #: Cells drawn per tier-1 run, and the generator seed that fixes them.
 SAMPLES = 20
@@ -95,10 +98,10 @@ def draw_samples(count: int, seed: int):
     ]
 
 
-def _run(sample: Sample, uops, mode: str):
+def _run(sample: Sample, source, mode: str):
     engine = SimulationEngine(
         sample.config(),
-        list(uops),
+        source,
         sample.benchmark,
         dtm_policy=make_policy(sample.dtm) if sample.dtm else None,
         timing_mode=mode,
@@ -117,8 +120,26 @@ def _run(sample: Sample, uops, mode: str):
 )
 def test_random_cells_native_matches_reference(native_core, sample):
     uops = TraceGenerator(sample.benchmark, seed=sample.seed).generate(sample.uops).uops
-    ref, ref_trace = _run(sample, uops, "reference")
-    fast, fast_trace = _run(sample, uops, "fast")
+    ref, ref_trace = _run(sample, list(uops), "reference")
+    fast, fast_trace = _run(sample, list(uops), "fast")
     assert json.dumps(result_to_dict(ref)) == json.dumps(result_to_dict(fast)), sample
     assert ref.stats.to_payload() == fast.stats.to_payload(), sample
     assert ref_trace == fast_trace, sample
+
+
+#: Cells of the workload-value pair (the first of the drawn samples).
+WORKLOAD_SAMPLES = 6
+
+
+@pytest.mark.parametrize(
+    "sample",
+    draw_samples(SAMPLES, MASTER_SEED)[:WORKLOAD_SAMPLES],
+    ids=[f"sample{i:02d}" for i in range(WORKLOAD_SAMPLES)],
+)
+def test_workload_value_matches_explicit_uops(native_core, sample):
+    spec = WorkloadSpec(sample.benchmark, sample.seed, sample.uops)
+    named, named_trace = _run(sample, spec, "fast")
+    explicit, explicit_trace = _run(sample, spec.expand(), "fast")
+    assert json.dumps(result_to_dict(named)) == json.dumps(result_to_dict(explicit)), sample
+    assert named.stats.to_payload() == explicit.stats.to_payload(), sample
+    assert named_trace == explicit_trace, sample

@@ -33,15 +33,19 @@ from repro.campaign.executors import (
     execute_cell_capture,
     execute_replay_group,
 )
-from repro.core.presets import baseline_config
+from repro.core.presets import baseline_config, distributed_frontend_config
+from repro.power.energy import build_block_parameters
 from repro.service.manager import PoolBackedExecutor
 from repro.service.pool import WorkerPool
+from repro.sim import blocks
 from repro.sim.serialization import result_to_dict
 from repro.sim.warmcache import (
     TraceRef,
+    core_layout,
     publish_trace,
     warm_cache,
 )
+from repro.thermal.floorplan import build_floorplan
 
 SHM_DIR = "/dev/shm"
 
@@ -145,6 +149,34 @@ def test_warm_cache_survives_across_tasks():
         assert warm, "warm cache must persist across tasks in one worker"
     finally:
         pool.shutdown()
+
+
+def _geometry(plan):
+    return [(b.name, b.x, b.y, b.width, b.height) for b in plan.blocks()]
+
+
+def test_core_layout_is_shared_by_physics_variants(monkeypatch):
+    """Cells that differ only in power/thermal parameters share one die layout."""
+    base = baseline_config()
+    variant = dataclasses.replace(
+        base,
+        name="hot",
+        power=dataclasses.replace(base.power, leakage_fraction_at_ambient=0.4),
+        thermal=dataclasses.replace(base.thermal, convection_resistance_k_per_w=0.3),
+    )
+    shared = core_layout(base)
+    assert core_layout(variant) is shared
+    parameters, plan, groups = shared
+    assert parameters == build_block_parameters(variant)
+    areas = {name: p.area_mm2 for name, p in parameters.items()}
+    assert _geometry(plan) == _geometry(build_floorplan(variant, areas))
+    assert groups == blocks.block_groups(variant)
+    # A structural change is a different die.
+    assert core_layout(distributed_frontend_config()) is not shared
+    monkeypatch.setenv("REPRO_WARM_CACHE", "0")
+    fresh = core_layout(variant)
+    assert fresh is not shared
+    assert _geometry(fresh[1]) == _geometry(plan)
 
 
 def test_timeout_kills_worker_and_respawns_with_empty_cache():

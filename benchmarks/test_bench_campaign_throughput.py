@@ -40,6 +40,7 @@ from typing import Tuple
 
 from repro.campaign import (
     Campaign,
+    ExecutionOptions,
     ExperimentSettings,
     SerialExecutor,
     run_campaign,
@@ -116,7 +117,10 @@ def _timed_run(campaign: Campaign, replay: bool) -> dict:
 
 def _timed_replay_phase(trace, specs, mode: str, repeats: int = 3) -> dict:
     """Best-of-``repeats`` wall time of the replay phase alone."""
-    mode_specs = [dataclasses.replace(s, replay_mode=mode) for s in specs]
+    mode_specs = [
+        dataclasses.replace(s, options=ExecutionOptions(replay_mode=mode))
+        for s in specs
+    ]
     best = float("inf")
     for _ in range(repeats):
         start = time.perf_counter()

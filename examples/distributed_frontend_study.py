@@ -46,7 +46,8 @@ def main() -> None:
     campaign = Campaign(
         (baseline_config(),) + variants, settings, name="distributed-frontend-study"
     )
-    outcome = run_campaign(campaign, executor=make_executor(jobs))
+    with make_executor(jobs) as executor:
+        outcome = run_campaign(campaign, executor=executor)
     print(outcome.describe() + "\n")
 
     baseline = outcome.summaries["baseline"]

@@ -30,7 +30,8 @@ def main() -> None:
     jobs = int(sys.argv[2]) if len(sys.argv) > 2 else 1
 
     settings = dtm_settings(scenarios=SCENARIOS, uops_per_scenario=uops)
-    result = run_dtm_comparison(settings, executor=make_executor(jobs))
+    with make_executor(jobs) as executor:
+        result = run_dtm_comparison(settings, executor=executor)
     print(result.format_table())
     print()
     print("Per-policy trade-off (fractions vs. the no-DTM baseline):")

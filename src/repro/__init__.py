@@ -18,8 +18,9 @@ depends on:
 Experiments are declared and executed through :mod:`repro.campaign`: a
 :class:`Campaign` (configurations x benchmarks x an
 :class:`ExperimentSettings` scale) expands into independent cells that run on
-a pluggable executor — serially or across worker processes
-(:class:`ParallelExecutor`) — with an optional content-keyed on-disk
+a pluggable executor — serially or across a persistent pool of worker
+processes (:class:`ParallelExecutor`), under the timing and replay modes of
+one :class:`ExecutionOptions` — with an optional content-keyed on-disk
 :class:`ResultCache` so repeated runs skip simulation.  Ad-hoc configuration
 variants are derived with the fluent :class:`ConfigBuilder`.  The figure
 drivers in :mod:`repro.experiments` are thin layers over this API, and the
@@ -60,6 +61,7 @@ from repro.campaign import (
     CampaignOutcome,
     ConfigBuilder,
     ConfigurationSummary,
+    ExecutionOptions,
     ExperimentSettings,
     ParallelExecutor,
     ResultCache,
@@ -102,6 +104,7 @@ __all__ = [
     "CampaignOutcome",
     "ConfigBuilder",
     "ConfigurationSummary",
+    "ExecutionOptions",
     "ExperimentSettings",
     "ParallelExecutor",
     "ResultCache",

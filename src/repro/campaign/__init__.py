@@ -3,9 +3,10 @@
 ``repro.campaign`` is the public experiment API: declare *what* to simulate
 (a :class:`Campaign`: configurations x benchmarks x an
 :class:`ExperimentSettings` scale), pick *how* to run it (a
-:class:`SerialExecutor` or a process-pool :class:`ParallelExecutor`), and
-optionally *where* to remember it (a content-keyed :class:`ResultCache`), then
-call :func:`run_campaign`::
+:class:`SerialExecutor`, or a :class:`ParallelExecutor` over a persistent
+pool of worker processes, each holding the timing and replay modes as one
+:class:`ExecutionOptions`), and optionally *where* to remember it (a
+content-keyed :class:`ResultCache`), then call :func:`run_campaign`::
 
     from repro.campaign import (
         Campaign, ConfigBuilder, ExperimentSettings, ParallelExecutor,
@@ -16,11 +17,10 @@ call :func:`run_campaign`::
         configs=[baseline_config(), distributed_frontend_config()],
         settings=ExperimentSettings.quick(),
     )
-    outcome = run_campaign(
-        campaign,
-        executor=ParallelExecutor(jobs=4),
-        cache=ResultCache("~/.cache/repro"),
-    )
+    with ParallelExecutor(jobs=4) as executor:
+        outcome = run_campaign(
+            campaign, executor=executor, cache=ResultCache("~/.cache/repro")
+        )
     outcome.summaries["distributed_frontend"].mean_metrics("Frontend")
 
 A campaign optionally sweeps a dynamic-thermal-management axis
@@ -67,6 +67,7 @@ from repro.campaign.executors import (
 from repro.campaign.spec import (
     QUICK_BENCHMARKS,
     Campaign,
+    ExecutionOptions,
     ExperimentSettings,
     RunSpec,
     available_benchmarks,
@@ -78,6 +79,7 @@ __all__ = [
     "CampaignOutcome",
     "ConfigBuilder",
     "ConfigurationSummary",
+    "ExecutionOptions",
     "Executor",
     "ExecutorTaskError",
     "ExperimentSettings",

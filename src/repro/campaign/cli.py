@@ -17,9 +17,10 @@ Subcommands:
   names explicit per-core workload mixes (``+`` separates cores, ``;`` or
   ``,`` separates mixes), and ``--dtm`` then sweeps *chip-level* policies
   (``none``, ``core_migration``, ``chip_dvfs``).  ``--timing-mode
-  auto|fast|reference`` selects the engine timing path (the vectorized
-  fast path is byte-identical to the per-uop golden reference wherever
-  ``auto`` picks it);
+  auto|fast|reference`` selects the engine timing path (the native fast
+  path is byte-identical to the per-uop golden reference wherever
+  ``auto`` picks it) and ``--replay-mode exact|batched|auto`` the physics
+  replay path; both travel as the executor's ``ExecutionOptions``;
 * ``cache`` — housekeeping for an on-disk result cache, which since the
   two-stage simulation core also holds activity-trace artifacts:
   ``cache stats --cache-dir DIR`` prints entry/byte counts by kind, and
@@ -65,13 +66,17 @@ import argparse
 import json
 import os
 import sys
-from contextlib import contextmanager
-from typing import Dict, Iterator, Optional, Sequence
+from typing import Dict, Optional, Sequence
 
 from repro.campaign.cache import ResultCache
 from repro.campaign.core import CampaignOutcome, run_campaign
-from repro.campaign.executors import Executor, make_executor
-from repro.campaign.spec import Campaign, ExperimentSettings, available_benchmarks
+from repro.campaign.executors import Executor, ExecutorTaskError, make_executor
+from repro.campaign.spec import (
+    Campaign,
+    ExecutionOptions,
+    ExperimentSettings,
+    available_benchmarks,
+)
 from repro.campaign.summary import ConfigurationSummary
 from repro.service.client import ServiceClient, ServiceError, ServiceUnavailable
 
@@ -213,6 +218,7 @@ def _outcome_payload(outcome: CampaignOutcome) -> Dict[str, object]:
         "cells_executed": outcome.cells_executed,
         "cache_hits": outcome.cache_hits,
         "executor": outcome.executor_description,
+        "runtime": outcome.runtime,
         "configurations": {
             name: _summary_payload(summary)
             for name, summary in outcome.summaries.items()
@@ -491,38 +497,13 @@ def _cmd_run(args: argparse.Namespace) -> int:
         )
     if args.cores is not None and args.cores < 1:
         raise ValueError("--cores must be at least 1")
-    # The modes travel in the environment (not the cell specs) so they reach
-    # pool worker processes and the --figure campaigns, which build their
-    # own Campaign objects; see ``executors.resolved_timing_mode`` and
-    # ``resolved_replay_mode``.  They are restored on the way out, so later
-    # campaigns of an in-process caller keep their own modes.
-    with _environment(
-        REPRO_TIMING_MODE=args.timing_mode,
-        REPRO_REPLAY_MODE=None if args.replay_mode == "exact" else args.replay_mode,
-    ):
-        return _run(args)
+    options = ExecutionOptions(args.timing_mode, args.replay_mode)
+    with make_executor(args.jobs, options) as executor:
+        return _run(args, executor)
 
 
-@contextmanager
-def _environment(**values: Optional[str]) -> Iterator[None]:
-    """Set the non-``None`` variables for the block, then restore them all."""
-    saved = {name: os.environ.get(name) for name in values}
-    os.environ.update(
-        {name: value for name, value in values.items() if value is not None}
-    )
-    try:
-        yield
-    finally:
-        for name, value in saved.items():
-            if value is None:
-                os.environ.pop(name, None)
-            else:
-                os.environ[name] = value
-
-
-def _run(args: argparse.Namespace) -> int:
-    """The body of ``run``, with the execution modes in the environment."""
-    executor = make_executor(args.jobs)
+def _run(args: argparse.Namespace, executor: Executor) -> int:
+    """The body of ``run``, on an executor carrying the execution modes."""
     cache = ResultCache(args.cache_dir) if args.cache_dir else None
 
     try:
@@ -557,7 +538,6 @@ def _run(args: argparse.Namespace) -> int:
                 per_core_scenarios=mixes,
                 contention=args.contention,
                 solver_backend=args.solver_backend,
-                replay_mode=args.replay_mode,
             )
             outcome = run_campaign(campaign, executor, cache)
             from repro.experiments.reporting import format_campaign_outcome
@@ -566,8 +546,8 @@ def _run(args: argparse.Namespace) -> int:
             _write_output(_outcome_payload(outcome), args.output)
             status = 0
     except KeyboardInterrupt:
-        # In-flight worker tasks have already drained: ParallelExecutor's
-        # pool context manager waits for them on the way out.
+        # Leaving the executor's ``with`` block in _cmd_run discards its
+        # queued tasks and waits for the in-flight ones.
         print(
             f"repro-campaign: interrupted after {executor.cells_executed} "
             "simulated cell(s)"
@@ -663,7 +643,11 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
 def _cmd_submit(args: argparse.Namespace) -> int:
     """``submit``: send a campaign to a service, or run locally if down."""
-    from repro.service.codec import campaign_from_payload, payload_from_options
+    from repro.service.codec import (
+        campaign_from_payload,
+        options_from_payload,
+        payload_from_options,
+    )
 
     payload = payload_from_options(
         configs=args.configs.split(",") if args.configs else None,
@@ -705,7 +689,8 @@ def _cmd_submit(args: argparse.Namespace) -> int:
             f"repro-campaign: falling back to local execution ({reason})",
             file=sys.stderr,
         )
-        outcome = run_campaign(campaign, make_executor(args.jobs))
+        with make_executor(args.jobs, options_from_payload(payload)) as executor:
+            outcome = run_campaign(campaign, executor)
         print(outcome.describe())
         _write_output(_outcome_payload(outcome), args.output)
         return 0
@@ -872,12 +857,12 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument(
         "--timing-mode",
         choices=("auto", "fast", "reference"),
-        default=None,
-        help="engine timing path: 'auto' (default) takes the vectorized fast "
-        "path, byte-identical to the per-uop reference, for every "
-        "materialized workload (closed-loop cells included), "
-        "'reference' forces the golden per-uop loop, 'fast' demands the "
-        "fast path and errors where it cannot run",
+        default="auto",
+        help="engine timing path: 'auto' (default) takes the native fast "
+        "path, byte-identical to the per-uop reference, wherever it can "
+        "run (closed-loop cells included) and falls back to the reference "
+        "otherwise, 'reference' forces the golden per-uop loop, 'fast' "
+        "demands the fast path and errors where it cannot run",
     )
     run.add_argument(
         "--replay-mode",
@@ -1080,7 +1065,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "watch": _cmd_watch,
     }
     try:
-        return commands[args.command](args)
+        try:
+            return commands[args.command](args)
+        except ExecutorTaskError as error:
+            # A domain error raised by a cell in a worker process (--jobs N)
+            # reports exactly as it does on the serial path.
+            if isinstance(error.__cause__, (ValueError, KeyError)):
+                raise error.__cause__ from None
+            raise
     except (ValueError, KeyError) as error:
         # Unknown preset/benchmark names and invalid settings raise from the
         # domain layer with self-explanatory messages; present them as CLI
@@ -1088,6 +1080,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         message = error.args[0] if error.args else error
         print(f"repro-campaign: error: {message}", file=sys.stderr)
         return 2
+    except ExecutorTaskError as error:
+        # Any other task failure in a worker process: the message carries
+        # the worker's traceback, or names the cell whose worker died.
+        print(f"repro-campaign: error: {error}", file=sys.stderr)
+        return 1
     except ServiceError as error:
         print(f"repro-campaign: service error: {error}", file=sys.stderr)
         return 1

@@ -28,7 +28,7 @@ The single-configuration conveniences :func:`run_configuration`,
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.campaign.cache import ResultCache
@@ -40,7 +40,7 @@ from repro.campaign.executors import (
     execute_chip_replay_group,
     execute_replay_group,
 )
-from repro.campaign.spec import Campaign, ExperimentSettings, RunSpec
+from repro.campaign.spec import Campaign, ExecutionOptions, ExperimentSettings, RunSpec
 from repro.campaign.summary import ConfigurationSummary
 from repro.sim.activity_trace import ActivityTrace
 from repro.sim.config import ProcessorConfig
@@ -69,8 +69,10 @@ class CampaignOutcome:
     executor_description: str = "SerialExecutor"
     #: Execution-runtime facts from the executor (mode, keepalive, warm
     #: solver/trace cache hit counters, worker respawns — whatever the
-    #: backend can observe; see :meth:`Executor.runtime_info`).  Purely
-    #: informational: never part of any cache key and never affects results.
+    #: backend can observe; see :meth:`Executor.runtime_info`) and, under
+    #: ``"options"``, the :class:`ExecutionOptions` the cells ran under.
+    #: Purely informational: never part of any cache key and never affects
+    #: results.
     runtime: Dict[str, object] = field(default_factory=dict)
 
     @property
@@ -152,6 +154,11 @@ def _plan_two_stage(
     return replays, phase1, cached_traces
 
 
+def _stamped(spec, options: ExecutionOptions):
+    """``spec`` carrying the executor's options, as it is dispatched."""
+    return spec if spec.options == options else replace(spec, options=options)
+
+
 def _replay_groups(
     executor: Executor,
     fn,
@@ -165,7 +172,10 @@ def _replay_groups(
     crosses a process boundary once per group rather than once per cell;
     fresh results are stored in the cache.
     """
-    tasks = [(traces, tuple(spec for _, spec in members)) for traces, members in groups]
+    tasks = [
+        (traces, tuple(_stamped(spec, executor.options) for _, spec in members))
+        for traces, members in groups
+    ]
     outputs = executor.run_tasks(fn, tasks) if tasks else []
     if len(outputs) != len(tasks):
         raise RuntimeError(
@@ -217,7 +227,7 @@ def _outcome(
     outcome = CampaignOutcome(
         campaign=campaign,
         executor_description=executor.describe(),
-        runtime=executor.runtime_info(),
+        runtime={**executor.runtime_info(), "options": executor.options.to_dict()},
         **counts,
     )
     for variant in campaign.variant_names():
@@ -238,9 +248,11 @@ def run_campaign(
 
     ``executor`` defaults to a fresh :class:`SerialExecutor`; pass a
     :class:`~repro.campaign.executors.ParallelExecutor` to fan the cells out
-    over worker processes.  With a ``cache``, cells whose content key is
-    already present are loaded instead of simulated and fresh results are
-    stored back, so a repeated campaign performs zero simulator invocations.
+    over worker processes.  Every cell is dispatched under the executor's
+    :class:`~repro.campaign.spec.ExecutionOptions`.  With a ``cache``, cells
+    whose content key is already present are loaded instead of simulated and
+    fresh results are stored back, so a repeated campaign performs zero
+    simulator invocations.
 
     ``replay`` enables the two-stage fast path (the default): cells sharing
     a :meth:`~repro.campaign.spec.RunSpec.timing_key` run the per-uop timing
@@ -261,7 +273,10 @@ def run_campaign(
 
     # Phase 1: coupled timing simulations (some of them capturing a trace).
     executed_before = executor.cells_executed
-    tasks = [("capture" if key is not None else "run", spec) for _, spec, key in phase1]
+    tasks = [
+        ("capture" if key is not None else "run", _stamped(spec, executor.options))
+        for _, spec, key in phase1
+    ]
     outputs = executor.run_tasks(execute_campaign_task, tasks) if tasks else []
     executor.cells_executed += len(tasks)
     if len(outputs) != len(phase1):
@@ -350,7 +365,10 @@ def _run_chip_campaign(
             missing.append((key, core_spec))
     traces_captured = 0
     if missing:
-        tasks = [("capture", core_spec) for _, core_spec in missing]
+        tasks = [
+            ("capture", _stamped(core_spec, executor.options))
+            for _, core_spec in missing
+        ]
         outputs = executor.run_tasks(execute_campaign_task, tasks)
         executor.cells_executed += len(tasks)
         if len(outputs) != len(missing):
@@ -389,7 +407,7 @@ def _run_chip_campaign(
     )
 
     # Phase 3: coupled chip cells (feedback-bearing chip policies).
-    specs = [spec for _, spec in coupled_cells]
+    specs = [_stamped(spec, executor.options) for _, spec in coupled_cells]
     fresh = executor.run_tasks(execute_chip_cell, specs) if specs else []
     executor.cells_executed += len(specs)
     if len(fresh) != len(coupled_cells):

@@ -5,11 +5,17 @@ cells into :class:`~repro.sim.results.SimulationResult` objects, in order.
 Because every cell is self-contained (scaled config, trace length, interval
 and seed all live in the spec), the backends are interchangeable:
 
-* :class:`SerialExecutor` — the legacy in-process loop;
-* :class:`ParallelExecutor` — a :class:`concurrent.futures.ProcessPoolExecutor`
-  fan-out.  Seeding is deterministic per cell (the seed is part of the spec,
-  not of execution order), so a parallel run is metric-identical to a serial
-  one.
+* :class:`SerialExecutor` — the in-process loop;
+* :class:`ParallelExecutor` — a fan-out over a private, persistent
+  :class:`~repro.campaign.pool.WorkerPool` of worker processes, kept across
+  every fan-out and campaign it runs until :meth:`Executor.close`.  Seeding
+  is deterministic per cell (the seed is part of the spec, not of execution
+  order), so a parallel run is metric-identical to a serial one.
+
+Each executor holds the :class:`~repro.campaign.spec.ExecutionOptions`
+(timing and replay mode) its campaigns run under;
+:func:`~repro.campaign.core.run_campaign` stamps them onto the cells it
+dispatches, so they reach worker processes inside the tasks themselves.
 
 Since the two-stage simulation core landed, an executor actually runs three
 kinds of work, all module-level functions so they pickle cleanly into worker
@@ -33,70 +39,23 @@ hit/miss accounting and the tests rely on.
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
+import weakref
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, TypeVar
 
-from repro.campaign.spec import RunSpec
+# ExecutorTaskError is re-exported: callers import it from this module.
+from repro.campaign.pool import ExecutorTaskError, WorkerPool  # noqa: F401
+from repro.campaign.spec import ExecutionOptions, RunSpec
 from repro.sim.activity_trace import ActivityTrace
 from repro.sim.results import SimulationResult
-from repro.sim.warmcache import resolve_trace, warm_snapshot
+from repro.sim.warmcache import publish_trace, resolve_trace, warm_snapshot
 from repro.workloads.generator import WorkloadSpec
 
 _Task = TypeVar("_Task")
 _Result = TypeVar("_Result")
 
-
-def resolved_timing_mode() -> str:
-    """Engine timing mode for campaign cells (``REPRO_TIMING_MODE``).
-
-    Campaign cells are identified by *content* (config, workload, seed), and
-    the fast timing path is byte-identical to the per-uop reference, so the
-    timing mode is deliberately **not** part of a cell's spec or cache key —
-    it is an execution knob, carried in the environment so it survives the
-    pickle boundary into pool workers (child processes inherit the
-    environment under both fork and spawn).  Unset means ``auto``.
-    """
-    from repro.sim.engine import TIMING_MODES
-
-    mode = os.environ.get("REPRO_TIMING_MODE", "auto").strip().lower() or "auto"
-    if mode not in TIMING_MODES:
-        raise ValueError(
-            f"REPRO_TIMING_MODE must be one of {', '.join(TIMING_MODES)}, "
-            f"not {mode!r}"
-        )
-    return mode
-
-
-def resolved_replay_mode(spec_mode: str = "exact") -> str:
-    """Replay mode for a replay group (``REPRO_REPLAY_MODE`` wins).
-
-    The mode normally rides on the specs (stamped by
-    :class:`~repro.campaign.spec.Campaign` from its ``replay_mode``
-    parameter / the CLI's ``--replay-mode``); the environment variable is an
-    override with the same role as ``REPRO_TIMING_MODE`` — an execution
-    knob, never part of any cache key, inherited by pool workers.
-    """
-    from repro.sim.group_replay import validate_replay_mode
-
-    mode = os.environ.get("REPRO_REPLAY_MODE", "").strip().lower()
-    return validate_replay_mode(mode or spec_mode)
-
-
-class ExecutorTaskError(RuntimeError):
-    """A task could not be completed by its execution backend.
-
-    Raised instead of backend-internal exceptions (most notably
-    :class:`concurrent.futures.process.BrokenProcessPool` when a worker
-    process dies mid-task) so callers get a typed error carrying the task
-    that was being executed.  ``task`` is the first task whose result could
-    not be retrieved — with a broken pool every in-flight task fails at
-    once, so the attribution is the earliest casualty in submission order.
-    """
-
-    def __init__(self, message: str, task: object = None) -> None:
-        super().__init__(message)
-        self.task = task
+#: Task functions whose ``(traces, specs)`` tasks carry activity traces,
+#: which a process pool ships zero-copy (see ``ParallelExecutor``).
+_REPLAY_FUNCTIONS = ("execute_replay_group", "execute_chip_replay_group")
 
 
 def _build_engine(spec: RunSpec):
@@ -120,7 +79,7 @@ def _build_engine(spec: RunSpec):
         spec.benchmark,
         interval_cycles=spec.interval_cycles,
         dtm_policy=dtm_policy,
-        timing_mode=resolved_timing_mode(),
+        timing_mode=spec.options.timing_mode,
     )
 
 
@@ -168,8 +127,8 @@ def execute_replay_group(
     The campaign layer fans replays out one *group* per task rather than
     one cell per task, so the (potentially large) trace crosses the process
     boundary once per group instead of once per cell.  How the group's
-    physics is computed is the specs' ``replay_mode`` (overridable via
-    ``REPRO_REPLAY_MODE``), see :func:`repro.sim.group_replay.replay_group`:
+    physics is computed is the specs' ``options.replay_mode``, see
+    :func:`repro.sim.group_replay.replay_group`:
     ``"exact"`` replays each cell alone (bit-identical to the coupled run),
     ``"batched"``/``"auto"`` advance whole thermally-identical sub-groups
     per interval in one multi-RHS solve.
@@ -189,7 +148,7 @@ def execute_replay_group(
         [spec.config for spec in specs],
         interval_cycles=specs[0].interval_cycles,
         dtm_policies=[spec.dtm_policy for spec in specs],
-        replay_mode=resolved_replay_mode(specs[0].replay_mode),
+        replay_mode=specs[0].options.replay_mode,
     )
     return _stamp_replayed(specs, results)
 
@@ -216,7 +175,7 @@ def execute_chip_cell(spec) -> SimulationResult:
         chip_policy=spec.chip_policy,
         contention=spec.contention,
         solver_backend=spec.solver_backend,
-        timing_mode=resolved_timing_mode(),
+        timing_mode=spec.options.timing_mode,
     )
     result = engine.run()
     result.provenance.update(spec.provenance())
@@ -244,7 +203,7 @@ def execute_chip_replay_group(task) -> List[SimulationResult]:
     results = replay_chip_group(
         tuple(resolve_trace(trace) for trace in traces),
         specs,
-        replay_mode=resolved_replay_mode(specs[0].replay_mode),
+        replay_mode=specs[0].options.replay_mode,
     )
     return _stamp_replayed(specs, results)
 
@@ -263,39 +222,19 @@ def execute_campaign_task(
     return execute_cell(spec), None
 
 
-def _describe_task(task: object) -> str:
-    """A compact human-readable identity of a failed task.
-
-    Tasks take several shapes — a bare :class:`RunSpec`, a ``(mode, spec)``
-    phase-1 tuple, a ``(trace, specs)`` replay group — so this digs out the
-    spec(s) rather than dumping a full configuration repr into the error.
-    """
-
-    def _spec_name(spec: object) -> str:
-        config = getattr(spec, "config", None)
-        name = getattr(config, "name", "?")
-        benchmark = getattr(spec, "benchmark", "?")
-        return f"{name}/{benchmark}"
-
-    if isinstance(task, tuple) and len(task) == 2:
-        first, second = task
-        if isinstance(first, str):
-            return f"{first} cell {_spec_name(second)}"
-        if isinstance(second, (tuple, list)):
-            names = ", ".join(_spec_name(spec) for spec in second)
-            return f"replay group [{names}]"
-    return _spec_name(task)
-
-
 class Executor:
     """Base class of campaign execution backends.
 
     :meth:`run_tasks` is the one fan-out primitive: subclasses implement it
     and every phase of :func:`repro.campaign.core.run_campaign` (coupled
-    runs, captures, replay groups) rides on top.
+    runs, captures, replay groups) rides on top.  ``options`` are the
+    :class:`~repro.campaign.spec.ExecutionOptions` the campaigns of this
+    executor run under.  Executors are context managers; :meth:`close`
+    releases whatever runtime a backend holds.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, options: Optional[ExecutionOptions] = None) -> None:
+        self.options = options if options is not None else ExecutionOptions()
         #: Total number of cells this executor has simulated *coupled*
         #: (including trace captures); physics-only replays do not count.
         self.cells_executed = 0
@@ -309,15 +248,21 @@ class Executor:
     def runtime_info(self) -> Dict[str, object]:
         """Execution-runtime facts recorded on ``CampaignOutcome.runtime``.
 
-        Subclasses with an observable warm runtime (the serial in-process
-        path, the service's persistent worker pool) report their mode and
-        warm-cache counters here; backends whose workers die with the
-        fan-out (:class:`ParallelExecutor`) report what they can.
+        Backends report their mode and warm-cache counters here.
         """
         return {}
 
     def describe(self) -> str:
         return type(self).__name__
+
+    def close(self) -> None:
+        """Release the backend's runtime (idempotent)."""
+
+    def __enter__(self) -> "Executor":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
 
 
 class SerialExecutor(Executor):
@@ -335,59 +280,110 @@ class SerialExecutor(Executor):
 
 
 class ParallelExecutor(Executor):
-    """Process-pool execution with ``jobs`` worker processes.
+    """Fan-out over a private, persistent pool of ``jobs`` worker processes.
 
-    Tasks are distributed one at a time (``chunksize=1``) because individual
-    simulations are long relative to the dispatch overhead and their
-    durations vary widely across benchmarks.
+    The :class:`~repro.campaign.pool.WorkerPool` lives as long as the
+    executor: its workers keep their warm solver/trace caches across every
+    fan-out and campaign, and each replay task's trace travels zero-copy.
+    Tasks are submitted one at a time and collected in order, so a dead
+    worker is attributed to the task it took down.  :meth:`close` (or
+    leaving a ``with`` block) stops the workers; an executor nobody closed
+    stops them when it is garbage-collected.
     """
 
-    def __init__(self, jobs: int = 0) -> None:
-        super().__init__()
+    def __init__(
+        self, jobs: int = 0, options: Optional[ExecutionOptions] = None
+    ) -> None:
+        super().__init__(options)
         if jobs <= 0:
             jobs = os.cpu_count() or 1
         self.jobs = jobs
+        self.pool = WorkerPool(workers=jobs, mode="process")
+        # Queued-but-unstarted tasks only outlive a fan-out that failed or
+        # was interrupted; nobody waits for their results.
+        self._finalizer = weakref.finalize(self, self.pool.shutdown, drain=False)
 
     def describe(self) -> str:
         return f"ParallelExecutor(jobs={self.jobs})"
 
     def runtime_info(self) -> Dict[str, object]:
-        # Pool workers persist across the tasks of one fan-out (so the
-        # worker-resident warm cache speeds them up), but they die with the
-        # pool before their counters can be read back cheaply.
-        return {"mode": "parallel", "jobs": self.jobs}
+        return self.pool.runtime_info()
+
+    def close(self) -> None:
+        self._finalizer()
+
+    def _prepare_tasks(self, fn, tasks: Sequence) -> Tuple[List, List]:
+        """Swap replay-task trace payloads for zero-copy TraceRefs.
+
+        Only meaningful for process pools (thread workers share this
+        process's memory, so shipping the object is already free).  Each
+        trace travels as its cache artifact path when the campaign cache
+        stamped one, else as a freshly created shared-memory segment —
+        tracked with the pool so shutdown can unlink leftovers.  Returns
+        ``(prepared_tasks, handles)``; the caller must release every handle
+        once the fan-out is done.
+        """
+        name = getattr(fn, "__name__", "")
+        if self.pool.mode != "process" or name not in _REPLAY_FUNCTIONS:
+            return list(tasks), []
+        handles: List = []
+        published: Dict[int, object] = {}
+
+        def _publish(trace, key: str):
+            # Chip groups repeat the same trace object across cores and
+            # tasks; publish each distinct object once.
+            payload = published.get(id(trace))
+            if payload is None:
+                payload, handle = publish_trace(trace, key)
+                if handle is not None:
+                    handles.append(handle)
+                    self.pool.track_segment(handle)
+                published[id(trace)] = payload
+            return payload
+
+        prepared: List = []
+        for traces, specs in tasks:
+            specs = tuple(specs)
+            if name == "execute_replay_group":
+                prepared.append((_publish(traces, specs[0].timing_key()), specs))
+            else:
+                keys = [core.timing_key() for core in specs[0].core_specs()]
+                published_traces = tuple(
+                    _publish(trace, key) for trace, key in zip(traces, keys)
+                )
+                prepared.append((published_traces, specs))
+        return prepared, handles
+
+    def _submit(self, fn, task):
+        """Enqueue one task on the pool (a hook for the service's executor)."""
+        return self.pool.submit(fn, task)
+
+    def _collect(self, fn, task, future):
+        """Wait for one task's result (a hook for the service's executor)."""
+        return future.result()
 
     def run_tasks(
         self, fn: Callable[[_Task], _Result], tasks: Sequence[_Task]
     ) -> List[_Result]:
-        if not tasks:
-            return []
-        # A single worker (or a single task) gains nothing from a pool;
-        # degrade gracefully to the serial path.
-        if self.jobs == 1 or len(tasks) == 1:
-            return [fn(task) for task in tasks]
-        workers = min(self.jobs, len(tasks))
-        # Tasks are submitted individually (the chunksize=1 distribution the
-        # docstring describes) and collected in order, so a dead worker can
-        # be attributed to the task it took down rather than surfacing as a
-        # raw BrokenProcessPool from an anonymous map().
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(fn, task) for task in tasks]
-            results: List[_Result] = []
-            for task, future in zip(tasks, futures):
-                try:
-                    results.append(future.result())
-                except BrokenProcessPool as error:
-                    raise ExecutorTaskError(
-                        "a worker process died while executing "
-                        f"{_describe_task(task)}",
-                        task=task,
-                    ) from error
-            return results
+        tasks, handles = self._prepare_tasks(fn, tasks)
+        try:
+            futures = [self._submit(fn, task) for task in tasks]
+            return [
+                self._collect(fn, task, future)
+                for task, future in zip(tasks, futures)
+            ]
+        finally:
+            # Unlink this fan-out's shared-memory segments.  After a failed
+            # or cancelled fan-out, a queued task that attaches after the
+            # unlink fails as an ordinary task error nobody waits for.
+            for handle in handles:
+                self.pool.release_segment(handle)
 
 
-def make_executor(jobs: int = 1) -> Executor:
+def make_executor(
+    jobs: int = 1, options: Optional[ExecutionOptions] = None
+) -> Executor:
     """Executor for a requested parallelism level (1 = serial)."""
     if jobs == 1:
-        return SerialExecutor()
-    return ParallelExecutor(jobs=jobs)
+        return SerialExecutor(options)
+    return ParallelExecutor(jobs, options)

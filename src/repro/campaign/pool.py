@@ -1,12 +1,12 @@
-"""The service's shared worker pool: a persistent task-execution backend.
+"""The campaign layer's process runtime: a persistent task-execution pool.
 
-Where a campaign's :class:`~repro.campaign.executors.ParallelExecutor`
-spins up a process pool per fan-out and tears it down again, the service
-keeps ONE pool alive for its whole lifetime and lets every concurrently
-running job feed it.  Tasks — the same picklable module-level executor
-functions the campaign layer already uses (``execute_campaign_task``,
-``execute_replay_group``, ...) — enter a shared queue; worker threads pull
-them off in FIFO order and run them either
+One :class:`WorkerPool` runs every fan-out of the
+:class:`~repro.campaign.executors.ParallelExecutor` that owns it, across
+campaigns, and the service keeps one alive for its whole lifetime and lets
+every concurrently running job feed it.  Tasks — the picklable module-level
+executor functions of :mod:`repro.campaign.executors`
+(``execute_campaign_task``, ``execute_replay_group``, ...) — enter a shared
+queue; worker threads pull them off in FIFO order and run them either
 
 * **inline** (``mode="thread"``): directly in the worker thread.  Zero
   dispatch overhead and full monkeypatchability, the right choice for
@@ -18,8 +18,8 @@ them off in FIFO order and run them either
   imports, its warm solver/trace cache (:mod:`repro.sim.warmcache`) and
   its numpy state across tasks, so a replay sweep pays interpreter
   startup and solver factorization once per worker instead of once per
-  task.  With ``keepalive=False`` every task forks a fresh child (the
-  pre-warm behavior): maximal crash isolation, cold every time.
+  task.  With ``keepalive=False`` every task forks a fresh child:
+  maximal crash isolation, cold every time.
 
 Both process flavors keep the same containment contract: a worker that
 *dies* mid-task (segfault, OOM-kill, ``os._exit``) is detected, retired
@@ -29,19 +29,23 @@ by the watchdog (the persistent worker is killed *and respawned*, so the
 next task starts clean) and failed without retry — a deterministic
 timeout would only time out again, slower.
 
-Failures surface as the campaign layer's typed
-:class:`~repro.campaign.executors.ExecutorTaskError` with the offending
-task attached.  :meth:`WorkerPool.shutdown` drains gracefully: submissions
-are refused, queued work completes (or is discarded with ``drain=False``),
-worker threads exit, persistent children are stopped, and any
-shared-memory trace segments still tracked are unlinked.
+Failures surface as a typed :class:`ExecutorTaskError` with the offending
+task attached and named briefly (``run cell baseline/gzip``); an exception
+raised inside a task in a worker process is chained as its ``__cause__``.
+:meth:`WorkerPool.shutdown` drains gracefully: submissions are refused,
+queued work completes (or is discarded with ``drain=False``), worker
+threads exit, persistent children are stopped, and any shared-memory trace
+segments still tracked are unlinked.
 """
 
 from __future__ import annotations
 
 import math
 import multiprocessing
+import pickle
 import queue
+import reprlib
+import sys
 import threading
 import time
 import traceback
@@ -49,14 +53,60 @@ from collections import deque
 from concurrent.futures import Future
 from typing import Callable, Dict, List, Optional
 
-from repro.campaign.executors import ExecutorTaskError
 from repro.sim.warmcache import ensure_shm_tracker, warm_snapshot
 
 #: Task-duration samples kept for the latency percentiles in `metrics()`.
 _DURATION_SAMPLES = 2048
 
+#: Serializes forking worker children across threads and pools.  A child
+#: forked while another child's freshly made pipe ends are still open here
+#: inherits them, and the first child's exit or death then goes unseen
+#: (no EOF, no sentinel) until the second child exits too.
+_SPAWN_LOCK = threading.Lock()
+
 #: Counter keys a worker's warm-cache snapshot may carry (summable).
 _WARM_KEYS = ("solver_hits", "solver_misses", "trace_hits", "trace_misses")
+
+
+class ExecutorTaskError(RuntimeError):
+    """A task could not be completed by its execution backend.
+
+    Raised instead of backend-internal exceptions — a worker process that
+    died mid-task, a watchdog timeout, an exception inside a worker process
+    — so callers get a typed error carrying the task that was being
+    executed.  ``task`` is the task exactly as it was submitted.
+    """
+
+    def __init__(self, message: str, task: object = None) -> None:
+        super().__init__(message)
+        self.task = task
+
+
+def _describe_task(task: object) -> str:
+    """A compact human-readable identity of a task, for error messages.
+
+    Campaign tasks take several shapes — a bare spec, a ``(mode, spec)``
+    phase-1 tuple, a ``(trace, specs)`` replay group — so this digs out the
+    spec(s) rather than dumping a full configuration repr into the error;
+    any other task is shown as a size-limited repr.
+    """
+
+    def _spec_name(spec: object) -> str:
+        config = getattr(spec, "config", None)
+        name = getattr(config, "name", "?")
+        benchmark = getattr(spec, "benchmark", "?")
+        return f"{name}/{benchmark}"
+
+    if isinstance(task, tuple) and len(task) == 2:
+        first, second = task
+        if isinstance(first, str):
+            return f"{first} cell {_spec_name(second)}"
+        if isinstance(second, (tuple, list)):
+            names = ", ".join(_spec_name(spec) for spec in second)
+            return f"replay group [{names}]"
+    if hasattr(task, "config"):
+        return _spec_name(task)
+    return reprlib.repr(task)
 
 
 class _TaskCrash(Exception):
@@ -67,12 +117,26 @@ class _TaskTimeout(Exception):
     """A task exceeded the per-task timeout; its worker was killed."""
 
 
+def _error_payload():
+    """The reply to a task that raised: its traceback text and exception.
+
+    The exception travels only if it survives a pickle round trip; the
+    parent chains it as the typed error's ``__cause__``.
+    """
+    error = sys.exc_info()[1]
+    try:
+        pickle.loads(pickle.dumps(error))
+    except Exception:  # noqa: BLE001 - one that does not round-trip goes as text
+        error = None
+    return ("error", (traceback.format_exc(), error), warm_snapshot())
+
+
 def _subprocess_main(connection, fn, task) -> None:
     """Fork-per-task child: execute one task, ship (status, payload, warm)."""
     try:
         payload = ("ok", fn(task), warm_snapshot())
     except BaseException:  # noqa: BLE001 - the parent re-raises, typed
-        payload = ("error", traceback.format_exc(), warm_snapshot())
+        payload = _error_payload()
     try:
         connection.send(payload)
     finally:
@@ -98,7 +162,7 @@ def _persistent_worker_main(connection) -> None:
         try:
             payload = ("ok", fn(task), warm_snapshot())
         except BaseException:  # noqa: BLE001 - the parent re-raises, typed
-            payload = ("error", traceback.format_exc(), warm_snapshot())
+            payload = _error_payload()
         try:
             connection.send(payload)
         except (BrokenPipeError, OSError):
@@ -109,16 +173,25 @@ def _persistent_worker_main(connection) -> None:
         pass
 
 
+def _raise_task_error(payload, task) -> None:
+    """Raise a worker's :func:`_error_payload` as :class:`ExecutorTaskError`."""
+    text, cause = payload
+    raise ExecutorTaskError(
+        f"task raised in worker process:\n{text}", task=task
+    ) from cause
+
+
 class _PersistentWorker:
     """Parent-side handle of one long-lived worker process."""
 
     def __init__(self, context, generation: int) -> None:
-        parent_end, child_end = context.Pipe(duplex=True)
-        self.process = context.Process(
-            target=_persistent_worker_main, args=(child_end,), daemon=True
-        )
-        self.process.start()
-        child_end.close()
+        with _SPAWN_LOCK:
+            parent_end, child_end = context.Pipe(duplex=True)
+            self.process = context.Process(
+                target=_persistent_worker_main, args=(child_end,), daemon=True
+            )
+            self.process.start()
+            child_end.close()
         self.connection = parent_end
         self.generation = generation
         #: Last warm-cache counter snapshot this worker reported.
@@ -296,13 +369,14 @@ class WorkerPool:
             except _TaskTimeout as error:
                 raise ExecutorTaskError(
                     f"task exceeded the {self.task_timeout:g}s timeout "
-                    f"({task!r})",
+                    f"({_describe_task(task)})",
                     task=task,
                 ) from error
             except _TaskCrash as error:
                 if attempt >= self.retries:
                     raise ExecutorTaskError(
-                        f"worker process died while executing {task!r} "
+                        "worker process died while executing "
+                        f"{_describe_task(task)} "
                         f"({error}; {attempt + 1} attempt(s))",
                         task=task,
                     ) from error
@@ -338,14 +412,15 @@ class WorkerPool:
             return None
         exitcode = worker.stop(kill=kill)
         with self._lock:
-            for key in _WARM_KEYS:
-                if key in worker.warm:
-                    self._warm_retired[key] = (
-                        self._warm_retired.get(key, 0) + worker.warm[key]
-                    )
+            self._fold_warm_locked(worker.warm)
             self.worker_respawns += 1
             self._generations[slot] += 1
         return exitcode
+
+    def _fold_warm_locked(self, warm: Dict[str, int]) -> None:
+        """Add a finished child's warm-cache counters to the pool's totals."""
+        for key in _WARM_KEYS:
+            self._warm_retired[key] = self._warm_retired.get(key, 0) + warm.get(key, 0)
 
     def _run_keepalive(self, slot: int, fn: Callable, task):
         """Run one task on the slot's persistent worker; watchdog the pipe."""
@@ -370,21 +445,20 @@ class WorkerPool:
             raise _TaskCrash(f"exit code {exitcode}") from error
         worker.warm = dict(warm)
         if status == "error":
-            raise ExecutorTaskError(
-                f"task raised in worker process:\n{payload}", task=task
-            )
+            _raise_task_error(payload, task)
         return payload
 
     # -- fork-per-task fallback ----------------------------------------
     def _run_in_subprocess(self, fn: Callable, task):
         """Run one task in a fresh forked child; kill it on timeout."""
         context = multiprocessing.get_context()
-        receiver, sender = context.Pipe(duplex=False)
-        process = context.Process(
-            target=_subprocess_main, args=(sender, fn, task), daemon=True
-        )
-        process.start()
-        sender.close()
+        with _SPAWN_LOCK:
+            receiver, sender = context.Pipe(duplex=False)
+            process = context.Process(
+                target=_subprocess_main, args=(sender, fn, task), daemon=True
+            )
+            process.start()
+            sender.close()
         try:
             if not receiver.poll(self.task_timeout):
                 process.terminate()
@@ -399,15 +473,9 @@ class WorkerPool:
                 raise _TaskCrash(f"exit code {process.exitcode}") from error
             process.join()
             with self._lock:
-                for key in _WARM_KEYS:
-                    if key in warm:
-                        self._warm_retired[key] = (
-                            self._warm_retired.get(key, 0) + warm[key]
-                        )
+                self._fold_warm_locked(warm)
             if status == "error":
-                raise ExecutorTaskError(
-                    f"task raised in worker process:\n{payload}", task=task
-                )
+                _raise_task_error(payload, task)
             return payload
         finally:
             receiver.close()
@@ -538,7 +606,7 @@ class WorkerPool:
 
         With ``drain=True`` (the default) queued tasks complete first;
         with ``drain=False`` queued-but-unstarted tasks are failed with
-        :class:`~repro.campaign.executors.ExecutorTaskError` and only
+        :class:`ExecutorTaskError` and only
         in-flight ones run to completion.  Persistent worker processes are
         stopped after their threads exit, and any tracked shared-memory
         segments are unlinked.
@@ -578,9 +646,5 @@ class WorkerPool:
             # shutdown metrics() scrapes (a shutdown is not a respawn, so
             # generations stay put).
             for worker in workers:
-                for key in _WARM_KEYS:
-                    if key in worker.warm:
-                        self._warm_retired[key] = (
-                            self._warm_retired.get(key, 0) + worker.warm[key]
-                        )
+                self._fold_warm_locked(worker.warm)
         self._release_all_segments()

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import enum
 import functools
-from dataclasses import dataclass, fields, is_dataclass, replace
+from dataclasses import dataclass, field, fields, is_dataclass, replace
 from typing import Dict, Iterable, Optional, Tuple
 
 from repro.campaign.builder import scale_paper_intervals
@@ -143,6 +143,41 @@ def _field_names(cls) -> Tuple[str, ...]:
     return tuple(field.name for field in fields(cls))
 
 
+@dataclass(frozen=True)
+class ExecutionOptions:
+    """How a campaign's cells execute — never what they compute.
+
+    ``timing_mode`` selects the engines' timing path (``"auto"``,
+    ``"fast"`` or ``"reference"``; the fast path is byte-identical to the
+    per-uop reference wherever ``auto`` takes it) and ``replay_mode`` how a
+    replay group's physics is computed (``"exact"`` per cell,
+    ``"batched"`` multi-RHS, ``"auto"``; see :mod:`repro.sim.group_replay`
+    — batched results match exact ones within rtol/atol 1e-8).  An
+    executor holds one instance; :func:`~repro.campaign.core.run_campaign`
+    stamps it onto every cell it dispatches and echoes it in
+    ``CampaignOutcome.runtime["options"]``.  The options never enter a
+    cache key or a result's provenance, so a cell keeps one identity
+    across modes.
+    """
+
+    timing_mode: str = "auto"
+    replay_mode: str = "exact"
+
+    def __post_init__(self) -> None:
+        from repro.sim.group_replay import validate_replay_mode
+        from repro.sim.stages import TIMING_MODES
+
+        if self.timing_mode not in TIMING_MODES:
+            raise ValueError(
+                f"timing_mode must be one of {', '.join(TIMING_MODES)}, "
+                f"not {self.timing_mode!r}"
+            )
+        object.__setattr__(self, "replay_mode", validate_replay_mode(self.replay_mode))
+
+    def to_dict(self) -> Dict[str, str]:
+        return {"timing_mode": self.timing_mode, "replay_mode": self.replay_mode}
+
+
 def variant_name(config_name: str, dtm_policy: Optional[str]) -> str:
     """Canonical name of a (configuration, DTM policy) combination.
 
@@ -172,14 +207,10 @@ class RunSpec:
     process; ``None`` (the default) simulates without DTM, exactly as before
     the policy axis existed.
 
-    ``replay_mode`` is an *execution* knob, not an identity axis: it selects
-    how a replay group's physics is computed (``"exact"`` per-cell,
-    ``"batched"`` multi-RHS, ``"auto"``; see
-    :mod:`repro.sim.group_replay`), never what the result *is* — batched
-    results match exact ones within rtol/atol 1e-8.  Like the
-    ``REPRO_TIMING_MODE`` env knob, it is deliberately excluded from
-    :meth:`key_material` / :meth:`timing_key_material` / :meth:`provenance`,
-    so cells keep one cache identity across modes.
+    ``options`` are the :class:`ExecutionOptions` the cell runs under —
+    how, not what: they are deliberately excluded from :meth:`key_material`
+    / :meth:`timing_key_material` / :meth:`provenance`, so cells keep one
+    cache identity across modes.
     """
 
     config: ProcessorConfig
@@ -188,12 +219,7 @@ class RunSpec:
     interval_cycles: int
     seed: int
     dtm_policy: Optional[str] = None
-    replay_mode: str = "exact"
-
-    def __post_init__(self) -> None:
-        from repro.sim.group_replay import validate_replay_mode
-
-        object.__setattr__(self, "replay_mode", validate_replay_mode(self.replay_mode))
+    options: ExecutionOptions = field(default_factory=ExecutionOptions)
 
     @property
     def variant(self) -> str:
@@ -322,6 +348,8 @@ class Campaign:
     with the coupled engine instead of trace replay.  ``solver_backend``
     selects the thermal solver factorization for every cell
     (``"auto"``/``"dense"``/``"sparse"``, see :mod:`repro.thermal.solver`).
+    How the cells execute (timing and replay mode) is not part of the
+    campaign: it is the executor's :class:`ExecutionOptions`.
     """
 
     configs: Tuple[ProcessorConfig, ...]
@@ -332,7 +360,6 @@ class Campaign:
     per_core_scenarios: Tuple[Tuple[str, ...], ...] = ()
     contention: Optional[str] = None
     solver_backend: str = "auto"
-    replay_mode: str = "exact"
 
     def __init__(
         self,
@@ -344,7 +371,6 @@ class Campaign:
         per_core_scenarios: Iterable = (),
         contention: Optional[str] = None,
         solver_backend: str = "auto",
-        replay_mode: str = "exact",
     ) -> None:
         object.__setattr__(self, "configs", tuple(configs))
         object.__setattr__(self, "settings", settings)
@@ -353,9 +379,6 @@ class Campaign:
         object.__setattr__(self, "cores", int(cores))
         object.__setattr__(self, "contention", contention)
         object.__setattr__(self, "solver_backend", solver_backend)
-        from repro.sim.group_replay import validate_replay_mode
-
-        object.__setattr__(self, "replay_mode", validate_replay_mode(replay_mode))
         mixes = tuple(
             tuple(mix.split("+")) if isinstance(mix, str) else tuple(mix)
             for mix in per_core_scenarios
@@ -493,7 +516,6 @@ class Campaign:
                                 chip_policy=policy,
                                 contention=self.contention,
                                 solver_backend=self.solver_backend,
-                                replay_mode=self.replay_mode,
                             )
                         )
             return tuple(specs)
@@ -509,7 +531,6 @@ class Campaign:
                             interval_cycles=interval,
                             seed=self.settings.seed,
                             dtm_policy=policy,
-                            replay_mode=self.replay_mode,
                         )
                     )
         return tuple(specs)

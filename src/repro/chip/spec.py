@@ -18,10 +18,10 @@ re-running any per-uop timing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple
 
-from repro.campaign.spec import RunSpec, _jsonable, variant_name
+from repro.campaign.spec import ExecutionOptions, RunSpec, _jsonable, variant_name
 from repro.sim.config import ProcessorConfig
 from repro.sim.serialization import content_key
 
@@ -52,12 +52,10 @@ class ChipRunSpec:
     is not ``"auto"``, because sparse and dense results are equivalent but
     not bit-identical and must not collide in the result cache.
 
-    ``replay_mode`` selects how a replay group computes its physics
-    (``"exact"``/``"batched"``/``"auto"``, see
-    :mod:`repro.sim.group_replay`).  It is an execution knob like the
-    ``REPRO_TIMING_MODE`` env var — deliberately excluded from
-    :meth:`key_material` and :meth:`provenance` so a cell keeps one cache
-    identity across modes.
+    ``options`` are the :class:`~repro.campaign.spec.ExecutionOptions`
+    the cell runs under (timing and replay mode) — deliberately excluded
+    from :meth:`key_material` and :meth:`provenance` so a cell keeps one
+    cache identity across modes.
     """
 
     config: ProcessorConfig
@@ -69,7 +67,7 @@ class ChipRunSpec:
     chip_policy: Optional[str] = None
     contention: Optional[str] = None
     solver_backend: str = "auto"
-    replay_mode: str = "exact"
+    options: ExecutionOptions = field(default_factory=ExecutionOptions)
 
     def __post_init__(self) -> None:
         if self.cores < 1:
@@ -100,9 +98,6 @@ class ChipRunSpec:
             # from the contention-free cell they are identical to.
             if make_contention(self.contention) is None:
                 object.__setattr__(self, "contention", None)
-        from repro.sim.group_replay import validate_replay_mode
-
-        object.__setattr__(self, "replay_mode", validate_replay_mode(self.replay_mode))
 
     # ------------------------------------------------------------------
     @property

@@ -4,13 +4,13 @@ The service layer turns the campaign engine into a long-running,
 multi-client daemon built entirely on the standard library:
 
 * :mod:`repro.service.jobs` — job model, states, progress events;
-* :mod:`repro.service.pool` — the shared worker pool (thread workers, or
-  crash-contained process workers: persistent by default with
+* :class:`WorkerPool` (from :mod:`repro.campaign.pool`, the campaign
+  layer's one process runtime) — the shared worker pool: thread workers,
+  or crash-contained process workers (persistent by default with
   worker-resident warm caches, fork-per-task as a fallback; timeouts,
   bounded retries);
-* :mod:`repro.service.warmcache` — the warm worker runtime: solver/trace
-  warm caches and zero-copy trace transport (re-exported from
-  :mod:`repro.sim.warmcache`);
+* the warm worker runtime of :mod:`repro.sim.warmcache` — solver/trace
+  warm caches and zero-copy trace transport, re-exported here;
 * :mod:`repro.service.cache` — multi-tenant sharded result cache with an
   LRU byte budget and a background janitor;
 * :mod:`repro.service.codec` — the JSON wire format for campaign specs;
@@ -26,18 +26,19 @@ Serve with ``repro-campaign serve``, submit with ``repro-campaign submit``
 ``repro-campaign watch``.
 """
 
+from repro.campaign.pool import WorkerPool
 from repro.service.cache import ShardedResultCache, TenantCacheView
 from repro.service.client import ServiceClient, ServiceError, ServiceUnavailable
 from repro.service.codec import (
     campaign_from_payload,
+    options_from_payload,
     payload_from_options,
     settings_from_payload,
 )
 from repro.service.jobs import Job, JobState, JobStore
 from repro.service.manager import CampaignService, PoolBackedExecutor, results_payload
-from repro.service.pool import WorkerPool
 from repro.service.server import ServiceServer, create_server
-from repro.service.warmcache import (
+from repro.sim.warmcache import (
     TraceRef,
     WarmCache,
     publish_trace,
@@ -64,6 +65,7 @@ __all__ = [
     "WorkerPool",
     "campaign_from_payload",
     "create_server",
+    "options_from_payload",
     "payload_from_options",
     "publish_trace",
     "resolve_trace",

@@ -14,10 +14,14 @@ run`` command builds from its flags, as one JSON object::
         "interval_cycles": null,         # explicit thermal interval
         "dtm_policies": ["none", "dvfs"],
         "cores": 1,
-        "per_core_scenarios": [["thermal_virus", "idle_crawl"]]
+        "per_core_scenarios": [["thermal_virus", "idle_crawl"]],
+        "replay_mode": "exact"           # exact | batched | auto
     }
 
-:func:`campaign_from_payload` validates eagerly — unknown presets,
+:func:`campaign_from_payload` builds the campaign and
+:func:`options_from_payload` the job executor's
+:class:`~repro.campaign.spec.ExecutionOptions` (the payload's
+``replay_mode``).  Both validate eagerly — unknown presets,
 benchmarks or policy specs raise ``ValueError``/``KeyError`` before any
 simulation, which the HTTP layer maps to a 400 — and the CLI's ``submit``
 verb builds exactly this payload from its flags (so a submission that
@@ -31,7 +35,7 @@ from __future__ import annotations
 from dataclasses import replace
 from typing import Dict, Iterable, Optional, Tuple
 
-from repro.campaign.spec import Campaign, ExperimentSettings
+from repro.campaign.spec import Campaign, ExecutionOptions, ExperimentSettings
 
 _SCALES = ("smoke", "quick", "full")
 
@@ -119,8 +123,12 @@ def campaign_from_payload(payload: Dict) -> Campaign:
         dtm_policies=tuple(payload.get("dtm_policies") or ()),
         cores=int(cores),
         per_core_scenarios=mixes,
-        replay_mode=str(payload.get("replay_mode") or "exact"),
     )
+
+
+def options_from_payload(payload: Dict) -> ExecutionOptions:
+    """The execution options a campaign spec payload asks for."""
+    return ExecutionOptions(replay_mode=str(payload.get("replay_mode") or "exact"))
 
 
 def payload_from_options(

@@ -5,15 +5,16 @@
 * a :class:`~repro.service.jobs.JobStore` of submitted jobs;
 * a bounded set of *job slots* (``max_concurrent_jobs``) — submissions
   beyond the bound queue as PENDING in FIFO order;
-* one shared :class:`~repro.service.pool.WorkerPool` every running job
+* one shared :class:`~repro.campaign.pool.WorkerPool` every running job
   fans its cells into; and
 * an optional shared :class:`~repro.service.cache.ShardedResultCache`,
   viewed per tenant.
 
 Each job executes through the REAL campaign path — a running job calls
 :func:`repro.campaign.run_campaign` with a :class:`PoolBackedExecutor`
-(an :class:`~repro.campaign.executors.Executor` whose ``run_tasks`` fans
-out over the shared pool) — so a campaign submitted over HTTP takes
+(a :class:`~repro.campaign.executors.ParallelExecutor` over the shared
+pool, under the execution options of the job's payload) — so a campaign
+submitted over HTTP takes
 *exactly* the code path of a local run: same cache lookups, same
 timing-key grouping, same capture-once/replay-rest planning, bit-identical
 results.  Two things are layered on top:
@@ -39,16 +40,16 @@ from __future__ import annotations
 
 import threading
 import time
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional
 
 from repro.campaign.core import CampaignOutcome, run_campaign
-from repro.campaign.executors import Executor
+from repro.campaign.executors import Executor, ParallelExecutor
+from repro.campaign.pool import WorkerPool
+from repro.campaign.spec import ExecutionOptions
 from repro.service.cache import ShardedResultCache
-from repro.service.codec import campaign_from_payload
+from repro.service.codec import campaign_from_payload, options_from_payload
 from repro.service.jobs import Job, JobState, JobStore
-from repro.service.pool import WorkerPool
 from repro.sim.serialization import result_to_dict
-from repro.sim.warmcache import publish_trace
 
 
 class JobCancelled(Exception):
@@ -74,22 +75,30 @@ def _progress_of(fn, task) -> (str, int):
     return kind, 1
 
 
-class PoolBackedExecutor(Executor):
-    """A campaign :class:`Executor` that fans out over a shared WorkerPool.
+class PoolBackedExecutor(ParallelExecutor):
+    """A :class:`ParallelExecutor` over the service's shared WorkerPool.
 
     One instance per running job (``cells_executed`` accounting in
     :func:`run_campaign` is per-executor), all instances feeding the same
-    pool.  Task completions report progress to the job; the job's cancel
-    flag is checked before each submission and while waiting, turning a
-    ``DELETE`` into a :class:`JobCancelled` at the next task boundary.
+    pool, which belongs to the service: :meth:`close` leaves it running.
+    Task completions report progress to the job; the job's cancel flag is
+    checked before each submission and while waiting, turning a ``DELETE``
+    into a :class:`JobCancelled` at the next task boundary.
     """
 
     #: How often the result wait wakes up to re-check the cancel flag.
     _POLL_SECONDS = 0.1
 
-    def __init__(self, pool: WorkerPool, job: Optional[Job] = None) -> None:
-        super().__init__()
+    def __init__(
+        self,
+        pool: WorkerPool,
+        job: Optional[Job] = None,
+        options: Optional[ExecutionOptions] = None,
+    ) -> None:
+        # Not ParallelExecutor.__init__: the pool is shared, not private.
+        Executor.__init__(self, options)
         self.pool = pool
+        self.jobs = pool.workers
         self.job = job
 
     def describe(self) -> str:
@@ -97,88 +106,30 @@ class PoolBackedExecutor(Executor):
             f"PoolBackedExecutor({self.pool.workers} {self.pool.mode} workers)"
         )
 
-    def runtime_info(self) -> Dict[str, object]:
-        return self.pool.runtime_info()
+    def close(self) -> None:
+        """The shared pool outlives every job; the service shuts it down."""
 
     def _check_cancelled(self) -> None:
         if self.job is not None and self.job.cancelled:
             raise JobCancelled()
 
-    def _prepare_tasks(self, fn, tasks: Sequence):
-        """Swap replay-task trace payloads for zero-copy TraceRefs.
-
-        Only meaningful for process pools (thread workers share this
-        process's memory, so shipping the object is already free).  Each
-        trace travels as its cache artifact path when the campaign cache
-        stamped one, else as a freshly created shared-memory segment —
-        tracked with the pool so shutdown can unlink leftovers.  Returns
-        ``(prepared_tasks, handles)``; the caller must release every handle
-        once the fan-out is done.
-        """
-        name = getattr(fn, "__name__", "")
-        if self.pool.mode != "process" or name not in (
-            "execute_replay_group",
-            "execute_chip_replay_group",
-        ):
-            return list(tasks), []
-        handles: List = []
-        published: Dict[int, object] = {}
-
-        def _publish(trace, key: str):
-            # Chip groups repeat the same trace object across cores and
-            # tasks; publish each distinct object once.
-            payload = published.get(id(trace))
-            if payload is None:
-                payload, handle = publish_trace(trace, key)
-                if handle is not None:
-                    handles.append(handle)
-                    self.pool.track_segment(handle)
-                published[id(trace)] = payload
-            return payload
-
-        prepared: List = []
-        for traces, specs in tasks:
-            specs = tuple(specs)
-            if name == "execute_replay_group":
-                prepared.append((_publish(traces, specs[0].timing_key()), specs))
-            else:
-                keys = [core.timing_key() for core in specs[0].core_specs()]
-                published_traces = tuple(
-                    _publish(trace, key) for trace, key in zip(traces, keys)
-                )
-                prepared.append((published_traces, specs))
-        return prepared, handles
-
-    def run_tasks(self, fn, tasks: Sequence) -> List:
+    def _submit(self, fn, task):
         self._check_cancelled()
-        tasks, handles = self._prepare_tasks(fn, tasks)
-        try:
-            futures = []
-            for task in tasks:
+        return super()._submit(fn, task)
+
+    def _collect(self, fn, task, future):
+        while True:
+            try:
+                result = future.result(timeout=self._POLL_SECONDS)
+                break
+            except TimeoutError:
+                # Abandoning the futures on cancel is safe: the pool
+                # finishes in-flight tasks and discards the results.
                 self._check_cancelled()
-                futures.append(self.pool.submit(fn, task))
-            results = []
-            for task, future in zip(tasks, futures):
-                while True:
-                    try:
-                        result = future.result(timeout=self._POLL_SECONDS)
-                        break
-                    except TimeoutError:
-                        # Abandoning the futures on cancel is safe: the pool
-                        # finishes in-flight tasks and discards the results.
-                        self._check_cancelled()
-                results.append(result)
-                if self.job is not None:
-                    kind, cells = _progress_of(fn, task)
-                    self.job.record_progress(kind, cells)
-            return results
-        finally:
-            # Unlink this fan-out's shared-memory segments.  On a cancel,
-            # a queued task that attaches after the unlink fails and is
-            # surfaced by the pool as an ordinary task error — its future
-            # was already abandoned.
-            for handle in handles:
-                self.pool.release_segment(handle)
+        if self.job is not None:
+            kind, cells = _progress_of(fn, task)
+            self.job.record_progress(kind, cells)
+        return result
 
 
 class _TraceRegistry:
@@ -292,9 +243,13 @@ class CampaignService:
         if not self._accepting:
             raise RuntimeError("service is shutting down")
         campaign = campaign_from_payload(payload)
+        options = options_from_payload(payload)
         job = self.store.create(campaign, payload=payload, tenant=tenant)
         thread = threading.Thread(
-            target=self._run_job, args=(job,), name=f"repro-job-{job.id}", daemon=True
+            target=self._run_job,
+            args=(job, options),
+            name=f"repro-job-{job.id}",
+            daemon=True,
         )
         with self._threads_lock:
             self._job_threads.append(thread)
@@ -321,7 +276,7 @@ class CampaignService:
         )
         return _TraceGate(view, self._registry, job)
 
-    def _run_job(self, job: Job) -> None:
+    def _run_job(self, job: Job, options: ExecutionOptions) -> None:
         # PENDING jobs wait for a slot, staying responsive to cancellation.
         while not self._slots.acquire(timeout=0.1):
             if job.cancelled:
@@ -332,7 +287,7 @@ class CampaignService:
                 job.mark_cancelled()
                 return
             job.mark_running()
-            executor = PoolBackedExecutor(self.pool, job)
+            executor = PoolBackedExecutor(self.pool, job, options)
             gate = self._job_cache(job)
             try:
                 outcome = run_campaign(

@@ -5,10 +5,10 @@ first interval is solved: building the RC network, LU-factorizing the
 :class:`~repro.thermal.solver.ThermalSolver`, and decoding the captured
 :class:`~repro.sim.activity_trace.ActivityTrace` from its compressed binary
 form.  All three are pure functions of immutable inputs, so a long-lived
-worker (a persistent :class:`~repro.service.pool.WorkerPool` child, a
-:class:`~repro.campaign.executors.ParallelExecutor` pool process, or the
-serial path itself) can pay them once and reuse the products across every
-task it runs.  This module is that reuse point:
+worker (a persistent :class:`~repro.campaign.pool.WorkerPool` child —
+behind a :class:`~repro.campaign.executors.ParallelExecutor` or the
+service — or the serial path itself) can pay them once and reuse the
+products across every task it runs.  This module is that reuse point:
 
 * **Solver bundles** — ``(ThermalRCNetwork, ThermalSolver)`` pairs in a
   bounded LRU keyed by the floorplan geometry + thermal config + solver
@@ -32,13 +32,13 @@ Reuse never changes results: a cached solver holds factorizations and
 propagators, not run state, and an identical factorization produces an
 identical solve — the replay outputs stay byte-identical to a cold run
 (locked by the service equivalence tests).  The whole cache can be disabled
-with ``REPRO_WARM_CACHE=0``; like the timing/replay mode knobs it is an
-*execution* knob and deliberately not part of any cache key.
+with ``REPRO_WARM_CACHE=0``; it is an *execution* knob and deliberately
+not part of any cache key.
 
 Layering: this lives in :mod:`repro.sim` (below the campaign and service
 layers) so :class:`~repro.sim.engine.PhysicsStage` and
 :mod:`~repro.sim.group_replay` can consult it without upward imports;
-:mod:`repro.service.warmcache` re-exports it for the service runtime.
+:mod:`repro.service` re-exports its public names.
 """
 
 from __future__ import annotations
@@ -67,11 +67,9 @@ from repro.thermal.solver import ThermalSolver
 #: Deliberately NOT part of any cache key — it cannot change results.
 WARM_CACHE_ENV = "REPRO_WARM_CACHE"
 
-#: Bounds for the two LRUs (overridable via environment for experiments).
-WARM_SOLVER_ENTRIES_ENV = "REPRO_WARM_SOLVERS"
-WARM_TRACE_ENTRIES_ENV = "REPRO_WARM_TRACES"
-DEFAULT_SOLVER_ENTRIES = 8
-DEFAULT_TRACE_ENTRIES = 4
+#: Bounds of the two LRUs.
+SOLVER_ENTRIES = 8
+TRACE_ENTRIES = 4
 
 _FALSE_VALUES = ("0", "false", "off", "no")
 
@@ -79,14 +77,6 @@ _FALSE_VALUES = ("0", "false", "off", "no")
 def warm_cache_enabled() -> bool:
     """Whether warm reuse is on (default) — reads ``REPRO_WARM_CACHE``."""
     return os.environ.get(WARM_CACHE_ENV, "1").strip().lower() not in _FALSE_VALUES
-
-
-def _env_bound(name: str, default: int) -> int:
-    try:
-        value = int(os.environ.get(name, ""))
-    except ValueError:
-        return default
-    return max(1, value)
 
 
 def solver_key(floorplan, thermal_config, backend: str, ordering: str) -> str:
@@ -157,17 +147,7 @@ class WarmCache:
     factorizations (read-only at solve time) and traces are frozen.
     """
 
-    def __init__(
-        self,
-        max_solvers: Optional[int] = None,
-        max_traces: Optional[int] = None,
-    ) -> None:
-        self.max_solvers = max_solvers or _env_bound(
-            WARM_SOLVER_ENTRIES_ENV, DEFAULT_SOLVER_ENTRIES
-        )
-        self.max_traces = max_traces or _env_bound(
-            WARM_TRACE_ENTRIES_ENV, DEFAULT_TRACE_ENTRIES
-        )
+    def __init__(self) -> None:
         self._lock = threading.Lock()
         self._solvers: "OrderedDict[str, Tuple[ThermalRCNetwork, ThermalSolver]]" = (
             OrderedDict()
@@ -192,7 +172,7 @@ class WarmCache:
             self.solver_misses += 1
             self._solvers[key] = bundle
             self._solvers.move_to_end(key)
-            while len(self._solvers) > self.max_solvers:
+            while len(self._solvers) > SOLVER_ENTRIES:
                 self._solvers.popitem(last=False)
 
     # -- decoded traces ------------------------------------------------
@@ -209,7 +189,7 @@ class WarmCache:
             self.trace_misses += 1
             self._traces[key] = trace
             self._traces.move_to_end(key)
-            while len(self._traces) > self.max_traces:
+            while len(self._traces) > TRACE_ENTRIES:
                 self._traces.popitem(last=False)
 
     # -- observability -------------------------------------------------
@@ -228,8 +208,8 @@ class WarmCache:
             return {
                 "solvers_cached": len(self._solvers),
                 "traces_cached": len(self._traces),
-                "max_solvers": self.max_solvers,
-                "max_traces": self.max_traces,
+                "max_solvers": SOLVER_ENTRIES,
+                "max_traces": TRACE_ENTRIES,
             }
 
     def clear(self) -> None:
@@ -310,7 +290,7 @@ def _attach_shm(name: str):
     that entry and make the creator's eventual ``unlink()`` complain, so
     the duplicate registration is deliberately left alone (the parent
     starts the tracker before any worker forks; see
-    :class:`~repro.service.pool.WorkerPool`).
+    :class:`~repro.campaign.pool.WorkerPool`).
     """
     from multiprocessing import shared_memory
 

@@ -158,25 +158,23 @@ def _exit_on_marker_benchmark(task):
 
 def test_parallel_executor_reports_killed_worker_as_typed_error():
     """A worker process dying mid-task surfaces as ExecutorTaskError with
-    the failed task attached, not as a raw BrokenProcessPool."""
-    from concurrent.futures.process import BrokenProcessPool
-
+    the failed task attached and named briefly, caused by the pool's crash
+    error."""
     from repro.campaign.executors import ExecutorTaskError
+    from repro.campaign.pool import _TaskCrash
 
-    executor = ParallelExecutor(jobs=2)
     settings = ExperimentSettings(
         benchmarks=("gzip", "swim"), uops_per_benchmark=1_000
     )
-    # Two specs so the pool path runs (a single task degrades to inline
-    # execution, where killing the "worker" would kill the test process).
     specs = Campaign.single(baseline_config(), settings).cells()
-    with pytest.raises(ExecutorTaskError) as excinfo:
-        executor.run_tasks(_exit_on_marker_benchmark, specs)
-    assert "worker process died" in str(excinfo.value)
-    assert "gzip" in str(excinfo.value)  # the failed spec is identified
+    with ParallelExecutor(jobs=2) as executor:
+        with pytest.raises(ExecutorTaskError) as excinfo:
+            executor.run_tasks(_exit_on_marker_benchmark, specs)
+    message = str(excinfo.value)
+    assert "worker process died while executing baseline/gzip" in message
+    assert "ProcessorConfig" not in message and len(message) < 200
     assert excinfo.value.task is specs[0]
-    assert not isinstance(excinfo.value, BrokenProcessPool)
-    assert isinstance(excinfo.value.__cause__, BrokenProcessPool)
+    assert isinstance(excinfo.value.__cause__, _TaskCrash)
 
 
 def test_parallel_executor_still_runs_after_typed_failure():

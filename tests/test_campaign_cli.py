@@ -178,23 +178,37 @@ def test_run_chip_campaign_from_cli(tmp_path, capsys):
     assert summary["benchmarks"] == ["thermal_virus+idle_crawl"]
 
 
-def test_run_restores_the_execution_mode_environment(tmp_path, monkeypatch, capsys):
-    """``run`` hands its mode flags to the campaign through the environment,
-    and must restore it afterwards — on success and on error alike — so
-    later campaigns of the same process keep their own modes."""
-    from repro.campaign.executors import resolved_replay_mode, resolved_timing_mode
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_cell_domain_error_reports_alike_serial_and_parallel(jobs, monkeypatch, capsys):
+    """A ValueError raised inside a cell is a domain error (exit 2) whether
+    the cell ran in this process or in a worker process."""
+    monkeypatch.setenv("REPRO_NATIVE", "0")
+    argv = [
+        "run", "--configs", "baseline", "--benchmarks", "gzip,swim",
+        "--uops", "600", "--jobs", jobs, "--timing-mode", "fast",
+    ]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("repro-campaign: error: timing_mode='fast' is not applicable")
 
-    monkeypatch.delenv("REPRO_TIMING_MODE", raising=False)
-    monkeypatch.setenv("REPRO_REPLAY_MODE", "exact")
-    modes = ["--replay-mode", "batched", "--timing-mode", "reference"]
-    argv = ["run", "--configs", "baseline", "--benchmarks", "gzip", "--uops", "800"]
-    assert main(argv + modes + ["--output", str(tmp_path / "s.json")]) == 0
-    assert "REPRO_TIMING_MODE" not in os.environ
-    assert resolved_timing_mode() == "auto"
-    assert resolved_replay_mode("exact") == "exact"
 
-    # A domain error raised mid-run also leaves the environment untouched.
-    assert main(["run", "--configs", "no_such_preset"] + modes) == 2
-    assert "REPRO_TIMING_MODE" not in os.environ
-    assert os.environ["REPRO_REPLAY_MODE"] == "exact"
+def test_run_passes_modes_as_executor_options(tmp_path, capsys):
+    """``run --jobs 2 --timing-mode reference`` hands its modes to the
+    executor, not to the environment, and echoes them in the runtime."""
+    environment = dict(os.environ)
+    output = tmp_path / "s.json"
+    argv = [
+        "run", "--configs", "baseline", "--benchmarks", "gzip,swim",
+        "--uops", "800", "--jobs", "2", "--timing-mode", "reference",
+        "--output", str(output),
+    ]
+    assert main(argv) == 0
+    assert dict(os.environ) == environment
+    runtime = json.loads(output.read_text())["runtime"]
+    assert runtime["options"] == {"timing_mode": "reference", "replay_mode": "exact"}
+    assert runtime["mode"] == "process" and runtime["workers"] == 2
+
+    # A domain error raised mid-run leaves the environment untouched too.
+    assert main(["run", "--configs", "no_such_preset", "--jobs", "2"]) == 2
+    assert dict(os.environ) == environment
     capsys.readouterr()

@@ -15,6 +15,7 @@ import math
 import numpy as np
 import pytest
 
+from repro.campaign import ExecutionOptions
 from repro.chip import (
     ChipEngine,
     build_chip_physics,
@@ -192,7 +193,7 @@ def test_batched_replay_within_tolerance_on_every_layout(mix):
                     trace_uops=(2500,) * len(mix),
                     interval_cycles=INTERVAL,
                     seed=5,
-                    replay_mode=mode,
+                    options=ExecutionOptions(replay_mode=mode),
                 )
                 for variant in variants
             ]

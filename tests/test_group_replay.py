@@ -9,28 +9,31 @@ golden fixtures, which ``test_campaign_replay.py`` locks).  These tests
 cover both sides of the contract across hopping (gated) traces, the
 ``none``-policy telemetry reconstruction, mixed thermal axes
 (sub-grouping), truncated replays, chip replay groups, and the parallel and
-service-pool executors; the single-cell short-circuit is asserted by
+service-pool executors (which carry the replay mode as their
+``ExecutionOptions``); the single-cell short-circuit is asserted by
 counting batch solves.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import os
 
 import numpy as np
 import pytest
 
 from repro.campaign import (
     Campaign,
+    ExecutionOptions,
     ExperimentSettings,
     ParallelExecutor,
     SerialExecutor,
     run_campaign,
 )
 from repro.campaign.executors import (
+    execute_campaign_task,
     execute_cell_capture,
     execute_replay_group,
-    resolved_replay_mode,
 )
 from repro.campaign.spec import RunSpec
 from repro.core.presets import bank_hopping_config, baseline_config
@@ -46,6 +49,7 @@ from repro.thermal.solver import ThermalSolver
 
 TOL = dict(rtol=BATCHED_RTOL, atol=BATCHED_ATOL)
 APPROX = dict(rel=BATCHED_RTOL, abs=BATCHED_ATOL)
+BATCHED = ExecutionOptions(replay_mode="batched")
 
 
 def _arr(mapping):
@@ -336,7 +340,7 @@ def test_single_cell_group_performs_zero_batch_solves(captured, monkeypatch):
     """A 1-cell group short-circuits straight to the exact path."""
     spec, trace = captured
     counter = _BatchCounter(monkeypatch)
-    batched_spec = dataclasses.replace(spec, replay_mode="batched")
+    batched_spec = dataclasses.replace(spec, options=BATCHED)
     results = execute_replay_group((trace, [batched_spec]))
     assert counter.batch_ops == 0
     assert len(results) == 1 and results[0].provenance["replayed"] is True
@@ -356,50 +360,53 @@ def test_replay_mode_validation():
     with pytest.raises(ValueError, match="replay_mode"):
         validate_replay_mode("fast")
     with pytest.raises(ValueError, match="replay_mode"):
-        RunSpec(
-            config=baseline_config(),
-            benchmark="gzip",
-            trace_uops=100,
-            interval_cycles=800,
-            seed=1,
-            replay_mode="bogus",
-        )
-    with pytest.raises(ValueError, match="replay_mode"):
-        Campaign(
-            (baseline_config(),),
-            ExperimentSettings.smoke(),
-            replay_mode="bogus",
-        )
+        ExecutionOptions(replay_mode="bogus")
+    with pytest.raises(ValueError, match="timing_mode"):
+        ExecutionOptions(timing_mode="bogus")
 
 
 def test_replay_mode_is_not_part_of_any_cache_key(captured):
     spec, _ = captured
-    batched_spec = dataclasses.replace(spec, replay_mode="batched")
+    batched_spec = dataclasses.replace(spec, options=BATCHED)
     assert spec.cache_key() == batched_spec.cache_key()
     assert spec.timing_key() == batched_spec.timing_key()
     assert "replay_mode" not in spec.provenance()
 
 
-def test_env_override_wins(monkeypatch):
-    monkeypatch.setenv("REPRO_REPLAY_MODE", "batched")
-    assert resolved_replay_mode("exact") == "batched"
-    monkeypatch.delenv("REPRO_REPLAY_MODE")
-    assert resolved_replay_mode("auto") == "auto"
-    monkeypatch.setenv("REPRO_REPLAY_MODE", "bogus")
-    with pytest.raises(ValueError, match="replay_mode"):
-        resolved_replay_mode("exact")
-
-
 # ----------------------------------------------------------------------
 # Campaign / executor integration
 # ----------------------------------------------------------------------
-def _sweep_campaign(replay_mode, benchmarks=("gzip",), uops=2_000):
+def _sweep_campaign(name, benchmarks=("gzip",), uops=2_000):
     settings = ExperimentSettings(
         benchmarks=benchmarks, uops_per_benchmark=uops, seed=7
     )
-    return Campaign(
-        _variants(), settings, name=f"sweep_{replay_mode}", replay_mode=replay_mode
-    )
+    return Campaign(_variants(), settings, name=f"sweep_{name}")
+
+
+def _run_recording_options(task):
+    """Module-level (picklable) phase-1 task fn that records, on the
+    result, the options its worker process saw on the spec."""
+    result, trace = execute_campaign_task(task)
+    result.provenance["seen"] = (os.getpid(), task[1].options)
+    return result, trace
+
+
+def test_parallel_executor_carries_options_to_workers(monkeypatch):
+    from repro.campaign import core
+
+    monkeypatch.setattr(core, "execute_campaign_task", _run_recording_options)
+    options = ExecutionOptions("reference", "batched")
+    with ParallelExecutor(jobs=2, options=options) as executor:
+        outcome = run_campaign(_sweep_campaign("options"), executor, replay=False)
+    seen = [
+        result.provenance["seen"]
+        for summary in outcome.summaries.values()
+        for result in summary.results.values()
+    ]
+    assert len(seen) == 4
+    assert {options} == {seen_options for _, seen_options in seen}
+    assert os.getpid() not in {pid for pid, _ in seen}
+    assert outcome.runtime["options"] == options.to_dict()
 
 
 def _peaks(outcome):
@@ -412,7 +419,9 @@ def _peaks(outcome):
 
 def test_campaign_batched_equals_exact_end_to_end():
     exact = run_campaign(_sweep_campaign("exact"), executor=SerialExecutor())
-    batched = run_campaign(_sweep_campaign("batched"), executor=SerialExecutor())
+    batched = run_campaign(
+        _sweep_campaign("batched"), executor=SerialExecutor(BATCHED)
+    )
     assert batched.cells_replayed == exact.cells_replayed == 3
     expected = _peaks(exact)
     actual = _peaks(batched)
@@ -423,22 +432,22 @@ def test_campaign_batched_equals_exact_end_to_end():
 
 def test_parallel_executor_runs_batched_groups():
     exact = run_campaign(_sweep_campaign("exact"), executor=SerialExecutor())
-    batched = run_campaign(
-        _sweep_campaign("batched"), executor=ParallelExecutor(jobs=2)
-    )
+    with ParallelExecutor(jobs=2, options=BATCHED) as executor:
+        batched = run_campaign(_sweep_campaign("batched"), executor=executor)
     expected, actual = _peaks(exact), _peaks(batched)
     for key, value in expected.items():
         assert actual[key] == pytest.approx(value, **APPROX)
 
 
 def test_service_pool_executor_runs_batched_groups():
+    from repro.campaign.pool import WorkerPool
     from repro.service.manager import PoolBackedExecutor
-    from repro.service.pool import WorkerPool
 
     pool = WorkerPool(workers=2, mode="thread")
     try:
         batched = run_campaign(
-            _sweep_campaign("batched"), executor=PoolBackedExecutor(pool)
+            _sweep_campaign("batched"),
+            executor=PoolBackedExecutor(pool, options=BATCHED),
         )
     finally:
         pool.shutdown(drain=False)
@@ -449,15 +458,24 @@ def test_service_pool_executor_runs_batched_groups():
 
 
 def test_service_codec_carries_replay_mode():
-    from repro.service.codec import campaign_from_payload, payload_from_options
+    from repro.service import CampaignService, WorkerPool
+    from repro.service.codec import options_from_payload, payload_from_options
 
-    payload = payload_from_options(scale="smoke", replay_mode="batched")
-    campaign = campaign_from_payload(payload)
-    assert campaign.replay_mode == "batched"
-    assert all(cell.replay_mode == "batched" for cell in campaign.cells())
-    assert campaign_from_payload({"scale": "smoke"}).replay_mode == "exact"
+    payload = payload_from_options(
+        scale="smoke", benchmarks=["gzip"], uops=1_000, replay_mode="batched"
+    )
+    assert options_from_payload(payload) == BATCHED
+    assert options_from_payload({"scale": "smoke"}) == ExecutionOptions()
     with pytest.raises(ValueError, match="replay_mode"):
-        campaign_from_payload({"scale": "smoke", "replay_mode": "bogus"})
+        options_from_payload({"scale": "smoke", "replay_mode": "bogus"})
+
+    # The job's executor runs under the payload's options.
+    service = CampaignService(pool=WorkerPool(workers=1, mode="thread"))
+    job = service.submit(payload)
+    service.shutdown(drain=True, timeout=60)
+    assert job.state.value == "done", job.error
+    runtime = job.results["outcome"]["runtime"]
+    assert runtime["options"] == BATCHED.to_dict()
 
 
 # ----------------------------------------------------------------------
@@ -489,7 +507,7 @@ def test_chip_batched_matches_exact(monkeypatch):
                     trace_uops=(2_000, 2_000),
                     interval_cycles=interval_cycles,
                     seed=7,
-                    replay_mode=mode,
+                    options=ExecutionOptions(replay_mode=mode),
                 )
                 for v in _variants()
             ]
@@ -525,14 +543,10 @@ def test_chip_campaign_batched_equals_exact_end_to_end():
     )
     outcomes = {}
     for mode in ("exact", "batched"):
-        campaign = Campaign(
-            _variants(),
-            settings,
-            name=f"chip_{mode}",
-            cores=2,
-            replay_mode=mode,
+        campaign = Campaign(_variants(), settings, name=f"chip_{mode}", cores=2)
+        outcomes[mode] = run_campaign(
+            campaign, executor=SerialExecutor(ExecutionOptions(replay_mode=mode))
         )
-        outcomes[mode] = run_campaign(campaign, executor=SerialExecutor())
     expected, actual = _peaks(outcomes["exact"]), _peaks(outcomes["batched"])
     assert expected.keys() == actual.keys()
     for key, value in expected.items():

@@ -7,7 +7,7 @@ import time
 import pytest
 
 from repro.campaign.executors import ExecutorTaskError
-from repro.service.pool import WorkerPool
+from repro.campaign.pool import WorkerPool
 
 
 def _double(task):
@@ -105,6 +105,7 @@ def test_process_mode_task_exception_not_retried():
         with pytest.raises(ExecutorTaskError, match="bad task 7") as excinfo:
             future.result(timeout=30)
         assert excinfo.value.task == 7
+        assert isinstance(excinfo.value.__cause__, ValueError)
         assert pool.metrics()["tasks_retried"] == 0
     finally:
         pool.shutdown()

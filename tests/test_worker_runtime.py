@@ -36,7 +36,7 @@ from repro.campaign.executors import (
 from repro.core.presets import baseline_config, distributed_frontend_config
 from repro.power.energy import build_block_parameters
 from repro.service.manager import PoolBackedExecutor
-from repro.service.pool import WorkerPool
+from repro.campaign.pool import WorkerPool
 from repro.sim import blocks
 from repro.sim.serialization import result_to_dict
 from repro.sim.warmcache import (
@@ -236,6 +236,34 @@ def test_shutdown_stops_persistent_workers():
     while multiprocessing.active_children() and time.monotonic() < deadline:
         time.sleep(0.05)
     assert not multiprocessing.active_children()
+
+
+def _pid_after_nap(task):
+    time.sleep(0.05)
+    return os.getpid()
+
+
+def test_workers_spawned_together_shut_down_promptly():
+    """Two slots fork their workers at the same moment; neither child may
+    inherit the other's pipe ends, or the other's exit goes unseen until
+    the shutdown's 5 s join timeout runs out.  A tiny thread switch
+    interval lets the second slot run between the first one's fork and
+    its closing the child's pipe ends, as a slow fork of a large process
+    does."""
+    import sys
+
+    previous = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(8):
+            pool = WorkerPool(workers=4, mode="process")
+            futures = [pool.submit(_pid_after_nap, i) for i in range(4)]
+            assert all(future.result(timeout=30) > 0 for future in futures)
+            started = time.monotonic()
+            pool.shutdown()
+            assert time.monotonic() - started < 2.5
+    finally:
+        sys.setswitchinterval(previous)
 
 
 # ----------------------------------------------------------------------

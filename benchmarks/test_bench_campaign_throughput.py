@@ -124,7 +124,7 @@ def _timed_replay_phase(trace, specs, mode: str, repeats: int = 3) -> dict:
     best = float("inf")
     for _ in range(repeats):
         start = time.perf_counter()
-        results = execute_replay_group((trace, mode_specs))
+        results = execute_replay_group(((trace,), mode_specs))
         best = min(best, time.perf_counter() - start)
     assert len(results) == len(specs)
     return {

@@ -225,7 +225,7 @@ def _runtime_tasks():
             ),
         )
         variants.append(dataclasses.replace(spec, config=config))
-    return trace, [(trace, tuple(variants))] * RUNTIME_TASKS
+    return trace, [((trace,), tuple(variants))] * RUNTIME_TASKS
 
 
 def _run_runtime_phase(keepalive: bool, tasks) -> tuple:

@@ -2,19 +2,26 @@
 
 :func:`run_campaign` is the single execution path of every experiment in the
 reproduction.  It expands a declarative :class:`~repro.campaign.spec.Campaign`
-into independent cells, satisfies as many as possible from the optional
-:class:`~repro.campaign.cache.ResultCache`, and routes the remainder through
-the two-stage simulation core:
+into independent cells and runs them through one two-stage plan, the same
+for single-core (:class:`~repro.campaign.spec.RunSpec`) and chip
+(:class:`~repro.chip.ChipRunSpec`) cells.  A cell's timing is the
+single-core timing runs its :meth:`~repro.campaign.spec.RunSpec.core_specs`
+name — a chip cell's threads, or a single-core cell itself, its own
+one-thread layout:
 
-1. cells whose timing depends on their physics (thermal-aware mapping,
-   feedback-bearing DTM — see :meth:`RunSpec.replay_reason`) run the exact
-   *coupled* path, as before;
-2. replay-eligible cells are grouped by
-   :meth:`~repro.campaign.spec.RunSpec.timing_key`; each group captures its
-   per-uop timing simulation **once** (an
-   :class:`~repro.sim.activity_trace.ActivityTrace`, stored as a
-   content-keyed artifact in the cache) and every other cell of the group
-   *replays* the physics stage over the shared trace — bit-identical to the
+1. cells the optional :class:`~repro.campaign.cache.ResultCache` holds are
+   loaded;
+2. cells whose timing depends on their physics (thermal-aware mapping,
+   feedback-bearing DTM, thread migration — see ``replay_reason()``) run
+   the exact *coupled* path; the rest are grouped by the tuple of their
+   core :meth:`~repro.campaign.spec.RunSpec.timing_key` values;
+3. each group's traces (:class:`~repro.sim.activity_trace.ActivityTrace`,
+   content-keyed artifacts in the cache) are loaded, or captured **once**
+   when a cell other than the capturing one replays them or a cache keeps
+   them;
+4. captures and coupled cells run in one fan-out (a capture of a pending
+   single-core cell fills that cell), and every group then *replays* the
+   physics stage over its traces in one task — bit-identical to the
    coupled run, at array-pipeline speed.
 
 Fresh results are stored back into the cache, and everything folds into
@@ -36,11 +43,9 @@ from repro.campaign.executors import (
     Executor,
     SerialExecutor,
     execute_campaign_task,
-    execute_chip_cell,
-    execute_chip_replay_group,
     execute_replay_group,
 )
-from repro.campaign.spec import Campaign, ExecutionOptions, ExperimentSettings, RunSpec
+from repro.campaign.spec import Campaign, ExecutionOptions, ExperimentSettings
 from repro.campaign.summary import ConfigurationSummary
 from repro.sim.activity_trace import ActivityTrace
 from repro.sim.config import ProcessorConfig
@@ -56,8 +61,8 @@ class CampaignOutcome:
     #: — or, when the campaign has a DTM policy axis, by the
     #: ``"<config>@<policy>"`` variant name (see :attr:`RunSpec.variant`).
     summaries: Dict[str, ConfigurationSummary] = field(default_factory=dict)
-    #: Number of cells that ran a coupled timing simulation (captures
-    #: included) in the executor.
+    #: Number of timing simulations the executor ran: coupled cells and
+    #: trace captures (a chip thread's capture included).
     cells_executed: int = 0
     #: Number of cells satisfied by replaying a shared activity trace.
     cells_replayed: int = 0
@@ -105,92 +110,9 @@ class CampaignOutcome:
         )
 
 
-def _plan_two_stage(
-    pending: Sequence[Tuple[int, RunSpec]],
-    cache: Optional[ResultCache],
-) -> Tuple[
-    Dict[str, List[Tuple[int, RunSpec]]],
-    List[Tuple[int, RunSpec, Optional[str]]],
-    Dict[str, ActivityTrace],
-]:
-    """Split pending cells into replay groups and coupled stragglers.
-
-    Returns ``(replays, phase1, cached_traces)`` where ``phase1`` holds
-    ``(slot, spec, capture_key)`` tasks (``capture_key`` is the timing key
-    to record a trace for, or ``None`` for a plain coupled run) and
-    ``replays`` maps a timing key to the ``(slot, spec)`` cells replaying
-    its trace, which comes either from ``cached_traces`` or from this
-    campaign's capture cell.
-
-    A replay-eligible singleton group only captures when a cache is
-    attached (the trace then pays off across campaigns); without one, a
-    trace nobody replays would be pure overhead.
-    """
-    replays: Dict[str, List[Tuple[int, RunSpec]]] = {}
-    phase1: List[Tuple[int, RunSpec, Optional[str]]] = []
-    cached_traces: Dict[str, ActivityTrace] = {}
-
-    groups: Dict[str, List[Tuple[int, RunSpec]]] = {}
-    for slot, spec in pending:
-        if spec.replayable:
-            groups.setdefault(spec.timing_key(), []).append((slot, spec))
-        else:
-            phase1.append((slot, spec, None))
-
-    for key, members in groups.items():
-        trace = cache.load_trace(key) if cache is not None else None
-        if trace is not None:
-            cached_traces[key] = trace
-            replays[key] = members
-            continue
-        if len(members) == 1 and cache is None:
-            slot, spec = members[0]
-            phase1.append((slot, spec, None))
-            continue
-        (first_slot, first_spec), rest = members[0], members[1:]
-        phase1.append((first_slot, first_spec, key))
-        if rest:
-            replays[key] = rest
-    return replays, phase1, cached_traces
-
-
 def _stamped(spec, options: ExecutionOptions):
     """``spec`` carrying the executor's options, as it is dispatched."""
     return spec if spec.options == options else replace(spec, options=options)
-
-
-def _replay_groups(
-    executor: Executor,
-    fn,
-    groups: Sequence[Tuple[object, List[Tuple[int, object]]]],
-    results: List[Optional[SimulationResult]],
-    cache: Optional[ResultCache],
-) -> None:
-    """Replay ``(traces, [(slot, spec), ...])`` groups into ``results``.
-
-    One task per group of cells sharing their trace(s), so each trace
-    crosses a process boundary once per group rather than once per cell;
-    fresh results are stored in the cache.
-    """
-    tasks = [
-        (traces, tuple(_stamped(spec, executor.options) for _, spec in members))
-        for traces, members in groups
-    ]
-    outputs = executor.run_tasks(fn, tasks) if tasks else []
-    if len(outputs) != len(tasks):
-        raise RuntimeError(
-            f"executor returned {len(outputs)} groups for {len(tasks)} replay groups"
-        )
-    for (_, members), group_results in zip(groups, outputs):
-        if len(group_results) != len(members):
-            raise RuntimeError(
-                f"replay group returned {len(group_results)} results for "
-                f"{len(members)} cells"
-            )
-        for (slot, spec), result in zip(members, group_results):
-            results[slot] = result
-            if cache is not None:
-                cache.store(spec, result)
 
 
 def _load_cached(
@@ -210,6 +132,62 @@ def _load_cached(
         else:
             pending.append((index, spec))
     return results, pending, len(cells) - len(pending)
+
+
+def _plan(
+    pending: Sequence[Tuple[int, object]],
+    cache: Optional[ResultCache],
+    replay: bool,
+) -> Tuple[
+    List[Tuple[Optional[int], str, object, Optional[str]]],
+    Dict[Tuple[str, ...], List[Tuple[int, object]]],
+    Dict[str, ActivityTrace],
+]:
+    """Split pending cells into phase-1 timing runs and replay groups.
+
+    Returns ``(phase1, groups, traces)``.  ``phase1`` holds
+    ``(slot, mode, spec, timing_key)`` tasks: coupled cells (``"run"``),
+    captures that also fill a pending cell's ``slot`` (``"capture"``) and
+    captures of a chip thread's single-core timing run, which fill no slot
+    (``"trace"``).  ``groups`` maps the tuple of a cell's core timing keys
+    (:meth:`RunSpec.core_specs`) to the ``(slot, spec)`` cells replaying
+    those traces; ``traces`` holds the ones the cache already had.
+
+    A missing trace is captured only when a cell other than the capturing
+    one replays it, or a cache keeps it for later campaigns: a lone
+    single-core cell without a cache just runs coupled, while a chip
+    cell's threads are always captured (no thread is itself a cell).
+    """
+    phase1: List[Tuple[Optional[int], str, object, Optional[str]]] = []
+    groups: Dict[Tuple[str, ...], List[Tuple[int, object]]] = {}
+    for slot, spec in pending:
+        if replay and spec.replayable:
+            keys = tuple(core.timing_key() for core in spec.core_specs())
+            groups.setdefault(keys, []).append((slot, spec))
+        else:
+            phase1.append((slot, "run", spec, None))
+
+    traces: Dict[str, ActivityTrace] = {}
+    capturing = set()
+    for keys, members in list(groups.items()):
+        slot, spec = members[0]
+        for key, core in zip(keys, spec.core_specs()):
+            if key in traces or key in capturing:
+                continue
+            trace = cache.load_trace(key) if cache is not None else None
+            if trace is not None:
+                traces[key] = trace
+            elif core is not spec:
+                capturing.add(key)
+                phase1.append((None, "trace", core, key))
+            elif len(members) > 1 or cache is not None:
+                capturing.add(key)
+                phase1.append((slot, "capture", spec, key))
+                members.pop(0)
+            else:
+                phase1.append((slot, "run", spec, None))
+                del groups[keys]
+    return phase1, groups, traces
 
 
 def _outcome(
@@ -238,6 +216,14 @@ def _outcome(
     return outcome
 
 
+def _checked(outputs: Sequence, tasks: Sequence, what: str) -> Sequence:
+    if len(outputs) != len(tasks):
+        raise RuntimeError(
+            f"executor returned {len(outputs)} results for {len(tasks)} {what}"
+        )
+    return outputs
+
+
 def run_campaign(
     campaign: Campaign,
     executor: Optional[Executor] = None,
@@ -255,37 +241,27 @@ def run_campaign(
     simulator invocations.
 
     ``replay`` enables the two-stage fast path (the default): cells sharing
-    a :meth:`~repro.campaign.spec.RunSpec.timing_key` run the per-uop timing
-    simulation once and replay the physics stage over the captured activity
-    trace — bit-identical to the coupled path, which ``replay=False``
-    forces for every cell (useful for benchmarking and equivalence tests).
+    their core timing keys run the per-uop timing simulation once and
+    replay the physics stage over the captured activity traces —
+    bit-identical to the coupled path, which ``replay=False`` forces for
+    every cell (useful for benchmarking and equivalence tests).
     """
     if executor is None:
         executor = SerialExecutor()
-    if campaign.is_chip:
-        return _run_chip_campaign(campaign, executor, cache, replay)
     cells = campaign.cells()
     results, pending, cache_hits = _load_cached(cells, cache)
-    if replay:
-        replays, phase1, traces = _plan_two_stage(pending, cache)
-    else:
-        replays, phase1, traces = {}, [(s, spec, None) for s, spec in pending], {}
+    phase1, groups, traces = _plan(pending, cache, replay)
 
-    # Phase 1: coupled timing simulations (some of them capturing a trace).
+    # Phase 1: coupled timing simulations, some of them capturing a trace.
     executed_before = executor.cells_executed
-    tasks = [
-        ("capture" if key is not None else "run", _stamped(spec, executor.options))
-        for _, spec, key in phase1
-    ]
+    tasks = [(mode, _stamped(spec, executor.options)) for _, mode, spec, _ in phase1]
     outputs = executor.run_tasks(execute_campaign_task, tasks) if tasks else []
     executor.cells_executed += len(tasks)
-    if len(outputs) != len(phase1):
-        raise RuntimeError(
-            f"executor returned {len(outputs)} results for {len(phase1)} cells"
-        )
-    traces_captured = 0
-    for (slot, spec, key), (result, trace) in zip(phase1, outputs):
-        results[slot] = result
+    for (slot, mode, spec, key), (result, trace) in zip(
+        phase1, _checked(outputs, phase1, "timing runs")
+    ):
+        if slot is not None:
+            results[slot] = result
         if cache is not None:
             cache.store(spec, result)
         if key is not None:
@@ -294,131 +270,29 @@ def run_campaign(
                     f"capture cell {spec.benchmark!r} returned no activity trace"
                 )
             traces[key] = trace
-            traces_captured += 1
             if cache is not None:
                 cache.store_trace(key, trace)
 
-    # Phase 2: physics-only replays, one task per timing-key group.
-    _replay_groups(
-        executor,
-        execute_replay_group,
-        [(traces[key], members) for key, members in replays.items()],
-        results,
-        cache,
-    )
-
-    return _outcome(
-        campaign,
-        executor,
-        cells,
-        results,
-        cells_executed=executor.cells_executed - executed_before,
-        cells_replayed=sum(len(members) for members in replays.values()),
-        traces_captured=traces_captured,
-        cache_hits=cache_hits,
-    )
-
-
-def _run_chip_campaign(
-    campaign: Campaign,
-    executor: Executor,
-    cache: Optional[ResultCache],
-    replay: bool,
-) -> CampaignOutcome:
-    """Execute a chip campaign (the ``cores`` / ``per_core_scenarios`` axes).
-
-    The chip analogue of the two-stage plan: every replay-eligible chip
-    cell decomposes into per-thread *single-core* timing runs
-    (:meth:`~repro.chip.ChipRunSpec.core_specs`), whose activity traces are
-    looked up in the cache under the ordinary single-core timing keys.
-    Missing traces are captured once each — a capture is a plain
-    single-core cell, so its result seeds the cache for single-core
-    campaigns too — and every chip cell then *replays* the composite-die
-    physics over its threads' traces, bit-identical to the coupled chip
-    run.  Cells whose chip policy migrates threads by temperature (or whose
-    configuration couples temperature into timing) run the exact coupled
-    path.
-    """
-    cells = campaign.cells()
-    results, pending, cache_hits = _load_cached(cells, cache)
-    executed_before = executor.cells_executed
-    replay_cells: List[Tuple[int, object]] = []
-    coupled_cells: List[Tuple[int, object]] = []
-    for slot, spec in pending:
-        if replay and spec.replayable:
-            replay_cells.append((slot, spec))
-        else:
-            coupled_cells.append((slot, spec))
-
-    # Phase 1: resolve the per-thread single-core traces (cache or capture).
-    needed: Dict[str, object] = {}
-    for _, spec in replay_cells:
-        for core_spec in spec.core_specs():
-            needed.setdefault(core_spec.timing_key(), core_spec)
-    traces: Dict[str, ActivityTrace] = {}
-    missing: List[Tuple[str, object]] = []
-    for key, core_spec in needed.items():
-        trace = cache.load_trace(key) if cache is not None else None
-        if trace is not None:
-            traces[key] = trace
-        else:
-            missing.append((key, core_spec))
-    traces_captured = 0
-    if missing:
-        tasks = [
-            ("capture", _stamped(core_spec, executor.options))
-            for _, core_spec in missing
-        ]
-        outputs = executor.run_tasks(execute_campaign_task, tasks)
-        executor.cells_executed += len(tasks)
-        if len(outputs) != len(missing):
-            raise RuntimeError(
-                f"executor returned {len(outputs)} results for "
-                f"{len(missing)} captures"
-            )
-        for (key, core_spec), (result, trace) in zip(missing, outputs):
-            if trace is None:
-                raise RuntimeError(
-                    f"capture cell {core_spec.benchmark!r} returned no "
-                    "activity trace"
-                )
-            traces[key] = trace
-            traces_captured += 1
-            if cache is not None:
-                cache.store_trace(key, trace)
-                cache.store(core_spec, result)
-
-    # Phase 2: replay every eligible chip cell over its threads' traces, one
-    # task per trace-set group (a physics sweep over one mix shares its
-    # per-core traces).
-    groups: Dict[Tuple[str, ...], List[Tuple[int, object]]] = {}
-    for slot, spec in replay_cells:
-        keys = tuple(cs.timing_key() for cs in spec.core_specs())
-        groups.setdefault(keys, []).append((slot, spec))
-    _replay_groups(
-        executor,
-        execute_chip_replay_group,
-        [
-            (tuple(traces[key] for key in keys), members)
-            for keys, members in groups.items()
-        ],
-        results,
-        cache,
-    )
-
-    # Phase 3: coupled chip cells (feedback-bearing chip policies).
-    specs = [_stamped(spec, executor.options) for _, spec in coupled_cells]
-    fresh = executor.run_tasks(execute_chip_cell, specs) if specs else []
-    executor.cells_executed += len(specs)
-    if len(fresh) != len(coupled_cells):
-        raise RuntimeError(
-            f"executor returned {len(fresh)} results for "
-            f"{len(coupled_cells)} coupled chip cells"
+    # Phase 2: physics-only replays, one task per group of cells sharing
+    # their traces, so each trace crosses a process boundary once per group.
+    replays = [(keys, members) for keys, members in groups.items() if members]
+    tasks = [
+        (
+            tuple(traces[key] for key in keys),
+            tuple(_stamped(spec, executor.options) for _, spec in members),
         )
-    for (slot, spec), result in zip(coupled_cells, fresh):
-        results[slot] = result
-        if cache is not None:
-            cache.store(spec, result)
+        for keys, members in replays
+    ]
+    outputs = executor.run_tasks(execute_replay_group, tasks) if tasks else []
+    for (_, members), group_results in zip(
+        replays, _checked(outputs, tasks, "replay groups")
+    ):
+        for (slot, spec), result in zip(
+            members, _checked(group_results, members, "replayed cells")
+        ):
+            results[slot] = result
+            if cache is not None:
+                cache.store(spec, result)
 
     return _outcome(
         campaign,
@@ -426,8 +300,8 @@ def _run_chip_campaign(
         cells,
         results,
         cells_executed=executor.cells_executed - executed_before,
-        cells_replayed=len(replay_cells),
-        traces_captured=traces_captured,
+        cells_replayed=sum(len(members) for _, members in replays),
+        traces_captured=sum(key is not None for *_, key in phase1),
         cache_hits=cache_hits,
     )
 

@@ -1,9 +1,8 @@
 """Pluggable execution backends for campaign cells.
 
-An :class:`Executor` turns a sequence of :class:`~repro.campaign.spec.RunSpec`
-cells into :class:`~repro.sim.results.SimulationResult` objects, in order.
-Because every cell is self-contained (scaled config, trace length, interval
-and seed all live in the spec), the backends are interchangeable:
+An :class:`Executor` fans campaign tasks out and returns their results in
+order.  Because every cell is self-contained (scaled config, trace length,
+interval and seed all live in the spec), the backends are interchangeable:
 
 * :class:`SerialExecutor` — the in-process loop;
 * :class:`ParallelExecutor` — a fan-out over a private, persistent
@@ -17,23 +16,24 @@ Each executor holds the :class:`~repro.campaign.spec.ExecutionOptions`
 :func:`~repro.campaign.core.run_campaign` stamps them onto the cells it
 dispatches, so they reach worker processes inside the tasks themselves.
 
-Since the two-stage simulation core landed, an executor actually runs three
-kinds of work, all module-level functions so they pickle cleanly into worker
-processes:
+The campaign plan (:func:`repro.campaign.core.run_campaign`) sends two
+kinds of task, both to module-level functions that pickle cleanly into
+worker processes, and both alike for single-core
+(:class:`~repro.campaign.spec.RunSpec`) and chip
+(:class:`~repro.chip.ChipRunSpec`) cells:
 
-* :func:`execute_cell` — the classic coupled timing+physics simulation;
-* :func:`execute_cell_capture` — a coupled run that also records the
-  timing stage's :class:`~repro.sim.activity_trace.ActivityTrace`;
-* :func:`execute_replay_group` — a physics-only replay of a previously
-  captured trace under every cell of its timing-key group (orders of
-  magnitude cheaper than a coupled run).
+* :func:`execute_campaign_task` — one timing run, ``(mode, spec)``: a
+  coupled timing+physics simulation (:func:`execute_cell`), or one that
+  also records its :class:`~repro.sim.activity_trace.ActivityTrace`
+  (:func:`execute_cell_capture`);
+* :func:`execute_replay_group` — a physics-only replay of every cell of one
+  group over the traces of its core timing runs, ``(traces, specs)``
+  (orders of magnitude cheaper than a coupled run).
 
-The campaign layer routes cells between them (see
-:func:`repro.campaign.core.run_campaign`); the generic :meth:`Executor.run_tasks`
-is the single fan-out primitive underneath.  ``cells_executed`` counts the
-cells that ran a *timing* simulation (coupled or capture) — replays are
-accounted separately by the campaign outcome — which the result cache's
-hit/miss accounting and the tests rely on.
+The generic :meth:`Executor.run_tasks` is the single fan-out primitive
+underneath.  ``cells_executed`` counts the timing runs (coupled or
+capture) — replays are accounted separately by the campaign outcome —
+which the result cache's hit/miss accounting and the tests rely on.
 """
 
 from __future__ import annotations
@@ -53,13 +53,26 @@ from repro.workloads.generator import WorkloadSpec
 _Task = TypeVar("_Task")
 _Result = TypeVar("_Result")
 
-#: Task functions whose ``(traces, specs)`` tasks carry activity traces,
-#: which a process pool ships zero-copy (see ``ParallelExecutor``).
-_REPLAY_FUNCTIONS = ("execute_replay_group", "execute_chip_replay_group")
 
+def _build_engine(spec):
+    """The engine that simulates one cell coupled: one core or one chip."""
+    if not isinstance(spec, RunSpec):
+        from repro.chip import ChipEngine
 
-def _build_engine(spec: RunSpec):
-    """The shared front half of the coupled execution paths."""
+        return ChipEngine(
+            spec.config,
+            [
+                WorkloadSpec(benchmark, spec.seed, uops)
+                for benchmark, uops in zip(spec.benchmarks, spec.trace_uops)
+            ],
+            spec.benchmarks,
+            cores=spec.cores,
+            interval_cycles=spec.interval_cycles,
+            chip_policy=spec.chip_policy,
+            contention=spec.contention,
+            solver_backend=spec.solver_backend,
+            timing_mode=spec.options.timing_mode,
+        )
     # Imported lazily: ``repro.core.presets`` imports this package to get the
     # ConfigBuilder, so pulling the engine (and through it the processor and
     # ``repro.core``) in at module-import time would be circular.
@@ -83,14 +96,15 @@ def _build_engine(spec: RunSpec):
     )
 
 
-def execute_cell(spec: RunSpec) -> SimulationResult:
+def execute_cell(spec) -> SimulationResult:
     """Simulate one campaign cell coupled (timing + physics, one interval loop).
 
-    Module-level (rather than a method) so it pickles cleanly into worker
-    processes regardless of the multiprocessing start method.  The cell's
-    DTM policy (if any) is instantiated *here*, from its spec string, so
-    policy controller state is always fresh per cell and never needs to
-    cross a process boundary.
+    ``spec`` is a :class:`RunSpec` or a :class:`~repro.chip.ChipRunSpec`
+    (N timing stages, one composite physics).  Module-level (rather than a
+    method) so it pickles cleanly into worker processes regardless of the
+    multiprocessing start method.  The cell's DTM policy (if any) is
+    instantiated *here*, from its spec string, so policy controller state
+    is always fresh per cell and never needs to cross a process boundary.
     """
     result = _build_engine(spec).run()
     result.provenance.update(spec.provenance())
@@ -98,7 +112,7 @@ def execute_cell(spec: RunSpec) -> SimulationResult:
 
 
 def execute_cell_capture(spec: RunSpec) -> Tuple[SimulationResult, ActivityTrace]:
-    """Simulate one cell coupled *and* capture its activity trace.
+    """Simulate one single-core cell coupled *and* capture its activity trace.
 
     The result is exactly what :func:`execute_cell` produces (recording only
     observes the timing stage); the trace can replay every other cell that
@@ -111,115 +125,66 @@ def execute_cell_capture(spec: RunSpec) -> Tuple[SimulationResult, ActivityTrace
     return result, trace
 
 
-def _stamp_replayed(specs, results: List[SimulationResult]) -> List[SimulationResult]:
-    """Record each spec's settings provenance on its replayed result."""
+def execute_replay_group(task) -> List[SimulationResult]:
+    """Replay every cell of one group over the traces it shares.
+
+    ``task`` is ``((trace, ...), (spec, ...))``: one single-core
+    :class:`~repro.sim.activity_trace.ActivityTrace` per core timing run of
+    the specs (:meth:`~repro.campaign.spec.RunSpec.core_specs`, in core
+    order) and the group's cells.  Single-core groups replay through
+    :func:`repro.sim.group_replay.replay_group`, chip groups through
+    :func:`repro.chip.engine.replay_chip_group`.  The campaign layer fans
+    replays out one *group* per task, so the traces cross the process
+    boundary once per group instead of once per cell (within one task,
+    pickle memoizes a homogeneous mix's repeated trace).  How the physics
+    is computed is the specs' ``options.replay_mode``: ``"exact"`` replays
+    each cell alone (bit-identical to the coupled run),
+    ``"batched"``/``"auto"`` advance whole thermally-identical sub-groups
+    per interval in one multi-RHS solve.
+    """
+    traces, specs = task
+    specs = list(specs)
+    if not specs:
+        return []
+    # A trace may arrive as a zero-copy TraceRef (mmap'd cache artifact or
+    # shared-memory segment) instead of a pickled payload; resolving it
+    # consults the worker's warm registry first, so sibling groups over the
+    # same trace decode it once per worker.
+    traces = tuple(resolve_trace(trace) for trace in traces)
+    mode = specs[0].options.replay_mode
+    if isinstance(specs[0], RunSpec):
+        from repro.sim.group_replay import replay_group
+
+        (trace,) = traces
+        results = replay_group(
+            trace,
+            [spec.config for spec in specs],
+            interval_cycles=specs[0].interval_cycles,
+            dtm_policies=[spec.dtm_policy for spec in specs],
+            replay_mode=mode,
+        )
+    else:
+        from repro.chip.engine import replay_chip_group
+
+        results = replay_chip_group(traces, specs, replay_mode=mode)
     for spec, result in zip(specs, results):
         result.provenance.update(spec.provenance())
         result.provenance["replayed"] = True
     return results
 
 
-def execute_replay_group(
-    task: Tuple[ActivityTrace, Sequence[RunSpec]],
-) -> List[SimulationResult]:
-    """Replay every cell of one timing-key group over its shared trace.
+def execute_campaign_task(task) -> Tuple[SimulationResult, Optional[ActivityTrace]]:
+    """Dispatch one phase-1 campaign task: ``(mode, spec)``.
 
-    The campaign layer fans replays out one *group* per task rather than
-    one cell per task, so the (potentially large) trace crosses the process
-    boundary once per group instead of once per cell.  How the group's
-    physics is computed is the specs' ``options.replay_mode``, see
-    :func:`repro.sim.group_replay.replay_group`:
-    ``"exact"`` replays each cell alone (bit-identical to the coupled run),
-    ``"batched"``/``"auto"`` advance whole thermally-identical sub-groups
-    per interval in one multi-RHS solve.
-    """
-    trace, specs = task
-    specs = list(specs)
-    if not specs:
-        return []
-    from repro.sim.group_replay import replay_group
-
-    # The trace may arrive as a zero-copy TraceRef (mmap'd cache artifact
-    # or shared-memory segment) instead of a pickled payload; resolving it
-    # consults the worker's warm registry first, so sibling groups over the
-    # same trace decode it once per worker.
-    results = replay_group(
-        resolve_trace(trace),
-        [spec.config for spec in specs],
-        interval_cycles=specs[0].interval_cycles,
-        dtm_policies=[spec.dtm_policy for spec in specs],
-        replay_mode=specs[0].options.replay_mode,
-    )
-    return _stamp_replayed(specs, results)
-
-
-def execute_chip_cell(spec) -> SimulationResult:
-    """Simulate one chip cell coupled: N timing stages, one composite physics.
-
-    ``spec`` is a :class:`~repro.chip.ChipRunSpec`; like every executor
-    function, this builds everything (workloads, engines, the chip policy)
-    inside the executing process so tasks stay picklable.
-    """
-    from repro.chip import ChipEngine
-
-    sources = [
-        WorkloadSpec(benchmark, spec.seed, uops)
-        for benchmark, uops in zip(spec.benchmarks, spec.trace_uops)
-    ]
-    engine = ChipEngine(
-        spec.config,
-        sources,
-        spec.benchmarks,
-        cores=spec.cores,
-        interval_cycles=spec.interval_cycles,
-        chip_policy=spec.chip_policy,
-        contention=spec.contention,
-        solver_backend=spec.solver_backend,
-        timing_mode=spec.options.timing_mode,
-    )
-    result = engine.run()
-    result.provenance.update(spec.provenance())
-    return result
-
-
-def execute_chip_replay_group(task) -> List[SimulationResult]:
-    """Replay every chip cell of one trace-set group over its shared traces.
-
-    Mirrors :func:`execute_replay_group` one level up: ``task`` is a
-    ``((trace, ...), (ChipRunSpec, ...))`` pair — one single-core
-    :class:`~repro.sim.activity_trace.ActivityTrace` per thread, in core
-    order, shared with any single-core campaign of the same settings — and
-    the group replays through :func:`repro.chip.engine.replay_chip_group`,
-    bit-identical to :func:`execute_chip_cell` in ``"exact"`` mode.  (Within
-    one task, pickle memoizes the shared trace objects, so a homogeneous
-    mix's repeated trace crosses the boundary once.)
-    """
-    traces, specs = task
-    specs = list(specs)
-    if not specs:
-        return []
-    from repro.chip.engine import replay_chip_group
-
-    results = replay_chip_group(
-        tuple(resolve_trace(trace) for trace in traces),
-        specs,
-        replay_mode=specs[0].options.replay_mode,
-    )
-    return _stamp_replayed(specs, results)
-
-
-def execute_campaign_task(
-    task: Tuple[str, RunSpec],
-) -> Tuple[SimulationResult, Optional[ActivityTrace]]:
-    """Dispatch one phase-1 campaign task: ``("run" | "capture", spec)``.
-
-    One uniform function lets a single executor pass mix plain coupled
-    cells with trace-capturing ones.
+    ``"run"`` simulates the cell coupled; ``"capture"`` (a cell that also
+    records its trace) and ``"trace"`` (a chip thread's single-core timing
+    run, recorded for its trace) return the trace as well.  One uniform
+    function lets a single executor pass mix every kind of timing run.
     """
     mode, spec = task
-    if mode == "capture":
-        return execute_cell_capture(spec)
-    return execute_cell(spec), None
+    if mode == "run":
+        return execute_cell(spec), None
+    return execute_cell_capture(spec)
 
 
 class Executor:
@@ -323,15 +288,14 @@ class ParallelExecutor(Executor):
         ``(prepared_tasks, handles)``; the caller must release every handle
         once the fan-out is done.
         """
-        name = getattr(fn, "__name__", "")
-        if self.pool.mode != "process" or name not in _REPLAY_FUNCTIONS:
+        if self.pool.mode != "process" or fn is not execute_replay_group:
             return list(tasks), []
         handles: List = []
         published: Dict[int, object] = {}
 
         def _publish(trace, key: str):
-            # Chip groups repeat the same trace object across cores and
-            # tasks; publish each distinct object once.
+            # Homogeneous mixes and sibling groups repeat the same trace
+            # object; publish each distinct object once.
             payload = published.get(id(trace))
             if payload is None:
                 payload, handle = publish_trace(trace, key)
@@ -344,14 +308,10 @@ class ParallelExecutor(Executor):
         prepared: List = []
         for traces, specs in tasks:
             specs = tuple(specs)
-            if name == "execute_replay_group":
-                prepared.append((_publish(traces, specs[0].timing_key()), specs))
-            else:
-                keys = [core.timing_key() for core in specs[0].core_specs()]
-                published_traces = tuple(
-                    _publish(trace, key) for trace, key in zip(traces, keys)
-                )
-                prepared.append((published_traces, specs))
+            keys = [core.timing_key() for core in specs[0].core_specs()]
+            prepared.append(
+                (tuple(_publish(t, key) for t, key in zip(traces, keys)), specs)
+            )
         return prepared, handles
 
     def _submit(self, fn, task):

@@ -5,7 +5,7 @@ One :class:`WorkerPool` runs every fan-out of the
 campaigns, and the service keeps one alive for its whole lifetime and lets
 every concurrently running job feed it.  Tasks — the picklable module-level
 executor functions of :mod:`repro.campaign.executors`
-(``execute_campaign_task``, ``execute_replay_group``, ...) — enter a shared
+(``execute_campaign_task``, ``execute_replay_group``) — enter a shared
 queue; worker threads pull them off in FIFO order and run them either
 
 * **inline** (``mode="thread"``): directly in the worker thread.  Zero

@@ -266,6 +266,15 @@ class RunSpec:
     # ------------------------------------------------------------------
     # Two-stage execution: the timing-relevant projection of a cell
     # ------------------------------------------------------------------
+    def core_specs(self) -> Tuple["RunSpec", ...]:
+        """The single-core timing runs this cell is composed of: itself.
+
+        A single-core cell is the one-thread layout of a chip cell (see
+        :meth:`repro.chip.ChipRunSpec.core_specs`), so the campaign plan
+        treats both alike.
+        """
+        return (self,)
+
     def replay_reason(self) -> Optional[str]:
         """Why this cell must be simulated coupled (``None`` = replayable).
 

@@ -971,7 +971,7 @@ def replay_chip_group(
     traces: Sequence[ActivityTrace],
     specs: Sequence[object],
     *,
-    replay_mode: str = "auto",
+    replay_mode: str = "exact",
     warmup: bool = True,
 ) -> List[SimulationResult]:
     """Replay one per-core trace tuple under many chip physics variants.

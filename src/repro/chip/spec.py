@@ -10,10 +10,13 @@ The crucial structural property: a chip cell's *timing* decomposes into its
 threads' single-core timing runs.  :meth:`ChipRunSpec.core_specs` projects
 the cell onto per-thread single-core :class:`RunSpec` objects whose
 ``timing_key()`` is exactly the key a single-core campaign cell of the same
-(config, workload, seed, interval) would mint — so a multi-core physics
-sweep replays N *cached single-core* activity traces (captured by this
-campaign, a previous one, or a plain single-core sweep) instead of
-re-running any per-uop timing.
+(config, workload, seed, interval) would mint.  A single-core cell is the
+one-thread layout of the same projection (:meth:`RunSpec.core_specs` is the
+cell itself), so the one campaign plan of :mod:`repro.campaign.core` groups,
+captures and replays both kinds of cell alike: a multi-core physics sweep
+replays N *cached single-core* activity traces (captured by this campaign,
+a previous one, or a plain single-core sweep) instead of re-running any
+per-uop timing.
 """
 
 from __future__ import annotations

@@ -44,7 +44,6 @@ from repro.sim.warmcache import (
     publish_trace,
     resolve_trace,
     warm_cache,
-    warm_cache_enabled,
     warm_snapshot,
 )
 
@@ -72,6 +71,5 @@ __all__ = [
     "results_payload",
     "settings_from_payload",
     "warm_cache",
-    "warm_cache_enabled",
     "warm_snapshot",
 ]

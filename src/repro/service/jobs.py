@@ -170,14 +170,19 @@ class Job:
     # Progress
     # ------------------------------------------------------------------
     def record_progress(self, kind: str, cells: int) -> None:
-        """Account ``cells`` completed by one executor task of ``kind``."""
+        """Account one executor task of ``kind`` that completed ``cells``.
+
+        ``kind`` is ``"replay"`` (a replay group of ``cells`` cells) or a
+        timing run's mode: ``"run"``, ``"capture"`` or ``"trace"``, the
+        last a chip thread's capture that completes no campaign cell.
+        """
         with self._lock:
             self.cells_done += cells
             if kind == "replay":
                 self.cells_replayed += cells
             else:
-                self.cells_simulated += cells
-                if kind == "capture":
+                self.cells_simulated += 1
+                if kind != "run":
                     self.traces_captured += 1
             snapshot = self._progress_locked()
         self._append_event("progress", kind=kind, cells=cells, **snapshot)

@@ -43,7 +43,12 @@ import time
 from typing import Dict, List, Optional
 
 from repro.campaign.core import CampaignOutcome, run_campaign
-from repro.campaign.executors import Executor, ParallelExecutor
+from repro.campaign.executors import (
+    Executor,
+    ParallelExecutor,
+    execute_campaign_task,
+    execute_replay_group,
+)
 from repro.campaign.pool import WorkerPool
 from repro.campaign.spec import ExecutionOptions
 from repro.service.cache import ShardedResultCache
@@ -56,23 +61,16 @@ class JobCancelled(Exception):
     """Internal control-flow: the job's cancel flag was observed."""
 
 
-#: Executor-function name -> progress kind (any other function is a "run").
-_TASK_KINDS = {
-    "execute_campaign_task": "phase1",
-    "execute_replay_group": "replay_group",
-    "execute_chip_replay_group": "replay_group",
-}
-
-
 def _progress_of(fn, task) -> (str, int):
-    """(kind, cells) one completed task contributes to job progress."""
-    kind = _TASK_KINDS.get(getattr(fn, "__name__", ""), "run")
-    if kind == "phase1":
-        mode = task[0] if isinstance(task, tuple) else "run"
-        return ("capture" if mode == "capture" else "run"), 1
-    if kind == "replay_group":
+    """(kind, campaign cells) one completed task contributes to job progress.
+
+    A timing run's kind is its mode; a ``"trace"`` run captures a chip
+    thread's trace and completes no campaign cell by itself.
+    """
+    if fn is execute_replay_group:
         return "replay", len(task[1])
-    return kind, 1
+    mode = task[0] if fn is execute_campaign_task else "run"
+    return mode, int(mode != "trace")
 
 
 class PoolBackedExecutor(ParallelExecutor):

@@ -26,8 +26,9 @@ The knob is ``replay_mode`` (same discipline as ``backend=`` /
 ``timing_mode=``):
 
 * ``"exact"`` — the per-cell walk, bit-identical to the coupled run and
-  locked to the golden fixtures.  This remains the default everywhere: an
-  unchanged campaign produces unchanged bytes.
+  locked to the golden fixtures.  It is the default everywhere — here, in
+  :func:`repro.chip.engine.replay_chip_group` and in the campaign's
+  ``ExecutionOptions`` — so an unchanged campaign produces unchanged bytes.
 * ``"batched"`` — the tensor walk.  Tolerance-locked, not bit-exact: the
   multi-RHS LAPACK kernels and ``np.exp`` may round the last ulp
   differently, and the nominal-power running average is reassociated into a
@@ -73,7 +74,7 @@ BATCHED_ATOL = 1e-8
 
 def validate_replay_mode(mode: str) -> str:
     """Normalize and validate a ``replay_mode`` value."""
-    normalized = (mode or "auto").strip().lower()
+    normalized = (mode or "exact").strip().lower()
     if normalized not in REPLAY_MODES:
         raise ValueError(
             f"replay_mode must be one of {', '.join(REPLAY_MODES)}, "
@@ -603,7 +604,7 @@ def replay_group(
     interval_cycles: Optional[int] = None,
     *,
     dtm_policies: Optional[Sequence[Union[DTMPolicy, str, None]]] = None,
-    replay_mode: str = "auto",
+    replay_mode: str = "exact",
     max_intervals: Optional[int] = None,
     warmup: bool = True,
 ) -> List[SimulationResult]:

@@ -346,8 +346,7 @@ class PhysicsStage:
         # process-global warm cache: a persistent pool worker (or process
         # pool child) replaying a sweep factorizes each distinct die once,
         # not once per cell.  A warm bundle is bit-identical to a fresh one
-        # (same inputs, same factorization), and REPRO_WARM_CACHE=0 forces
-        # fresh construction.
+        # (same inputs, same factorization).
         self.network, self.solver = solver_bundle(
             self.floorplan,
             config.thermal,

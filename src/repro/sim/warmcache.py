@@ -31,9 +31,8 @@ products across every task it runs.  This module is that reuse point:
 Reuse never changes results: a cached solver holds factorizations and
 propagators, not run state, and an identical factorization produces an
 identical solve — the replay outputs stay byte-identical to a cold run
-(locked by the service equivalence tests).  The whole cache can be disabled
-with ``REPRO_WARM_CACHE=0``; it is an *execution* knob and deliberately
-not part of any cache key.
+(locked by the service equivalence tests), so the cache is never part of
+any cache key.
 
 Layering: this lives in :mod:`repro.sim` (below the campaign and service
 layers) so :class:`~repro.sim.engine.PhysicsStage` and
@@ -46,7 +45,6 @@ from __future__ import annotations
 import dataclasses
 import functools
 import mmap
-import os
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
@@ -62,22 +60,9 @@ from repro.thermal.floorplan import build_floorplan
 from repro.thermal.rc_model import ThermalRCNetwork
 from repro.thermal.solver import ThermalSolver
 
-#: Execution knob: set to ``0``/``false``/``off`` to disable all warm reuse
-#: (every stage build factorizes fresh, every TraceRef decode is cold).
-#: Deliberately NOT part of any cache key — it cannot change results.
-WARM_CACHE_ENV = "REPRO_WARM_CACHE"
-
 #: Bounds of the two LRUs.
 SOLVER_ENTRIES = 8
 TRACE_ENTRIES = 4
-
-_FALSE_VALUES = ("0", "false", "off", "no")
-
-
-def warm_cache_enabled() -> bool:
-    """Whether warm reuse is on (default) — reads ``REPRO_WARM_CACHE``."""
-    return os.environ.get(WARM_CACHE_ENV, "1").strip().lower() not in _FALSE_VALUES
-
 
 def solver_key(floorplan, thermal_config, backend: str, ordering: str) -> str:
     """Content key of one solver bundle.
@@ -116,10 +101,8 @@ def core_layout(config: ProcessorConfig):
     None of the three reads the configuration's name, power or thermal
     section, so they are memoized per process on the rest of it: every cell
     of a physics sweep shares one layout.  The returned mappings are shared;
-    callers copy what they keep.  ``REPRO_WARM_CACHE=0`` builds fresh.
+    callers copy what they keep.
     """
-    if not warm_cache_enabled():
-        return _build_core_layout(config)
     return _core_layout(
         dataclasses.replace(config, name="", power=_LAYOUT_POWER, thermal=_LAYOUT_THERMAL)
     )
@@ -129,13 +112,11 @@ _LAYOUT_POWER = PowerConfig()
 _LAYOUT_THERMAL = ThermalConfig()
 
 
-def _build_core_layout(config: ProcessorConfig):
+@functools.lru_cache(maxsize=32)
+def _core_layout(config: ProcessorConfig):
     parameters = build_block_parameters(config)
     areas = {name: params.area_mm2 for name, params in parameters.items()}
     return parameters, build_floorplan(config, areas), blocks.block_groups(config)
-
-
-_core_layout = functools.lru_cache(maxsize=32)(_build_core_layout)
 
 
 class WarmCache:
@@ -246,13 +227,9 @@ def solver_bundle(
 
     The single construction point the physics stage and the batched group
     replay share: on a warm hit the LU factorization (and any propagators
-    the solver already derived) are reused; on a miss — or with
-    ``REPRO_WARM_CACHE=0`` — the pair is built fresh, exactly as the
-    direct constructors would.
+    the solver already derived) are reused; on a miss the pair is built
+    fresh, exactly as the direct constructors would.
     """
-    if not warm_cache_enabled():
-        network = ThermalRCNetwork(floorplan, thermal_config)
-        return network, ThermalSolver(network, backend=backend, ordering=ordering)
     cache = warm_cache()
     key = solver_key(floorplan, thermal_config, backend, ordering)
     bundle = cache.get_solver(key)
@@ -364,10 +341,9 @@ class TraceRef:
 
     def resolve(self) -> ActivityTrace:
         cache = warm_cache()
-        if warm_cache_enabled():
-            trace = cache.get_trace(self.key)
-            if trace is not None:
-                return trace
+        trace = cache.get_trace(self.key)
+        if trace is not None:
+            return trace
         if self.kind == "path":
             with open(self.locator, "rb") as handle:
                 with mmap.mmap(
@@ -390,8 +366,7 @@ class TraceRef:
                 segment.close()
         else:
             raise ValueError(f"unknown trace ref kind {self.kind!r}")
-        if warm_cache_enabled():
-            cache.put_trace(self.key, trace)
+        cache.put_trace(self.key, trace)
         return trace
 
 

@@ -50,6 +50,34 @@ def _physics_sweep(
     return Campaign(configs, settings, name=name)
 
 
+def _package_sweep():
+    base = baseline_config()
+    return Campaign(
+        [
+            dataclasses.replace(
+                base,
+                name=f"package_{i}",
+                thermal=dataclasses.replace(
+                    base.thermal, convection_resistance_k_per_w=0.10 + 0.04 * i
+                ),
+            )
+            for i in range(3)
+        ],
+        ExperimentSettings(benchmarks=("gzip",), uops_per_benchmark=1_500, seed=7),
+        name="package_sweep",
+    )
+
+
+def _policy_axis():
+    campaign = _physics_sweep(variants=2, benchmarks=("gzip",))
+    return Campaign(
+        campaign.configs,
+        campaign.settings,
+        name="mixed",
+        dtm_policies=("none", "clock_gate:trigger=60"),
+    )
+
+
 def _digest_outcome(outcome) -> dict:
     return {
         f"{variant}/{benchmark}": golden._digest_result(result)
@@ -185,21 +213,7 @@ def test_trace_artifacts_are_shared_across_campaigns(tmp_path):
     )
     assert first.cells_executed == 1 and first.cells_replayed == 1
 
-    base = baseline_config()
-    fresh_variants = Campaign(
-        [
-            dataclasses.replace(
-                base,
-                name=f"package_{i}",
-                thermal=dataclasses.replace(
-                    base.thermal, convection_resistance_k_per_w=0.10 + 0.04 * i
-                ),
-            )
-            for i in range(3)
-        ],
-        ExperimentSettings(benchmarks=("gzip",), uops_per_benchmark=1_500, seed=7),
-        name="package_sweep",
-    )
+    fresh_variants = _package_sweep()
     executor = SerialExecutor()
     second = run_campaign(fresh_variants, executor=executor, cache=cache)
     assert second.cells_executed == 0
@@ -273,15 +287,81 @@ def test_feedback_policy_cells_never_replay():
 
 
 def test_mixed_policy_axis_splits_between_replay_and_coupled():
-    campaign = _physics_sweep(variants=2, benchmarks=("gzip",))
-    mixed = Campaign(
-        campaign.configs,
-        campaign.settings,
-        name="mixed",
-        dtm_policies=("none", "clock_gate:trigger=60"),
-    )
-    outcome = run_campaign(mixed)
+    outcome = run_campaign(_policy_axis())
     # 2 configs x 2 policies: the two clock_gate cells run coupled, the two
     # none cells share one captured trace.
     assert outcome.cells_executed == 3
     assert outcome.cells_replayed == 1
+
+
+# ----------------------------------------------------------------------
+# The campaign plan's outcome counters and fan-outs, pinned per scenario
+# ----------------------------------------------------------------------
+class _FanOutLog:
+    """Executor mixin that logs the number of tasks of every fan-out."""
+
+    def run_tasks(self, fn, tasks):
+        self.__dict__.setdefault("fanouts", []).append(len(tasks))
+        return super().run_tasks(fn, tasks)
+
+
+class _LoggedSerial(_FanOutLog, SerialExecutor):
+    pass
+
+
+class _LoggedParallel(_FanOutLog, ParallelExecutor):
+    pass
+
+
+def _small_sweep():
+    return _physics_sweep(variants=2, benchmarks=("gzip",))
+
+
+#: scenario -> ([(campaign factory, attach the cache?), ...], per campaign
+#: ((cells_executed, cells_replayed, traces_captured, cache_hits), the task
+#: count of each fan-out)).
+COUNTER_CASES = {
+    "sweep": ([(_physics_sweep, False)], [((2, 4, 2, 0), [2, 2])]),
+    "singleton": (
+        [
+            (
+                lambda: Campaign.single(
+                    baseline_config(),
+                    ExperimentSettings(benchmarks=("gzip",), uops_per_benchmark=1_200),
+                ),
+                False,
+            )
+        ],
+        [((1, 0, 0, 0), [1])],
+    ),
+    "policy_axis": ([(_policy_axis, False)], [((3, 1, 1, 0), [3, 1])]),
+    # Capture with a cache, replay new physics from the cached trace with 0
+    # captures, then re-run the first campaign straight from the cache.
+    "cached": (
+        [(_small_sweep, True), (_package_sweep, True), (_small_sweep, True)],
+        [((1, 1, 1, 0), [1, 1]), ((0, 3, 0, 0), [1]), ((0, 0, 0, 2), [])],
+    ),
+}
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+@pytest.mark.parametrize("case", sorted(COUNTER_CASES))
+def test_campaign_outcome_counters_and_fanouts(case, jobs, tmp_path):
+    runs, expected = COUNTER_CASES[case]
+    cache = ResultCache(tmp_path / "cache")
+    executor = _LoggedSerial() if jobs == 1 else _LoggedParallel(jobs=jobs)
+    observed = []
+    with executor:
+        for factory, cached in runs:
+            executor.fanouts = []
+            outcome = run_campaign(
+                factory(), executor=executor, cache=cache if cached else None
+            )
+            counters = (
+                outcome.cells_executed,
+                outcome.cells_replayed,
+                outcome.traces_captured,
+                outcome.cache_hits,
+            )
+            observed.append((counters, executor.fanouts))
+    assert observed == expected

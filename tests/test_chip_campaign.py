@@ -39,6 +39,20 @@ def _chip_campaign(configs=None, **kwargs):
     return Campaign(configs, _settings(), name="chip", **defaults)
 
 
+def _physics_variants(count):
+    base = baseline_config()
+    return [
+        dataclasses.replace(
+            base,
+            name=f"phys_{i}",
+            power=dataclasses.replace(
+                base.power, leakage_fraction_at_ambient=0.20 + 0.02 * i
+            ),
+        )
+        for i in range(count)
+    ]
+
+
 # ----------------------------------------------------------------------
 # Campaign axes
 # ----------------------------------------------------------------------
@@ -127,22 +141,11 @@ def test_chip_campaign_runs_and_aggregates(tmp_path):
 def test_physics_sweep_reuses_cached_single_core_traces(tmp_path):
     """cells_executed stays flat as the physics grid grows."""
     cache = ResultCache(tmp_path)
-    base = baseline_config()
-
-    def physics_variant(i):
-        return dataclasses.replace(
-            base,
-            name=f"phys_{i}",
-            power=dataclasses.replace(
-                base.power, leakage_fraction_at_ambient=0.20 + 0.02 * i
-            ),
-        )
-
-    small = _chip_campaign(configs=[physics_variant(0)])
+    small = _chip_campaign(configs=_physics_variants(1))
     outcome = run_campaign(small, cache=cache)
     assert outcome.cells_executed == 2  # the two per-thread captures
 
-    big = _chip_campaign(configs=[physics_variant(i) for i in range(4)])
+    big = _chip_campaign(configs=_physics_variants(4))
     grown = run_campaign(big, cache=cache)
     # 4x the physics cells, zero new timing simulations (phys_0's whole chip
     # cell is even a result-cache hit from the first campaign).
@@ -192,3 +195,85 @@ def test_schema_v4_round_trips_chip_telemetry():
     data["schema_version"] = 3
     del data["chip"]
     assert result_from_dict(data).chip == {}
+
+
+# ----------------------------------------------------------------------
+# The campaign plan's outcome counters, pinned per scenario and executor
+# ----------------------------------------------------------------------
+def _policy_axis_campaign():
+    return _chip_campaign(
+        configs=_physics_variants(2), dtm_policies=("none", "core_migration")
+    )
+
+
+#: scenario -> ([(campaign factory, attach the cache?), ...], counters per
+#: campaign as (cells_executed, cells_replayed, traces_captured, cache_hits)).
+CHIP_COUNTER_CASES = {
+    # Coupled (core_migration) and replayed (none) chip cells in one campaign.
+    "policy_axis": ([(_policy_axis_campaign, False)], [(4, 2, 2, 0)]),
+    # Two heterogeneous mixes share the swim trace; no cache attached.
+    "heterogeneous_mixes": (
+        [
+            (
+                lambda: Campaign(
+                    _physics_variants(2),
+                    _settings(),
+                    name="mixes",
+                    cores=2,
+                    per_core_scenarios=("gzip+swim", "swim+mcf"),
+                ),
+                False,
+            )
+        ],
+        [(3, 4, 3, 0)],
+    ),
+    # A chip sweep replays the traces a single-core campaign captured.
+    "single_core_traces": (
+        [
+            (
+                lambda: Campaign(
+                    _physics_variants(1),
+                    _settings(benchmarks=("gzip", "swim")),
+                    name="single",
+                ),
+                True,
+            ),
+            (
+                lambda: Campaign(
+                    _physics_variants(3),
+                    _settings(),
+                    name="chip",
+                    cores=2,
+                    per_core_scenarios=("gzip+swim",),
+                ),
+                True,
+            ),
+        ],
+        [(2, 0, 2, 0), (0, 3, 0, 0)],
+    ),
+    # A cached re-run simulates and replays nothing.
+    "cached_rerun": (
+        [(_policy_axis_campaign, True), (_policy_axis_campaign, True)],
+        [(4, 2, 2, 0), (0, 0, 0, 4)],
+    ),
+}
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+@pytest.mark.parametrize("case", sorted(CHIP_COUNTER_CASES))
+def test_chip_campaign_outcome_counters(case, jobs, tmp_path):
+    runs, expected = CHIP_COUNTER_CASES[case]
+    cache = ResultCache(tmp_path)
+    executor = SerialExecutor() if jobs == 1 else ParallelExecutor(jobs=jobs)
+    with executor:
+        outcomes = [
+            run_campaign(
+                factory(), executor=executor, cache=cache if cached else None
+            )
+            for factory, cached in runs
+        ]
+    counters = [
+        (o.cells_executed, o.cells_replayed, o.traces_captured, o.cache_hits)
+        for o in outcomes
+    ]
+    assert counters == expected

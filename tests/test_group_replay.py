@@ -230,15 +230,19 @@ def test_exact_mode_is_bit_identical_to_per_cell_replay(captured):
     spec, trace = captured
     variants = _scaled_variants(spec)
     grouped = replay_group(trace, variants, spec.interval_cycles, replay_mode="exact")
-    for config, result in zip(variants, grouped):
+    # Without a mode the group replays exactly too: "exact" is the default.
+    default = replay_group(trace, variants, spec.interval_cycles)
+    for config, result, plain in zip(variants, grouped, default):
         solo = PhysicsStage(config, spec.interval_cycles).replay(trace)
-        assert len(solo.intervals) == len(result.intervals)
-        for si, gi in zip(solo.intervals, result.intervals):
-            # Dict equality on floats == byte identity.
-            assert si.temperature == gi.temperature
-            assert si.leakage_power == gi.leakage_power
-            assert si.dynamic_power == gi.dynamic_power
-        assert solo.warmup_temperature == result.warmup_temperature
+        assert "replay_mode" not in plain.provenance  # batched results carry it
+        for replayed in (result, plain):
+            assert len(solo.intervals) == len(replayed.intervals)
+            for si, gi in zip(solo.intervals, replayed.intervals):
+                # Dict equality on floats == byte identity.
+                assert si.temperature == gi.temperature
+                assert si.leakage_power == gi.leakage_power
+                assert si.dynamic_power == gi.dynamic_power
+            assert solo.warmup_temperature == replayed.warmup_temperature
 
 
 def test_none_policy_telemetry_matches_exact(captured):
@@ -341,7 +345,7 @@ def test_single_cell_group_performs_zero_batch_solves(captured, monkeypatch):
     spec, trace = captured
     counter = _BatchCounter(monkeypatch)
     batched_spec = dataclasses.replace(spec, options=BATCHED)
-    results = execute_replay_group((trace, [batched_spec]))
+    results = execute_replay_group(((trace,), [batched_spec]))
     assert counter.batch_ops == 0
     assert len(results) == 1 and results[0].provenance["replayed"] is True
 
@@ -357,6 +361,7 @@ def test_replay_mode_validation():
     for mode in REPLAY_MODES:
         assert validate_replay_mode(mode) == mode
     assert validate_replay_mode(" Batched ") == "batched"
+    assert validate_replay_mode("") == "exact"
     with pytest.raises(ValueError, match="replay_mode"):
         validate_replay_mode("fast")
     with pytest.raises(ValueError, match="replay_mode"):
@@ -483,7 +488,6 @@ def test_service_codec_carries_replay_mode():
 # ----------------------------------------------------------------------
 def test_chip_batched_matches_exact(monkeypatch):
     from repro.campaign import scale_paper_intervals
-    from repro.campaign.executors import execute_chip_replay_group
     from repro.chip.spec import ChipRunSpec
 
     interval_cycles = 800
@@ -514,9 +518,9 @@ def test_chip_batched_matches_exact(monkeypatch):
         )
     exact_specs, batched_specs = specs
 
-    exact = execute_chip_replay_group((traces, exact_specs))
+    exact = execute_replay_group((traces, exact_specs))
     counter = _BatchCounter(monkeypatch)
-    batched = execute_chip_replay_group((traces, batched_specs))
+    batched = execute_replay_group((traces, batched_specs))
     assert counter.walks and all(width >= 2 for width in counter.walks)
     for b, e in zip(batched, exact):
         assert b.config_name == e.config_name

@@ -88,6 +88,48 @@ def test_progress_accounting_and_eta(job):
     assert "eta_seconds" in progress[0]
 
 
+@pytest.mark.parametrize("chip", [False, True], ids=["single_core", "chip"])
+def test_progress_counts_only_campaign_cells(chip):
+    """Captures a chip cell replays from are timing runs, not cells."""
+    import dataclasses
+
+    from repro.campaign import run_campaign
+    from repro.campaign.pool import WorkerPool
+    from repro.service.manager import PoolBackedExecutor
+
+    base = baseline_config()
+    hot = dataclasses.replace(
+        base,
+        name="hot",
+        power=dataclasses.replace(base.power, leakage_fraction_at_ambient=0.4),
+    )
+    axes = (
+        dict(cores=4, per_core_scenarios=("gzip+swim+gzip+swim", "swim+mcf"))
+        if chip
+        else {}
+    )
+    campaign = Campaign(
+        (base, hot),
+        ExperimentSettings(benchmarks=("gzip", "swim"), uops_per_benchmark=1_000),
+        name="progress",
+        **axes,
+    )
+    job = Job(1, campaign)
+    job.mark_running()
+    pool = WorkerPool(workers=2, mode="thread")
+    try:
+        outcome = run_campaign(campaign, executor=PoolBackedExecutor(pool, job))
+    finally:
+        pool.shutdown()
+    progress = [e for e in job.events_since(0) if e["event"] == "progress"]
+    assert progress
+    assert all(e["cells_done"] <= e["cells_total"] for e in progress)
+    assert progress[-1]["cells_done"] == job.cells_total == len(campaign)
+    assert job.cells_simulated == outcome.cells_executed
+    assert job.cells_replayed == outcome.cells_replayed
+    assert job.traces_captured == outcome.traces_captured
+
+
 def test_cached_cells_count_toward_progress(job):
     job.mark_running()
     job.record_cache_hits(2)

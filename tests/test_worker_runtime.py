@@ -155,7 +155,7 @@ def _geometry(plan):
     return [(b.name, b.x, b.y, b.width, b.height) for b in plan.blocks()]
 
 
-def test_core_layout_is_shared_by_physics_variants(monkeypatch):
+def test_core_layout_is_shared_by_physics_variants():
     """Cells that differ only in power/thermal parameters share one die layout."""
     base = baseline_config()
     variant = dataclasses.replace(
@@ -173,10 +173,6 @@ def test_core_layout_is_shared_by_physics_variants(monkeypatch):
     assert groups == blocks.block_groups(variant)
     # A structural change is a different die.
     assert core_layout(distributed_frontend_config()) is not shared
-    monkeypatch.setenv("REPRO_WARM_CACHE", "0")
-    fresh = core_layout(variant)
-    assert fresh is not shared
-    assert _geometry(fresh[1]) == _geometry(plan)
 
 
 def test_timeout_kills_worker_and_respawns_with_empty_cache():
@@ -332,7 +328,7 @@ def test_publish_falls_back_to_the_trace_itself_when_source_is_stale(
 def test_pool_replay_groups_are_byte_identical_and_leak_free(captured):
     spec, trace = captured
     specs = _power_variants(spec, 3)
-    serial = execute_replay_group((trace, tuple(specs)))
+    serial = execute_replay_group(((trace,), tuple(specs)))
     serial_docs = [json.dumps(result_to_dict(r), sort_keys=True) for r in serial]
 
     before = _shm_listing()
@@ -340,7 +336,7 @@ def test_pool_replay_groups_are_byte_identical_and_leak_free(captured):
     try:
         executor = PoolBackedExecutor(pool)
         groups = executor.run_tasks(
-            execute_replay_group, [(trace, tuple(specs)), (trace, tuple(specs))]
+            execute_replay_group, [((trace,), tuple(specs))] * 2
         )
         assert pool.drain(timeout=30)
         for group in groups:

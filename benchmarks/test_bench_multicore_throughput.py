@@ -229,5 +229,5 @@ def test_bench_multicore_throughput_json(report_writer):
                 f"sparse backend is only {row['speedup_total']:.2f}x the dense "
                 f"one at {row['cores']} cores / {row['nodes']} nodes "
                 "(expected >= 3x on comparable hardware — the "
-                "solver_backend='auto' threshold rests on this)"
+                "solver's auto threshold rests on this)"
             )

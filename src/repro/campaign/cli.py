@@ -19,7 +19,7 @@ Subcommands:
   (``none``, ``core_migration``, ``chip_dvfs``).  ``--timing-mode
   auto|fast|reference`` selects the engine timing path (the native fast
   path is byte-identical to the per-uop golden reference wherever
-  ``auto`` picks it) and ``--replay-mode exact|batched|auto`` the physics
+  ``auto`` picks it) and ``--replay-mode exact|batched`` the physics
   replay path; both travel as the executor's ``ExecutionOptions``;
 * ``cache`` — housekeeping for an on-disk result cache, which since the
   two-stage simulation core also holds activity-trace artifacts:
@@ -464,7 +464,6 @@ def _run_multicore_figure(
         seed=args.seed if args.seed is not None else 7,
         executor=executor,
         cache=cache,
-        solver_backend=args.solver_backend,
         **kwargs,
     )
     print(result.format_table())
@@ -537,7 +536,6 @@ def _run(args: argparse.Namespace, executor: Executor) -> int:
                 cores=cores,
                 per_core_scenarios=mixes,
                 contention=args.contention,
-                solver_backend=args.solver_backend,
             )
             outcome = run_campaign(campaign, executor, cache)
             from repro.experiments.reporting import format_campaign_outcome
@@ -815,14 +813,6 @@ def build_parser() -> argparse.ArgumentParser:
         "'shared_llc' or 'shared_llc:service=64,max_extra=300'",
     )
     run.add_argument(
-        "--solver-backend",
-        choices=("auto", "dense", "sparse"),
-        default="auto",
-        help="thermal solver factorization: 'auto' (default) keeps small "
-        "dies on the dense bit-identical path and flips to sparse SuperLU "
-        "above the node threshold; 'dense'/'sparse' force a backend",
-    )
-    run.add_argument(
         "--configs",
         help="comma-separated preset names (default: baseline)",
     )
@@ -866,13 +856,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     run.add_argument(
         "--replay-mode",
-        choices=("exact", "batched", "auto"),
+        choices=("exact", "batched"),
         default="exact",
         help="physics-sweep replay path: 'exact' (default) replays each "
         "cell alone, bit-identical to the coupled run; 'batched' advances "
         "whole thermally-identical sub-groups per interval in one "
-        "multi-RHS solve (matches exact within rtol/atol 1e-8); 'auto' "
-        "batches sub-groups of 2+ cells without per-cell DTM divergence",
+        "multi-RHS solve (matches exact within rtol/atol 1e-8)",
     )
 
     serve = sub.add_parser(

@@ -70,7 +70,6 @@ def _build_engine(spec):
             interval_cycles=spec.interval_cycles,
             chip_policy=spec.chip_policy,
             contention=spec.contention,
-            solver_backend=spec.solver_backend,
             timing_mode=spec.options.timing_mode,
         )
     # Imported lazily: ``repro.core.presets`` imports this package to get the
@@ -138,9 +137,9 @@ def execute_replay_group(task) -> List[SimulationResult]:
     boundary once per group instead of once per cell (within one task,
     pickle memoizes a homogeneous mix's repeated trace).  How the physics
     is computed is the specs' ``options.replay_mode``: ``"exact"`` replays
-    each cell alone (bit-identical to the coupled run),
-    ``"batched"``/``"auto"`` advance whole thermally-identical sub-groups
-    per interval in one multi-RHS solve.
+    each cell alone (bit-identical to the coupled run), ``"batched"``
+    advances whole thermally-identical sub-groups per interval in one
+    multi-RHS solve.
     """
     traces, specs = task
     specs = list(specs)

@@ -150,12 +150,11 @@ class ExecutionOptions:
     ``timing_mode`` selects the engines' timing path (``"auto"``,
     ``"fast"`` or ``"reference"``; the fast path is byte-identical to the
     per-uop reference wherever ``auto`` takes it) and ``replay_mode`` how a
-    replay group's physics is computed (``"exact"`` per cell,
-    ``"batched"`` multi-RHS, ``"auto"``; see :mod:`repro.sim.group_replay`
-    — batched results match exact ones within rtol/atol 1e-8).  An
-    executor holds one instance; :func:`~repro.campaign.core.run_campaign`
-    stamps it onto every cell it dispatches and echoes it in
-    ``CampaignOutcome.runtime["options"]``.  The options never enter a
+    replay group's physics is computed (``"exact"`` per cell or
+    ``"batched"`` multi-RHS; see :mod:`repro.sim.group_replay` — batched
+    results match exact ones within rtol/atol 1e-8).  An executor holds one
+    instance; :func:`~repro.campaign.core.run_campaign` stamps it onto every
+    cell it dispatches and echoes it in ``CampaignOutcome.runtime["options"]``.  The options never enter a
     cache key or a result's provenance, so a cell keeps one identity
     across modes.
     """
@@ -354,11 +353,9 @@ class Campaign:
     ``contention`` (chip mode only) names a shared-LLC contention model
     (a :func:`repro.chip.make_contention` spec such as ``"shared_llc"``);
     contended cells couple threads through memory latency and are simulated
-    with the coupled engine instead of trace replay.  ``solver_backend``
-    selects the thermal solver factorization for every cell
-    (``"auto"``/``"dense"``/``"sparse"``, see :mod:`repro.thermal.solver`).
-    How the cells execute (timing and replay mode) is not part of the
-    campaign: it is the executor's :class:`ExecutionOptions`.
+    with the coupled engine instead of trace replay.  How the cells execute
+    (timing and replay mode) is not part of the campaign: it is the
+    executor's :class:`ExecutionOptions`.
     """
 
     configs: Tuple[ProcessorConfig, ...]
@@ -368,7 +365,6 @@ class Campaign:
     cores: int = 1
     per_core_scenarios: Tuple[Tuple[str, ...], ...] = ()
     contention: Optional[str] = None
-    solver_backend: str = "auto"
 
     def __init__(
         self,
@@ -379,7 +375,6 @@ class Campaign:
         cores: int = 1,
         per_core_scenarios: Iterable = (),
         contention: Optional[str] = None,
-        solver_backend: str = "auto",
     ) -> None:
         object.__setattr__(self, "configs", tuple(configs))
         object.__setattr__(self, "settings", settings)
@@ -387,7 +382,6 @@ class Campaign:
         object.__setattr__(self, "dtm_policies", tuple(dtm_policies))
         object.__setattr__(self, "cores", int(cores))
         object.__setattr__(self, "contention", contention)
-        object.__setattr__(self, "solver_backend", solver_backend)
         mixes = tuple(
             tuple(mix.split("+")) if isinstance(mix, str) else tuple(mix)
             for mix in per_core_scenarios
@@ -418,13 +412,6 @@ class Campaign:
                 )
             for scenario in mix:
                 get_profile(scenario)  # raises KeyError for unknown names
-        from repro.thermal.solver import SOLVER_BACKENDS
-
-        if self.solver_backend not in SOLVER_BACKENDS:
-            raise ValueError(
-                f"solver_backend must be one of {', '.join(SOLVER_BACKENDS)}, "
-                f"not {self.solver_backend!r}"
-            )
         if self.contention is not None:
             from repro.chip.contention import make_contention
 
@@ -524,7 +511,6 @@ class Campaign:
                                 seed=self.settings.seed,
                                 chip_policy=policy,
                                 contention=self.contention,
-                                solver_backend=self.solver_backend,
                             )
                         )
             return tuple(specs)

@@ -113,8 +113,6 @@ def build_chip_physics(
     config: ProcessorConfig,
     cores: int,
     interval_cycles: Optional[int] = None,
-    solver_backend: str = "auto",
-    solver_ordering: str = "colamd",
 ) -> Tuple[PhysicsStage, BlockIndex, int]:
     """One :class:`PhysicsStage` over the composite ``cores``-core die.
 
@@ -123,9 +121,9 @@ def build_chip_physics(
     and core ``c`` occupies the contiguous chip-vector slice
     ``[c * blocks_per_core, (c + 1) * blocks_per_core)``.
 
-    ``solver_backend`` selects the thermal solver's factorization (see
-    :mod:`repro.thermal.solver`): ``"auto"`` keeps small dies on the dense
-    (bit-identical) path and flips to sparse SuperLU at
+    The die's node count picks the thermal solver's factorization (see
+    :mod:`repro.thermal.solver`): small dies stay on the dense
+    (bit-identical) path and the solver flips to sparse SuperLU at
     :data:`~repro.thermal.solver.SPARSE_NODE_THRESHOLD` nodes — in this
     composition, at 16 cores and above — where the composite Laplacian is
     ~99% zeros and sparse factorization is an order of magnitude faster.
@@ -145,8 +143,6 @@ def build_chip_physics(
         block_parameters=chip_parameters,
         floorplan=chip_plan,
         block_groups=chip_block_groups(config, cores),
-        solver_backend=solver_backend,
-        solver_ordering=solver_ordering,
     )
     return physics, BlockIndex(core_parameters), len(core_parameters)
 
@@ -350,7 +346,6 @@ class ChipEngine:
         chip_policy: Optional[Union[ChipDTMPolicy, str]] = None,
         core_policies: Optional[Sequence[Optional[Union[DTMPolicy, str]]]] = None,
         timing_mode: str = "auto",
-        solver_backend: str = "auto",
         contention: Optional[Union[ContentionConfig, str]] = None,
     ) -> None:
         if len(uop_sources) != len(benchmarks):
@@ -366,7 +361,7 @@ class ChipEngine:
                 "(at most one thread per core)"
             )
         self.physics, self.core_index, _ = build_chip_physics(
-            config, self.cores, interval_cycles, solver_backend=solver_backend
+            config, self.cores, interval_cycles
         )
 
         # Shared-LLC / memory-bandwidth contention (repro.chip.contention).
@@ -412,7 +407,6 @@ class ChipEngine:
         self.interval_cycles = self.physics.interval_cycles
         self.block_index = self.physics.block_index
         self.blocks_per_core = len(self.core_index)
-        self.solver_backend = self.physics.solver_backend
         self.num_threads = len(benchmarks)
         #: Core currently executing each thread.
         self.thread_core: List[int] = list(range(self.num_threads))
@@ -891,21 +885,14 @@ class ChipReplayCell(ReplayCell):
         cores: int,
         interval_cycles: Optional[int] = None,
         chip_policy: Optional[Union[ChipDTMPolicy, str]] = None,
-        solver_backend: str = "auto",
     ) -> None:
         if isinstance(chip_policy, str):
             chip_policy = make_chip_policy(chip_policy)
         super().__init__(config, chip_policy, interval_cycles)
         self.cores = cores
-        self.solver_backend = solver_backend
 
     def die(self) -> PhysicsStage:
-        return build_chip_physics(
-            self.config,
-            self.cores,
-            self.interval_cycles,
-            solver_backend=self.solver_backend,
-        )[0]
+        return build_chip_physics(self.config, self.cores, self.interval_cycles)[0]
 
     def power_model(self) -> PowerModel:
         return PowerModel(
@@ -944,7 +931,6 @@ def replay_chip(
     interval_cycles: Optional[int] = None,
     warmup: bool = True,
     chip_policy: Optional[Union[ChipDTMPolicy, str]] = None,
-    solver_backend: str = "auto",
 ) -> SimulationResult:
     """Replay N per-core activity traces through one composite-die physics.
 
@@ -962,7 +948,6 @@ def replay_chip(
         cores if cores is not None else len(traces),
         interval_cycles,
         chip_policy,
-        solver_backend,
     )
     return replay_cells([cell], traces, warmup=warmup)[0]
 
@@ -980,21 +965,14 @@ def replay_chip_group(
     ``specs`` are :class:`~repro.chip.spec.ChipRunSpec` cells of one
     trace-set replay group (same mix — only physics-side configuration
     varies).  ``"exact"`` replays every cell alone, bit-identical to the
-    coupled run; ``"batched"`` / ``"auto"`` sub-group the cells by
-    thermal/floorplan key (plus core count and solver backend — both shape
-    the composite die's network) and advance each sub-group's cells per
-    interval in one multi-RHS solve, within the same rtol/atol 1e-8
-    contract as the single-core batched path.  Results come back in
-    ``specs`` order.
+    coupled run; ``"batched"`` sub-groups the cells by thermal/floorplan
+    key (plus core count, which shapes the composite die's network) and
+    advances each sub-group's cells per interval in one multi-RHS solve,
+    within the same rtol/atol 1e-8 contract as the single-core batched
+    path.  Results come back in ``specs`` order.
     """
     cells = [
-        ChipReplayCell(
-            spec.config,
-            spec.cores,
-            spec.interval_cycles,
-            spec.chip_policy,
-            spec.solver_backend,
-        )
+        ChipReplayCell(spec.config, spec.cores, spec.interval_cycles, spec.chip_policy)
         for spec in specs
     ]
     return replay_cells(cells, traces, replay_mode=replay_mode, warmup=warmup)

@@ -49,11 +49,7 @@ class ChipRunSpec:
     (a :func:`repro.chip.make_contention` spec string such as
     ``"shared_llc"`` or ``"shared_llc:service=32"``); contended cells
     couple threads through memory latency and are therefore never
-    replayable.  ``solver_backend`` selects the thermal solver's
-    factorization (``"auto"``/``"dense"``/``"sparse"``, see
-    :mod:`repro.thermal.solver`); it is part of the cache key only when it
-    is not ``"auto"``, because sparse and dense results are equivalent but
-    not bit-identical and must not collide in the result cache.
+    replayable.
 
     ``options`` are the :class:`~repro.campaign.spec.ExecutionOptions`
     the cell runs under (timing and replay mode) — deliberately excluded
@@ -69,7 +65,6 @@ class ChipRunSpec:
     seed: int
     chip_policy: Optional[str] = None
     contention: Optional[str] = None
-    solver_backend: str = "auto"
     options: ExecutionOptions = field(default_factory=ExecutionOptions)
 
     def __post_init__(self) -> None:
@@ -85,13 +80,6 @@ class ChipRunSpec:
             raise ValueError(
                 f"{len(self.trace_uops)} trace lengths for "
                 f"{len(self.benchmarks)} threads"
-            )
-        from repro.thermal.solver import SOLVER_BACKENDS
-
-        if self.solver_backend not in SOLVER_BACKENDS:
-            raise ValueError(
-                f"solver_backend must be one of {', '.join(SOLVER_BACKENDS)}, "
-                f"not {self.solver_backend!r}"
             )
         if self.contention is not None:
             from repro.chip.contention import make_contention
@@ -126,8 +114,6 @@ class ChipRunSpec:
             provenance["chip_policy"] = self.chip_policy
         if self.contention is not None:
             provenance["contention"] = self.contention
-        if self.solver_backend != "auto":
-            provenance["solver_backend"] = self.solver_backend
         return provenance
 
     def key_material(self) -> Dict[str, object]:
@@ -149,17 +135,12 @@ class ChipRunSpec:
         }
         if self.chip_policy is not None:
             material["chip_policy"] = self.chip_policy
-        # Both knobs below enter the material only when set, so every cache
-        # key minted before they existed still matches its cell.  The
-        # solver backend is keyed when explicit because sparse and dense
-        # results are tolerance-equivalent, not bit-identical — an explicit
-        # "sparse" result must never be served for a "dense" request (or
-        # vice versa); "auto" keys like the pre-sparse solver, whose
-        # resolution is a pure function of the cell's own node count.
+        # Contention enters the material only when set, so every cache key
+        # minted before it existed still matches its cell.  The solver's
+        # factorization needs no entry: the die's node count, a function of
+        # ``cores``, picks it.
         if self.contention is not None:
             material["contention"] = self.contention
-        if self.solver_backend != "auto":
-            material["solver_backend"] = self.solver_backend
         return material
 
     def cache_key(self) -> str:

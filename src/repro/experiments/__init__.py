@@ -13,7 +13,8 @@ regenerated in parallel and re-runs skip simulation entirely.
 
 The experiments are scaled down (shorter traces, proportionally shorter
 thermal / hopping / remapping intervals) so they run in minutes of pure
-Python; see DESIGN.md for the substitution rationale.
+Python; :func:`repro.campaign.builder.scale_paper_intervals` scales the
+paper's 10 M-cycle intervals down with the traces.
 """
 
 from repro.campaign import (

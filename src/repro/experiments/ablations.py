@@ -1,4 +1,4 @@
-"""Ablations of the design choices called out in DESIGN.md.
+"""Ablations of the distributed frontend's design choices.
 
 These experiments go beyond the paper's figures and quantify the sensitivity
 of the proposed techniques to their main knobs:

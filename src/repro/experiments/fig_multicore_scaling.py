@@ -100,16 +100,15 @@ def run_multicore_scaling(
     seed: int = 7,
     executor: Optional[Executor] = None,
     cache: Optional[ResultCache] = None,
-    solver_backend: str = "auto",
 ) -> MulticoreScalingResult:
     """Run the core-count x mix grid and aggregate per (count, shape).
 
     ``core spread`` is the difference between the hottest and coolest
     core's peak temperature — zero for a perfectly homogeneous die, large
     when hot cores sit next to idle silicon (the headroom chip-level DTM
-    trades against).  ``solver_backend`` selects the thermal factorization
-    for every campaign (``"auto"`` flips the 16-core dies to sparse SuperLU
-    and keeps the small anchors on the dense bit-identical path).
+    trades against).  The 16-core dies solve their thermal network with
+    sparse SuperLU and the small anchors stay on the dense bit-identical
+    path (see :mod:`repro.thermal.solver`).
     """
     if config is None:
         config = baseline_config()
@@ -128,7 +127,6 @@ def run_multicore_scaling(
                 seed=seed,
                 executor=executor,
                 cache=ResultCache(tmp),
-                solver_backend=solver_backend,
             )
     scenarios = tuple(
         dict.fromkeys((HOMOGENEOUS_SCENARIO,) + HETEROGENEOUS_MIX)
@@ -147,7 +145,6 @@ def run_multicore_scaling(
             name=f"multicore_{cores}",
             cores=cores,
             per_core_scenarios=_mixes_for(cores),
-            solver_backend=solver_backend,
         )
         outcome = run_campaign(campaign, executor=executor, cache=cache)
         result.cells_replayed += outcome.cells_replayed

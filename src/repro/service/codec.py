@@ -15,7 +15,7 @@ run`` command builds from its flags, as one JSON object::
         "dtm_policies": ["none", "dvfs"],
         "cores": 1,
         "per_core_scenarios": [["thermal_virus", "idle_crawl"]],
-        "replay_mode": "exact"           # exact | batched | auto
+        "replay_mode": "exact"           # exact | batched
     }
 
 :func:`campaign_from_payload` builds the campaign and

@@ -161,9 +161,12 @@ class _TraceGate:
         self._job = job
         self._claims: List[str] = []
 
-    # Pass-through result interface.
+    # Pass-through result interface; a hit completes a cell of the job.
     def load(self, spec):
-        return self._inner.load(spec)
+        result = self._inner.load(spec)
+        if result is not None and self._job is not None:
+            self._job.record_cache_hits(1)
+        return result
 
     def store(self, spec, result):
         return self._inner.store(spec, result)

@@ -13,17 +13,16 @@ replay, for single-core and chip cells alike:
   says how its die and power model are built and how its result is shaped;
   nothing else differs between the two;
 * cells of one replay group are **sub-grouped by thermal key** (the
-  ``thermal`` config section plus the block areas, core count and solver
-  backend — identical key means identical floorplan, RC network and
-  factorization, so one die serves the whole sub-group);
+  ``thermal`` config section plus the block areas and core count —
+  identical key means identical floorplan, RC network and factorization,
+  so one die serves the whole sub-group);
 * each cell either walks its interval chain alone on its own die (the exact
   walk) or advances with its whole sub-group at once (the batched walk):
   leakage via the :func:`~repro.power.leakage.batched_leakage_kernel`
   ``np.exp`` kernel over the ``(cells x blocks)`` temperature matrix, then
   one multi-RHS solve per interval for the entire sub-group.
 
-The knob is ``replay_mode`` (same discipline as ``backend=`` /
-``timing_mode=``):
+The choice is ``replay_mode``, one of :data:`REPLAY_MODES`:
 
 * ``"exact"`` — the per-cell walk, bit-identical to the coupled run and
   locked to the golden fixtures.  It is the default everywhere — here, in
@@ -35,8 +34,6 @@ The knob is ``replay_mode`` (same discipline as ``backend=`` /
   cumulative sum.  ``tests/test_group_replay.py`` locks batched==exact at
   rtol/atol 1e-8.  Sub-groups of one cell still take the exact path — a
   batch of one is pure stacking overhead.
-* ``"auto"`` — batches every sub-group with >= 2 cells whose cells agree on
-  their DTM policy (no per-cell DTM divergence), exact otherwise.
 
 Per-cell *warm-up* stays on the exact scalar fixed point (shared
 factorization, per-cell iteration): the warm-up convergence test stops at a
@@ -65,7 +62,7 @@ from repro.sim.warmcache import core_layout
 from repro.thermal.solver import ThermalSolver
 
 #: Accepted values of the ``replay_mode`` execution knob.
-REPLAY_MODES = ("auto", "exact", "batched")
+REPLAY_MODES = ("exact", "batched")
 
 #: Equivalence contract of the batched path versus the exact per-cell path.
 BATCHED_RTOL = 1e-8
@@ -198,7 +195,6 @@ class ReplayCell:
     """
 
     cores = 1
-    solver_backend = "auto"
     policy_kind = "DTM policy"
 
     def __init__(
@@ -229,7 +225,7 @@ class ReplayCell:
         """Cells with equal keys share one die (floorplan, network, solver)."""
         areas = {name: p.area_mm2 for name, p in self.core_parameters.items()}
         key = thermal_group_key(self.config, areas)
-        return f"{key}:{self.cores}:{self.solver_backend}"
+        return f"{key}:{self.cores}"
 
     def die(self):
         """A fresh physics stage over this cell's die."""
@@ -567,9 +563,9 @@ def replay_cells(
 ) -> List[SimulationResult]:
     """Replay one trace layout under many physics variants; results in order.
 
-    ``"exact"`` walks every cell alone on its own die; otherwise the cells
-    are sub-grouped by :meth:`ReplayCell.group_key` and each sub-group that
-    qualifies (see the module docstring) advances in one batched walk.
+    ``"exact"`` walks every cell alone on its own die; ``"batched"``
+    sub-groups the cells by :meth:`ReplayCell.group_key` and advances each
+    sub-group of two or more cells in one batched walk.
     """
     mode = validate_replay_mode(replay_mode)
     for cell in cells:
@@ -588,8 +584,7 @@ def replay_cells(
     for positions in subgroups.values():
         members = [cells[p] for p in positions]
         stack = stacks[members[0].cores]
-        policy_names = {None if c.policy is None else c.policy.name for c in members}
-        if len(members) >= 2 and (mode == "batched" or len(policy_names) == 1):
+        if len(members) >= 2:
             replayed = _replay_batched(members, stack, warmup)
         else:
             replayed = [replay_exact(c, c.die(), stack, warmup) for c in members]
@@ -617,8 +612,8 @@ def replay_group(
     Results come back in ``configs`` order, each equivalent to
     ``PhysicsStage(config).replay(trace, ...)`` — bit-identical in
     ``"exact"`` mode, within :data:`BATCHED_RTOL` / :data:`BATCHED_ATOL` in
-    ``"batched"``/``"auto"`` (see module docstring for the mode semantics
-    and sub-grouping).
+    ``"batched"`` (see module docstring for the mode semantics and
+    sub-grouping).
     """
     configs = list(configs)
     policies = [None] * len(configs) if dtm_policies is None else list(dtm_policies)

@@ -302,8 +302,6 @@ class PhysicsStage:
         block_parameters=None,
         floorplan=None,
         block_groups=None,
-        solver_backend: str = "auto",
-        solver_ordering: str = "colamd",
     ) -> None:
         """Build the physics of one die.
 
@@ -314,16 +312,9 @@ class PhysicsStage:
         *composite* die — per-core namespaced block parameters, a
         :func:`~repro.thermal.floorplan.compose_floorplans` core grid and
         chip-level block groups — and every downstream stage (RC network,
-        solver, power model, block index) composes without change.
-
-        ``solver_backend`` selects the thermal solver's factorization
-        (``"auto"``, ``"dense"`` or ``"sparse"``; see
-        :mod:`repro.thermal.solver`).  The default ``"auto"`` resolves to
-        dense on every single-core die and small composite — bit-identical
-        to the pre-sparse solver — and to sparse at
-        :data:`~repro.thermal.solver.SPARSE_NODE_THRESHOLD` nodes and
-        above.  ``solver_ordering`` is the sparse backend's fill-reducing
-        column ordering (``"colamd"`` or ``"natural"``).
+        solver, power model, block index) composes without change.  The
+        die's node count picks the solver's factorization
+        (``self.solver.backend``; see :mod:`repro.thermal.solver`).
         """
         self.config = config
         self.interval_cycles = interval_cycles or config.thermal.interval_cycles
@@ -347,14 +338,7 @@ class PhysicsStage:
         # pool child) replaying a sweep factorizes each distinct die once,
         # not once per cell.  A warm bundle is bit-identical to a fresh one
         # (same inputs, same factorization).
-        self.network, self.solver = solver_bundle(
-            self.floorplan,
-            config.thermal,
-            backend=solver_backend,
-            ordering=solver_ordering,
-        )
-        #: The resolved solver backend ("dense" or "sparse").
-        self.solver_backend = self.solver.backend
+        self.network, self.solver = solver_bundle(self.floorplan, config.thermal)
         self.power_model = PowerModel(config.power, self.block_parameters)
 
         # One block index (the power model's order) for every per-interval

@@ -11,11 +11,11 @@ service — or the serial path itself) can pay them once and reuse the
 products across every task it runs.  This module is that reuse point:
 
 * **Solver bundles** — ``(ThermalRCNetwork, ThermalSolver)`` pairs in a
-  bounded LRU keyed by the floorplan geometry + thermal config + solver
-  backend/ordering (a strict refinement of
-  :func:`~repro.sim.group_replay.thermal_group_key`, which keys on block
-  areas only).  The solver's own ``_propagator_cache`` / ``_affine_cache``
-  ride along, so a warm hit also skips the per-``dt`` propagator work.
+  bounded LRU keyed by the floorplan geometry + thermal config (a strict
+  refinement of :func:`~repro.sim.group_replay.thermal_group_key`, which
+  keys on block areas only).  The solver's own ``_propagator_cache`` /
+  ``_affine_cache`` ride along, so a warm hit also skips the per-``dt``
+  propagator work.
 * **Die layouts** — :func:`core_layout`, each single-core die's block
   power parameters, floorplan and block groups, memoized on the
   configuration without the name, power and thermal sections none of them
@@ -64,15 +64,15 @@ from repro.thermal.solver import ThermalSolver
 SOLVER_ENTRIES = 8
 TRACE_ENTRIES = 4
 
-def solver_key(floorplan, thermal_config, backend: str, ordering: str) -> str:
+def solver_key(floorplan, thermal_config) -> str:
     """Content key of one solver bundle.
 
     Everything :class:`~repro.thermal.rc_model.ThermalRCNetwork` and
     :class:`~repro.thermal.solver.ThermalSolver` read participates: the full
-    block geometry (names, positions, dimensions, in node order), every
-    thermal-config field, and the requested backend/ordering.  Two cells
-    that differ only on the power side therefore share one bundle — the
-    same sharing unit as
+    block geometry (names, positions, dimensions, in node order) and every
+    thermal-config field; the node count the geometry implies picks the
+    solver's factorization.  Two cells that differ only on the power side
+    therefore share one bundle — the same sharing unit as
     :func:`~repro.sim.group_replay.thermal_group_key`, refined from block
     areas to exact geometry.  The encoding and hash are memoized on that
     content, so a sweep pays them once per distinct die, not once per cell.
@@ -81,17 +81,12 @@ def solver_key(floorplan, thermal_config, backend: str, ordering: str) -> str:
         (block.name, block.x, block.y, block.width, block.height)
         for block in floorplan.blocks()
     )
-    return _solver_key(geometry, thermal_config, backend, ordering)
+    return _solver_key(geometry, thermal_config)
 
 
 @functools.lru_cache(maxsize=64)
-def _solver_key(geometry, thermal_config, backend: str, ordering: str) -> str:
-    material = {
-        "thermal": dataclasses.asdict(thermal_config),
-        "blocks": geometry,
-        "backend": backend,
-        "ordering": ordering,
-    }
+def _solver_key(geometry, thermal_config) -> str:
+    material = {"thermal": dataclasses.asdict(thermal_config), "blocks": geometry}
     return content_key(material)
 
 
@@ -216,13 +211,7 @@ def warm_snapshot() -> Dict[str, int]:
     return _CACHE.snapshot()
 
 
-def solver_bundle(
-    floorplan,
-    thermal_config,
-    *,
-    backend: str = "auto",
-    ordering: str = "colamd",
-) -> Tuple[ThermalRCNetwork, ThermalSolver]:
+def solver_bundle(floorplan, thermal_config) -> Tuple[ThermalRCNetwork, ThermalSolver]:
     """A ``(network, solver)`` pair for this die, warm when possible.
 
     The single construction point the physics stage and the batched group
@@ -231,11 +220,11 @@ def solver_bundle(
     fresh, exactly as the direct constructors would.
     """
     cache = warm_cache()
-    key = solver_key(floorplan, thermal_config, backend, ordering)
+    key = solver_key(floorplan, thermal_config)
     bundle = cache.get_solver(key)
     if bundle is None:
         network = ThermalRCNetwork(floorplan, thermal_config)
-        solver = ThermalSolver(network, backend=backend, ordering=ordering)
+        solver = ThermalSolver(network)
         bundle = (network, solver)
         cache.put_solver(key, bundle)
     return bundle

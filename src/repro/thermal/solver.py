@@ -25,37 +25,41 @@
 The conductance matrix ``G`` never changes after construction, so it is
 **factorized once** and every steady-state solve — including each
 iteration of the warm-up fixed point and the implicit steady-state target of
-every transient ``advance`` — reuses the factors.  Two factorization
-backends exist behind the ``backend`` knob:
+every transient ``advance`` — reuses the factors.  The die's node count
+picks the factorization (:func:`resolve_backend`):
 
-* ``"dense"`` — LAPACK LU (``scipy.linalg.lu_factor``).  LAPACK's ``gesv``
-  (what ``np.linalg.solve`` wraps) is exactly ``getrf`` + ``getrs``, i.e.
-  the same factorization followed by the same triangular solves, so the
+* **dense** — LAPACK LU (``scipy.linalg.lu_factor``) below
+  :data:`SPARSE_NODE_THRESHOLD` nodes.  LAPACK's ``gesv`` (what
+  ``np.linalg.solve`` wraps) is exactly ``getrf`` + ``getrs``, i.e. the
+  same factorization followed by the same triangular solves, so the
   factorized path is bit-identical to solving from scratch; the
-  golden-metric suite relies on that.  Without SciPy the steady-state
-  solves fall back to ``np.linalg.solve`` per call — slower, but identical
-  results (the matrix exponential falls back to scaling-and-squaring, as
-  before).
-* ``"sparse"`` — SuperLU over the CSC assembly of the same network
-  (``scipy.sparse.linalg.splu``; fill-reducing column ordering selectable
-  via ``ordering="colamd"|"natural"``).  The RC network couples each node
-  only to its floorplan neighbours, so the composite-die matrices the chip
-  layer builds are overwhelmingly sparse — at 16 cores (770 nodes, ~1%
-  dense) the sparse factorization and solves are an order of magnitude
-  faster than dense LU, and the gap widens quadratically with core count.
+  golden-metric suite relies on that.  Without SciPy every die is dense and
+  the steady-state solves fall back to ``np.linalg.solve`` per call —
+  slower, but identical results (the matrix exponential falls back to
+  scaling-and-squaring).
+* **sparse** — SuperLU with the COLAMD fill-reducing column ordering over
+  the CSC assembly of the same network (``scipy.sparse.linalg.splu``) at
+  and above the threshold.  The RC network couples each node only to its
+  floorplan neighbours, so the composite-die matrices the chip layer
+  builds are overwhelmingly sparse — at 16 cores (770 nodes, ~1% dense)
+  the sparse factorization and solves are an order of magnitude faster
+  than dense LU, and the gap widens quadratically with core count.
+
+Only the linear solves differ: the CSC assembly densifies to exactly
+``network.conductance``, so both factorizations share one propagator
+generator ``C^-1 G``.  An explicit ``backend="dense"``/``"sparse"`` on the
+constructor forces one factorization; the tests and the multicore scaling
+bench use it to compare sparse against the dense reference.
 
 **Tolerance contract.** Sparse and dense solves are *numerically
 equivalent but not bit-identical*: both factorizations are backward-stable,
 but they pivot and order eliminations differently, so results agree to
 within the conditioning of ``G`` — in practice far tighter than
 ``rtol=1e-8, atol=1e-8`` (degrees Celsius) on every die this repository
-builds, which is the bound ``tests/test_solver_backends.py`` documents and
-enforces.  Anything whose contract is *bit-for-bit* (golden fixtures,
-capture-vs-replay equivalence, the single-core engine) therefore stays on
-the dense path: ``backend="auto"`` only flips to sparse at
-:data:`SPARSE_NODE_THRESHOLD` nodes and above, well past every golden
-single-core and small-chip die, and falls back to dense when SciPy is
-absent.
+builds, which is the bound the dense-versus-sparse tests document and
+enforce.  Anything whose contract is *bit-for-bit* (golden fixtures,
+capture-vs-replay equivalence, the single-core engine) runs on a die below
+the threshold, which stays dense.
 """
 
 from __future__ import annotations
@@ -85,7 +89,7 @@ except ImportError:  # pragma: no cover - scipy is available in the target env
     _splu = None
 
 
-#: Accepted values of the solver ``backend`` knob.
+#: Accepted values of :class:`ThermalSolver`'s ``backend`` argument.
 SOLVER_BACKENDS = ("auto", "dense", "sparse")
 
 #: ``backend="auto"`` picks sparse at this node count and above.  The
@@ -96,11 +100,6 @@ SOLVER_BACKENDS = ("auto", "dense", "sparse")
 #: by an order of magnitude.
 SPARSE_NODE_THRESHOLD = 256
 
-#: ``ordering`` knob -> SuperLU ``permc_spec``.  COLAMD is the
-#: fill-reducing default; natural ordering factorizes the matrix as
-#: assembled (useful to measure how much the ordering buys).
-SPLU_ORDERINGS = {"colamd": "COLAMD", "natural": "NATURAL"}
-
 
 def sparse_backend_available() -> bool:
     """Whether the sparse solver backend (scipy.sparse SuperLU) is importable."""
@@ -108,7 +107,7 @@ def sparse_backend_available() -> bool:
 
 
 def resolve_backend(backend: str, num_nodes: int) -> str:
-    """Resolve a ``backend`` knob value to ``"dense"`` or ``"sparse"``.
+    """Resolve a ``backend`` argument to ``"dense"`` or ``"sparse"``.
 
     ``"auto"`` picks sparse at :data:`SPARSE_NODE_THRESHOLD` nodes and
     above when SciPy is available, dense otherwise (including whenever
@@ -125,7 +124,7 @@ def resolve_backend(backend: str, num_nodes: int) -> str:
     if backend == "sparse":
         if not sparse_backend_available():
             raise RuntimeError(
-                "solver_backend='sparse' requires scipy (scipy.sparse.linalg); "
+                "backend='sparse' requires scipy (scipy.sparse.linalg); "
                 "install the scipy extra or use 'auto'/'dense'"
             )
         return "sparse"
@@ -156,13 +155,11 @@ def _matrix_exponential(matrix: np.ndarray) -> np.ndarray:
 class ThermalSolver:
     """Solves the RC network built by :class:`ThermalRCNetwork`.
 
-    ``backend`` selects the factorization (see the module docstring):
-    ``"dense"`` (LAPACK LU over the dense ``G``), ``"sparse"`` (SuperLU
-    over the CSC assembly) or ``"auto"`` (sparse at
-    :data:`SPARSE_NODE_THRESHOLD` nodes and above, dense below — and dense
-    whenever SciPy is absent).  ``ordering`` picks SuperLU's fill-reducing
-    column permutation and is ignored by the dense backend.  The resolved
-    choice is :attr:`backend`; :meth:`set_backend` switches in place.
+    ``backend="auto"`` lets the die's node count pick the factorization
+    (see the module docstring): sparse SuperLU at
+    :data:`SPARSE_NODE_THRESHOLD` nodes and above, dense LU below — and
+    dense whenever SciPy is absent.  ``"dense"`` or ``"sparse"`` forces
+    one; the resolved choice is :attr:`backend`.
     """
 
     #: Upper bound on cached transient propagators.  A single run needs two
@@ -173,31 +170,13 @@ class ThermalSolver:
     #: entries are evicted first; recomputing one is a single ``expm``.
     PROPAGATOR_CACHE_SIZE = 32
 
-    def __init__(
-        self,
-        network: ThermalRCNetwork,
-        backend: str = "auto",
-        ordering: str = "colamd",
-    ) -> None:
+    def __init__(self, network: ThermalRCNetwork, backend: str = "auto") -> None:
         self.network = network
-        if ordering not in SPLU_ORDERINGS:
-            raise ValueError(
-                f"ordering must be one of {', '.join(SPLU_ORDERINGS)}, "
-                f"not {ordering!r}"
-            )
-        self.ordering = ordering
-        #: Cached propagators, keyed by ``(backend, dt)``.  Keying by the
-        #: backend as well as the interval length is what makes
-        #: :meth:`set_backend` safe: a propagator built from the dense rate
-        #: matrix is never served to the sparse backend (whose generator is
-        #: assembled from the CSC matrix and may differ in the last ulp),
-        #: and vice versa.
-        self._propagator_cache: "OrderedDict[Tuple[str, float], np.ndarray]" = (
-            OrderedDict()
-        )
+        #: Cached propagators, keyed by the exact ``dt``.
+        self._propagator_cache: "OrderedDict[float, np.ndarray]" = OrderedDict()
         #: Cached per-interval affine maps (see :meth:`interval_affine_map`),
         #: keyed like the propagators.
-        self._affine_cache: "OrderedDict[Tuple[str, float], Tuple[np.ndarray, np.ndarray, np.ndarray]]" = (
+        self._affine_cache: "OrderedDict[float, Tuple[np.ndarray, np.ndarray, np.ndarray]]" = (
             OrderedDict()
         )
         # G is symmetric positive definite thanks to the ambient conductance
@@ -205,70 +184,21 @@ class ThermalSolver:
         self._g = network.conductance
         self._c = network.capacitance
         self._ambient_source = network.ambient_source()
-        # Per-backend factorizations and propagator generators, built
-        # lazily: resolving to sparse must not pay the O(n^3) dense LU of a
-        # 3000-node die it will never use (and vice versa).
-        self._lu = None
+        # The propagator generator is built on the first advance, so a
+        # solver used purely for steady solves (warmup sweeps, benchmarks)
+        # never pays for it.
         self._rate_matrix: Optional[np.ndarray] = None
-        self._splu = None
-        self._g_sparse = None
-        self._rate_matrix_sparse: Optional[np.ndarray] = None
         self.backend = resolve_backend(backend, network.num_nodes)
-        self._prepare_backend(self.backend)
-
-    # ------------------------------------------------------------------
-    # Backend selection
-    # ------------------------------------------------------------------
-    def _prepare_backend(self, backend: str) -> None:
-        """Build (once) the factorization of ``backend``.
-
-        Only the linear-solve factorization is eager — it is what every
-        steady-state and warmup call needs.  The transient propagator
-        generators are built lazily by :meth:`_generator` on the first
-        :meth:`advance_nodes`, so a solver used purely for steady solves
-        (warmup sweeps, benchmarks) never pays for them.
-        """
-        if backend == "sparse":
-            if _splu is None:
-                raise RuntimeError(
-                    "solver backend 'sparse' requires scipy (scipy.sparse.linalg)"
-                )
-            if self._splu is None:
-                self._g_sparse = self.network.conductance_sparse()
-                self._splu = _splu(
-                    self._g_sparse, permc_spec=SPLU_ORDERINGS[self.ordering]
-                )
-        else:
-            if self._lu is None and _lu_factor is not None:
-                self._lu = _lu_factor(self._g)
-
-    def set_backend(self, backend: str) -> str:
-        """Switch solve backends in place; returns the resolved backend.
-
-        Factorizations are retained per backend (flipping back is free) and
-        cached propagators stay keyed by the backend that built them, so a
-        toggle mid-process can neither lose work nor serve a stale
-        propagator across backends.
-        """
-        resolved = resolve_backend(backend, self.network.num_nodes)
-        self._prepare_backend(resolved)
-        self.backend = resolved
-        return resolved
+        self._lu = None
+        self._splu = None
+        if self.backend == "sparse":
+            self._splu = _splu(network.conductance_sparse(), permc_spec="COLAMD")
+        elif _lu_factor is not None:
+            self._lu = _lu_factor(self._g)
 
     def _generator(self) -> np.ndarray:
-        """The current backend's propagator generator ``C^-1 G`` (lazy).
-
-        The sparse backend's generator densifies its own CSC assembly of
-        ``G`` — the backend is self-consistent, and the (backend, dt)
-        propagator-cache key keeps the two generators' exponentials apart.
-        """
-        if self.backend == "sparse":
-            if self._rate_matrix_sparse is None:
-                self._rate_matrix_sparse = (self._g_sparse.toarray().T / self._c).T
-            return self._rate_matrix_sparse
+        """The propagator generator ``C^-1 G`` (row-scaled; lazy)."""
         if self._rate_matrix is None:
-            # C^-1 G (row-scaled), the generator of every transient
-            # propagator.
             self._rate_matrix = (self._g.T / self._c).T
         return self._rate_matrix
 
@@ -401,26 +331,22 @@ class ThermalSolver:
     # Transient
     # ------------------------------------------------------------------
     def _propagator(self, dt_seconds: float) -> np.ndarray:
-        """Cache ``exp(-C^-1 G dt)`` per (backend, interval length) — bounded LRU.
+        """Cache ``exp(-C^-1 G dt)`` per interval length — bounded LRU.
 
-        The cache key pairs the active backend with the exact float value
-        of ``dt_seconds``.  The ``dt`` half: the steady intervals of a run
-        all share one bit-identical ``dt`` (hence one cached propagator),
-        while the variable-length final interval — whose ``dt`` is scaled
-        by the cycles the trace actually ran — misses the cache and gets a
-        propagator of its own instead of silently reusing the
-        steady-interval matrix.  The backend half: dense and sparse build
-        their generators from different assemblies of ``G``, so a
-        :meth:`set_backend` toggle must never be served the other backend's
-        exponential (a ``dt``-only key would).  At most
+        The cache key is the exact float value of ``dt_seconds``: the
+        steady intervals of a run all share one bit-identical ``dt`` (hence
+        one cached propagator), while the variable-length final interval —
+        whose ``dt`` is scaled by the cycles the trace actually ran — misses
+        the cache and gets a propagator of its own instead of silently
+        reusing the steady-interval matrix.  At most
         :attr:`PROPAGATOR_CACHE_SIZE` propagators are retained, oldest-used
         evicted first.
         """
-        key = (self.backend, float(dt_seconds))
+        key = float(dt_seconds)
         cache = self._propagator_cache
         propagator = cache.get(key)
         if propagator is None:
-            propagator = _matrix_exponential(self._generator() * (-key[1]))
+            propagator = _matrix_exponential(self._generator() * (-key))
             cache[key] = propagator
             if len(cache) > self.PROPAGATOR_CACHE_SIZE:
                 cache.popitem(last=False)
@@ -499,8 +425,8 @@ class ThermalSolver:
             T' = P T + M p + b,   M = (I - P) G^-1,   b = M a
 
         turns each interval into two ``gemm``s against constant matrices —
-        no per-interval solve.  ``(P, M, b)`` is cached per ``(backend,
-        dt)`` next to the propagators.  Applying the explicitly formed
+        no per-interval solve.  ``(P, M, b)`` is cached per ``dt`` next to
+        the propagators.  Applying the explicitly formed
         ``M`` instead of the factorized solve perturbs each interval by
         ~``cond(G) * eps`` relative — orders of magnitude inside the batched
         replay engine's 1e-8 contract, but *not* last-ulp equivalent to
@@ -514,7 +440,7 @@ class ThermalSolver:
             raise ValueError("dt must be positive")
         if self.backend == "sparse":
             return None
-        key = (self.backend, float(dt_seconds))
+        key = float(dt_seconds)
         cached = self._affine_cache.get(key)
         if cached is None:
             propagator = self._propagator(dt_seconds)

@@ -63,6 +63,6 @@ def test_thermal_group_and_solver_keys_are_pinned(areas):
         "475fbdca83b45089466bea5c30ac358e753ec9b6c8ec30187a146cced0dbb569"
     )
     plan = build_floorplan(config, areas)
-    assert solver_key(plan, config.thermal, "dense", "colamd") == (
-        "82075801d52c39da71522b9e651aacbe1515942dee5f3befe02364a35e092264"
+    assert solver_key(plan, config.thermal) == (
+        "b92095009498c2878b91337474dc3f147119c1bbeb37c098d706aa5b6ec6a50b"
     )

@@ -318,28 +318,6 @@ def test_mixed_thermal_axes_subgroup_by_thermal_key(captured, monkeypatch):
     assert counter.affine_builds > 0 or counter.advances > 0
 
 
-def test_auto_batches_only_uniform_policy_subgroups(captured, monkeypatch):
-    spec, trace = captured
-    variants = _scaled_variants(spec)
-    counter = _BatchCounter(monkeypatch)
-    # Sub-group {0,1} diverges per-cell (none vs None): exact fallback.
-    # Sub-group {2,3} agrees: batched.
-    results = replay_group(
-        trace,
-        variants,
-        spec.interval_cycles,
-        dtm_policies=["none", None, None, None],
-        replay_mode="auto",
-    )
-    assert counter.walks == [2]  # only the policy-uniform sub-group batches
-    exact = replay_group(trace, variants, spec.interval_cycles, replay_mode="exact")
-    for r, e in zip(results, exact):
-        for ri, ei in zip(r.intervals, e.intervals):
-            np.testing.assert_allclose(
-                _arr(ri.temperature), _arr(ei.temperature), **TOL
-            )
-
-
 def test_single_cell_group_performs_zero_batch_solves(captured, monkeypatch):
     """A 1-cell group short-circuits straight to the exact path."""
     spec, trace = captured
@@ -357,13 +335,14 @@ def test_single_cell_group_performs_zero_batch_solves(captured, monkeypatch):
 
 
 def test_replay_mode_validation():
-    assert REPLAY_MODES == ("auto", "exact", "batched")
+    assert REPLAY_MODES == ("exact", "batched")
     for mode in REPLAY_MODES:
         assert validate_replay_mode(mode) == mode
     assert validate_replay_mode(" Batched ") == "batched"
     assert validate_replay_mode("") == "exact"
-    with pytest.raises(ValueError, match="replay_mode"):
-        validate_replay_mode("fast")
+    for mode in ("fast", "auto"):
+        with pytest.raises(ValueError, match="replay_mode"):
+            validate_replay_mode(mode)
     with pytest.raises(ValueError, match="replay_mode"):
         ExecutionOptions(replay_mode="bogus")
     with pytest.raises(ValueError, match="timing_mode"):

@@ -139,6 +139,44 @@ def test_cached_cells_count_toward_progress(job):
     assert len([e for e in job.events_since(0) if e["event"] == "progress"]) == 1
 
 
+def test_cached_job_reports_progress_up_to_the_total(tmp_path):
+    """A repeat job's result-cache hits are its progress events."""
+    import time
+
+    from repro.campaign.pool import WorkerPool
+    from repro.service.cache import ShardedResultCache
+    from repro.service.manager import CampaignService
+
+    payload = {
+        "configs": ["baseline", "bank_hopping"],
+        "benchmarks": ["gzip"],
+        "uops": 800,
+        "cores": 2,
+        "per_core_scenarios": [["gzip", "swim"]],
+    }
+    service = CampaignService(
+        pool=WorkerPool(workers=2, mode="thread"),
+        cache=ShardedResultCache(tmp_path / "cache", shards=2),
+    )
+    try:
+        for _ in range(2):
+            job = service.submit(payload)
+            deadline = time.monotonic() + 120
+            while not job.state.terminal and time.monotonic() < deadline:
+                time.sleep(0.02)
+    finally:
+        service.shutdown(drain=False, timeout=60)
+    assert job.state is JobState.DONE, job.error
+    assert job.cache_hits == job.cells_total == 2
+    events = job.events_since(0)
+    progress = [e for e in events if e["event"] == "progress"]
+    assert [e["kind"] for e in progress] == ["cached"] * job.cells_total
+    assert all(e["cells_done"] <= e["cells_total"] for e in progress)
+    assert progress[-1]["cells_done"] == job.cells_total
+    done = next(e for e in events if e.get("state") == JobState.DONE.value)
+    assert progress[-1]["seq"] < done["seq"]
+
+
 def test_cancel_pending_and_refuse_terminal(job):
     assert job.cancel()
     assert job.cancelled

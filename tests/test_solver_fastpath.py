@@ -139,9 +139,9 @@ def test_propagator_cache_is_bounded_lru(network, solver):
     assert len(solver._propagator_cache) == cap
 
     # LRU, not FIFO: re-touching the oldest surviving entry keeps it alive
-    # through the next eviction.  Cache keys are (backend, dt) pairs.
+    # through the next eviction.  Cache keys are the exact dt values.
     oldest_key = next(iter(solver._propagator_cache))
-    solver.advance(state, power, oldest_key[1])
+    solver.advance(state, power, oldest_key)
     solver.advance(state, power, 99e-3)  # evicts one entry, not oldest_key
     assert oldest_key in solver._propagator_cache
     assert len(solver._propagator_cache) == cap

@@ -1,26 +1,32 @@
 """Content-keyed on-disk cache of simulated campaign cells and trace artifacts.
 
-Each *result* is stored as one JSON file named by the cell's
-:meth:`~repro.campaign.spec.RunSpec.cache_key` — a hash over the scaled
-configuration, benchmark, trace length, interval and seed — using the same
-schema as :mod:`repro.sim.serialization`.  Repeated figure runs therefore
-skip simulation entirely: a campaign whose cells are all cached performs
-zero simulator invocations.
+Each *result* is stored as one binary file, ``*.result.bin``, named by the
+cell's :meth:`~repro.campaign.spec.RunSpec.cache_key` — a hash over the
+scaled configuration, benchmark, trace length, interval and seed.  The file
+is the result's binary frame (:func:`repro.sim.serialization.result_to_bytes`):
+the JSON result header without its intervals, then the per-interval power
+and temperature matrices as raw ``float64``, so a store or load costs a copy
+rather than a JSON encode or parse of every per-block value.  Repeated
+figure runs therefore skip simulation entirely: a campaign whose cells are
+all cached performs zero simulator invocations.
 
-Since the two-stage simulation core landed, the cache also holds *activity
-traces* (``*.trace.json``): the timing stage's serialized output, keyed by
-the cell's :meth:`~repro.campaign.spec.RunSpec.timing_key`.  A physics
-sweep that misses on every result key can still hit the trace artifact and
-replay all of its cells without a single per-uop timing simulation — the
-expensive stage is shared across campaigns, not just within one.
+The cache also holds *activity traces*, ``*.trace.bin``: the timing stage's
+output in its zlib-compressed binary frame
+(:meth:`~repro.sim.activity_trace.ActivityTrace.to_bytes`), keyed by the
+cell's :meth:`~repro.campaign.spec.RunSpec.timing_key`.  A physics sweep
+that misses on every result key can still hit the trace artifact and replay
+all of its cells without a single per-uop timing simulation — the expensive
+stage is shared across campaigns, not just within one.
 
-The cache is safe to share between runs and across released upgrades: a file
-that fails to load (corrupt, stale schema, foreign content) is treated as a
-miss, and both key kinds embed their schema version and the package version,
-so entries written by a different release are never matched.  The one case
-the keys cannot see is a *local, unreleased* edit to simulation code — when
-developing on the simulator itself, point campaigns at a fresh
-``--cache-dir`` (or delete the old one).
+The cache is safe to share between runs: a file that fails to load
+(truncated, foreign magic, another container or schema version, trailing
+bytes) is treated as a miss, and both key kinds embed their schema version
+and the package version, so entries written by a different release are
+never matched — cache directories written by earlier releases (including
+their JSON entries) are not read at all.  The one case the keys cannot see
+is a *local, unreleased* edit to simulation code — when developing on the
+simulator itself, point campaigns at a fresh ``--cache-dir`` (or delete the
+old one).
 
 Because trace artifacts accumulate alongside results, the cache exposes
 :meth:`ResultCache.stats` and :meth:`ResultCache.prune` (oldest-first, down
@@ -30,20 +36,26 @@ to a byte budget), surfaced on the CLI as ``repro-campaign cache stats`` and
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
-from typing import Dict, Optional, Union
+from typing import Dict, List, Optional, Union
 
 from repro.campaign.spec import RunSpec
 from repro.sim.activity_trace import TRACE_SCHEMA_VERSION, ActivityTrace
 from repro.sim.warmcache import stamp_trace_source
 from repro.sim.results import SimulationResult
-from repro.sim.serialization import SCHEMA_VERSION, load_result, save_result
+from repro.sim.serialization import (
+    SCHEMA_VERSION,
+    atomic_write_bytes,
+    result_from_bytes,
+    result_to_bytes,
+)
 
-#: Suffix of legacy JSON trace artifacts (still loaded, no longer written).
-TRACE_SUFFIX = ".trace.json"
-#: Suffix of compact binary trace artifacts (what new captures are stored as).
+#: Suffix of binary result entries.
+RESULT_SUFFIX = ".result.bin"
+#: Suffix of binary trace artifacts.
 TRACE_BIN_SUFFIX = ".trace.bin"
+#: Everything that reading a cache entry can raise for a corrupt file.
+_UNREADABLE = (ValueError, KeyError, TypeError, OSError)
 
 
 class ResultCache:
@@ -71,18 +83,14 @@ class ResultCache:
 
     def path_for(self, spec: RunSpec) -> Path:
         """On-disk location of the cell's result (whether or not it exists)."""
-        return self.directory / f"{self._key(spec)}.json"
+        return self.directory / f"{self._key(spec)}{RESULT_SUFFIX}"
 
     def load(self, spec: RunSpec) -> Optional[SimulationResult]:
         """Return the cached result for ``spec``, or ``None`` on a miss."""
-        path = self.path_for(spec)
-        if not path.exists():
-            self.misses += 1
-            return None
         try:
-            result = load_result(path)
-        except (ValueError, KeyError, TypeError, OSError, json.JSONDecodeError):
-            # Anything unreadable is a miss; the entry will be rewritten.
+            result = result_from_bytes(self.path_for(spec).read_bytes())
+        except _UNREADABLE:
+            # Absent or unreadable is a miss; the entry will be rewritten.
             self.misses += 1
             return None
         self.hits += 1
@@ -91,52 +99,34 @@ class ResultCache:
     def store(self, spec: RunSpec, result: SimulationResult) -> Path:
         """Persist a freshly simulated cell."""
         self.stores += 1
-        return save_result(result, self.path_for(spec))
+        return atomic_write_bytes(self.path_for(spec), result_to_bytes(result))
 
     # ------------------------------------------------------------------
     # Activity-trace artifacts (keyed by RunSpec.timing_key)
     # ------------------------------------------------------------------
     def trace_path_for(self, timing_key: str) -> Path:
-        """On-disk location of a timing key's trace artifact (binary form)."""
+        """On-disk location of a timing key's trace artifact."""
         from repro import __version__
 
         name = f"trace-v{TRACE_SCHEMA_VERSION}-{__version__}-{timing_key}"
         return self.directory / f"{name}{TRACE_BIN_SUFFIX}"
 
-    def _legacy_trace_path(self, path: Path) -> Path:
-        """The JSON spelling of a binary trace-artifact path."""
-        return path.with_name(path.name[: -len(TRACE_BIN_SUFFIX)] + TRACE_SUFFIX)
-
     def load_trace(self, timing_key: str) -> Optional[ActivityTrace]:
-        """Return the cached activity trace for a timing key, or ``None``.
-
-        Prefers the compact binary artifact; a cache populated by an older
-        release that wrote ``*.trace.json`` is still served transparently
-        (same key material — only the suffix and encoding changed).
-        """
+        """Return the cached activity trace for a timing key, or ``None``."""
         path = self.trace_path_for(timing_key)
-        if not path.exists():
-            path = self._legacy_trace_path(path)
-        if not path.exists():
-            self.trace_misses += 1
-            return None
         try:
-            if path.name.endswith(TRACE_BIN_SUFFIX):
-                trace = ActivityTrace.load_bytes(path)
-            else:
-                trace = ActivityTrace.load(path)
-        except (ValueError, KeyError, TypeError, OSError, json.JSONDecodeError):
+            trace = ActivityTrace.load_bytes(path)
+        except _UNREADABLE:
             self.trace_misses += 1
             return None
         self.trace_hits += 1
-        if path.name.endswith(TRACE_BIN_SUFFIX):
-            # Remember the on-disk artifact so the service can ship replay
-            # tasks as a zero-copy path reference instead of pickled bytes.
-            stamp_trace_source(trace, path)
+        # Remember the on-disk artifact so the service can ship replay tasks
+        # as a zero-copy path reference instead of pickled bytes.
+        stamp_trace_source(trace, path)
         return trace
 
     def store_trace(self, timing_key: str, trace: ActivityTrace) -> Path:
-        """Persist a freshly captured activity trace (binary form)."""
+        """Persist a freshly captured activity trace."""
         self.trace_stores += 1
         path = trace.save_bytes(self.trace_path_for(timing_key))
         stamp_trace_source(trace, path)
@@ -145,17 +135,20 @@ class ResultCache:
     # ------------------------------------------------------------------
     # Housekeeping
     # ------------------------------------------------------------------
-    def _result_files(self):
+    #: Glob prefix of the directories entries live in, below ``directory``.
+    _entry_dirs = ""
+
+    def _all_files(self) -> List[Path]:
+        """Every result and trace entry (atomic-write scratch files end in
+        ``.tmp``, so neither suffix lists them)."""
         return [
             path
-            for path in self.directory.glob("*.json")
-            if not path.name.endswith(TRACE_SUFFIX)
+            for suffix in (RESULT_SUFFIX, TRACE_BIN_SUFFIX)
+            for path in self.directory.glob(f"{self._entry_dirs}*{suffix}")
         ]
 
-    def _trace_files(self):
-        return list(self.directory.glob(f"*{TRACE_SUFFIX}")) + list(
-            self.directory.glob(f"*{TRACE_BIN_SUFFIX}")
-        )
+    def _result_files(self) -> List[Path]:
+        return [p for p in self._all_files() if p.name.endswith(RESULT_SUFFIX)]
 
     @staticmethod
     def _stat_entries(paths):
@@ -177,10 +170,13 @@ class ResultCache:
 
     def stats(self) -> Dict[str, int]:
         """Entry and byte counts by kind (results vs trace artifacts)."""
-        results = self._stat_entries(self._result_files())
-        traces = self._stat_entries(self._trace_files())
-        result_bytes = sum(size for _, _, size in results)
-        trace_bytes = sum(size for _, _, size in traces)
+        return self._count(self._stat_entries(self._all_files()))
+
+    @staticmethod
+    def _count(entries) -> Dict[str, int]:
+        results = [size for path, _, size in entries if path.name.endswith(RESULT_SUFFIX)]
+        traces = [size for path, _, size in entries if path.name.endswith(TRACE_BIN_SUFFIX)]
+        result_bytes, trace_bytes = sum(results), sum(traces)
         return {
             "results": len(results),
             "result_bytes": result_bytes,
@@ -203,7 +199,7 @@ class ResultCache:
         """
         if max_bytes < 0:
             raise ValueError("max_bytes must be non-negative")
-        entries = self._stat_entries(self._result_files() + self._trace_files())
+        entries = self._stat_entries(self._all_files())
         entries.sort(key=lambda entry: (entry[1], entry[0].name))
         total = sum(size for _, _, size in entries)
         removed = 0

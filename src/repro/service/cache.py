@@ -7,8 +7,10 @@ multi-client service can sit on:
 * **Sharding** — entries spread over ``shards`` subdirectories
   (``shard-00/ .. shard-NN/``) by a prefix of the cell's content hash, so
   no single directory accumulates tens of thousands of files and shard
-  statistics localize churn.  Entries written by a pre-sharding cache in
-  the directory root are adopted (moved into their shard) on first access.
+  statistics localize churn.  Each shard holds the base cache's entry
+  kinds — binary results (``*.result.bin``) and binary trace artifacts
+  (``*.trace.bin``); cache directories written by earlier releases, flat
+  or sharded, are not read.
 * **LRU eviction with a byte budget** — loading an entry touches its
   mtime, so :meth:`prune` (inherited, deterministic mtime-then-name order)
   becomes least-recently-*used* eviction; :meth:`enforce_budget` applies
@@ -21,7 +23,7 @@ multi-client service can sit on:
   tenant's lookup is a hit on the first tenant's stored result).
 
 All stores are atomic (temp file + rename, see
-:func:`repro.sim.serialization.atomic_write_text`), so concurrent jobs —
+:func:`repro.sim.serialization.atomic_write_bytes`), so concurrent jobs —
 and concurrent *server processes* pointed at one directory — race safely
 to last-writer-wins without torn reads.
 """
@@ -31,9 +33,9 @@ from __future__ import annotations
 import os
 import threading
 from pathlib import Path
-from typing import Dict, List, Optional, Union
+from typing import Dict, Optional, Union
 
-from repro.campaign.cache import TRACE_BIN_SUFFIX, TRACE_SUFFIX, ResultCache
+from repro.campaign.cache import RESULT_SUFFIX, ResultCache
 from repro.campaign.spec import RunSpec
 from repro.sim.activity_trace import ActivityTrace
 from repro.sim.results import SimulationResult
@@ -72,21 +74,12 @@ class ShardedResultCache(ResultCache):
         return (
             self.directory
             / self.shard_name(spec.cache_key())
-            / f"{self._key(spec)}.json"
+            / f"{self._key(spec)}{RESULT_SUFFIX}"
         )
 
     def trace_path_for(self, timing_key: str) -> Path:
         flat = super().trace_path_for(timing_key)
         return self.directory / self.shard_name(timing_key) / flat.name
-
-    def _adopt_legacy(self, sharded_path: Path) -> None:
-        """Move a root-level entry written by an unsharded cache into place."""
-        if sharded_path.exists():
-            return
-        legacy = self.directory / sharded_path.name
-        if legacy.exists():
-            sharded_path.parent.mkdir(parents=True, exist_ok=True)
-            os.replace(legacy, sharded_path)
 
     @staticmethod
     def _touch(path: Path) -> None:
@@ -100,71 +93,39 @@ class ShardedResultCache(ResultCache):
     # Lookup/store (counters guarded: many job threads share this object)
     # ------------------------------------------------------------------
     def load(self, spec: RunSpec) -> Optional[SimulationResult]:
-        path = self.path_for(spec)
-        self._adopt_legacy(path)
         result = super().load(spec)
         if result is not None:
-            self._touch(path)
+            self._touch(self.path_for(spec))
         return result
 
     def load_trace(self, timing_key: str) -> Optional[ActivityTrace]:
-        path = self.trace_path_for(timing_key)
-        self._adopt_legacy(path)
-        # Pre-binary-codec caches hold *.trace.json entries (sharded or at
-        # the root); adopt the JSON spelling too so the base class's legacy
-        # fallback finds it inside the shard.
-        self._adopt_legacy(self._legacy_trace_path(path))
         trace = super().load_trace(timing_key)
         if trace is not None:
-            self._touch(path)
+            self._touch(self.trace_path_for(timing_key))
         return trace
 
     # ------------------------------------------------------------------
     # Housekeeping across shards
     # ------------------------------------------------------------------
-    def _all_files(self) -> List[Path]:
-        # Shard subdirectories plus the root (not-yet-adopted legacy
-        # entries), skipping in-flight atomic-write scratch files.
-        files = [
-            path
-            for pattern in ("*.json", f"*{TRACE_BIN_SUFFIX}")
-            for path in self.directory.rglob(pattern)
-            if not path.name.startswith(".")
-        ]
-        return files
-
-    def _result_files(self):
-        return [
-            path
-            for path in self._all_files()
-            if not path.name.endswith((TRACE_SUFFIX, TRACE_BIN_SUFFIX))
-        ]
-
-    def _trace_files(self):
-        return [
-            path
-            for path in self._all_files()
-            if path.name.endswith((TRACE_SUFFIX, TRACE_BIN_SUFFIX))
-        ]
+    _entry_dirs = "shard-*/"
 
     def stats(self) -> Dict[str, object]:
-        """Base counts/bytes plus a per-shard and per-tenant breakdown."""
-        stats: Dict[str, object] = super().stats()
-        per_shard: Dict[str, Dict[str, int]] = {}
-        for index in range(self.shards):
-            name = f"shard-{index:02d}"
-            listed = [
-                e
-                for e in (self.directory / name).glob("*.json")
-                if not e.name.startswith(".")
-            ]
-            # Single stat per entry, tolerant of concurrent eviction (the
-            # janitor or another server process may prune under our feet).
-            entries = self._stat_entries(listed)
-            per_shard[name] = {
-                "entries": len(entries),
-                "bytes": sum(size for _, _, size in entries),
-            }
+        """Base counts/bytes plus a per-shard and per-tenant breakdown.
+
+        One listing, one stat per entry (tolerant of concurrent eviction by
+        the janitor or another server process), so the per-shard bytes sum
+        to ``total_bytes``.
+        """
+        entries = self._stat_entries(self._all_files())
+        stats: Dict[str, object] = self._count(entries)
+        per_shard = {
+            f"shard-{index:02d}": {"entries": 0, "bytes": 0}
+            for index in range(self.shards)
+        }
+        for path, _, size in entries:
+            shard = per_shard.setdefault(path.parent.name, {"entries": 0, "bytes": 0})
+            shard["entries"] += 1
+            shard["bytes"] += size
         stats["shards"] = per_shard
         stats["tenants"] = {
             name: view.counters() for name, view in sorted(self._tenants.items())

@@ -80,8 +80,9 @@ class PoolBackedExecutor(ParallelExecutor):
     :func:`run_campaign` is per-executor), all instances feeding the same
     pool, which belongs to the service: :meth:`close` leaves it running.
     Task completions report progress to the job; the job's cancel flag is
-    checked before each submission and while waiting, turning a ``DELETE``
-    into a :class:`JobCancelled` at the next task boundary.
+    checked before each submission, while waiting and after each completed
+    task, turning a ``DELETE`` into a :class:`JobCancelled` at the next task
+    boundary.
     """
 
     #: How often the result wait wakes up to re-check the cancel flag.
@@ -127,6 +128,10 @@ class PoolBackedExecutor(ParallelExecutor):
         if self.job is not None:
             kind, cells = _progress_of(fn, task)
             self.job.record_progress(kind, cells)
+        # A completed task is a task boundary too: every task is submitted
+        # up front, so tasks that each finish within one poll would
+        # otherwise never let a cancel land.
+        self._check_cancelled()
         return result
 
 
@@ -294,6 +299,8 @@ class CampaignService:
                 outcome = run_campaign(
                     job.campaign, executor=executor, cache=gate, replay=self.replay
                 )
+                # A cancel accepted after the last task boundary lands too.
+                executor._check_cancelled()
             except JobCancelled:
                 job.mark_cancelled()
             except Exception as error:  # noqa: BLE001 - job carries it

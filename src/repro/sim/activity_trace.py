@@ -24,9 +24,10 @@ temperatures back into timing, so such cells must never be captured or
 replayed (the campaign layer falls back to the exact coupled path
 automatically).
 
-Traces serialize to canonical JSON (:meth:`ActivityTrace.to_json`): two
-specs that differ only in physics-side parameters produce *byte-identical*
-trace documents, which is what lets the campaign
+Traces serialize canonically — to JSON (:meth:`ActivityTrace.to_json`) and
+to the compact binary frame the cache stores (:meth:`ActivityTrace.to_bytes`):
+two specs that differ only in physics-side parameters produce
+*byte-identical* traces, which is what lets the campaign
 :class:`~repro.campaign.cache.ResultCache` store one trace artifact per
 :meth:`~repro.campaign.spec.RunSpec.timing_key` and share it across every
 cell of a physics sweep.
@@ -35,14 +36,13 @@ cell of a physics sweep.
 from __future__ import annotations
 
 import json
-import struct
-import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
+from repro.sim.serialization import Frame, atomic_write_bytes, pack_frame
 from repro.sim.stats import SimulationStats
 
 #: Version stamp of the trace document format.  Bump on any change to the
@@ -189,34 +189,22 @@ class ActivityTrace:
     def from_json(cls, text: str) -> "ActivityTrace":
         return cls.from_dict(json.loads(text))
 
-    def save(self, path: Union[str, Path]) -> Path:
-        # Atomic (temp file + rename): concurrent captures of the same
-        # timing key — two service jobs racing — are last-writer-wins and a
-        # reader never sees a torn artifact.
-        from repro.sim.serialization import atomic_write_text
-
-        return atomic_write_text(path, self.to_json())
-
-    @classmethod
-    def load(cls, path: Union[str, Path]) -> "ActivityTrace":
-        return cls.from_json(Path(path).read_text())
-
     # ------------------------------------------------------------------
     # Compact binary serialization (cache artifacts, process boundaries)
     # ------------------------------------------------------------------
     def to_bytes(self) -> bytes:
         """Compact binary form: a zlib-compressed header + raw array bytes.
 
-        Layout: the 4-byte :data:`TRACE_BIN_MAGIC`, one container-version
-        byte, then a zlib stream of ``<I``-length-prefixed canonical-JSON
-        header (schema version, benchmark, block names, interval length,
-        array dimensions, stats, provenance) followed by the arrays as raw
-        little-endian bytes (``counts``/``cycles``/``end_cycles`` as
-        ``int64``, the gated masks — when present — as ``uint8``).  Stdlib
-        only (``struct`` + ``zlib``), like the PNG encoder.  An order of
-        magnitude smaller than :meth:`to_json` (counts compress well), which
-        is what the campaign cache stores on disk (``*.trace.bin``) and what
-        pickling ships across pool/service process boundaries.
+        A :func:`~repro.sim.serialization.pack_frame` frame behind
+        :data:`TRACE_BIN_MAGIC` whose body is zlib-compressed: the
+        canonical-JSON header (schema version, benchmark, block names,
+        interval length, array dimensions, stats, provenance) followed by
+        the arrays as raw little-endian bytes (``counts``/``cycles``/
+        ``end_cycles`` as ``int64``, the gated masks — when present — as
+        ``uint8``).  An order of magnitude smaller than :meth:`to_json`
+        (counts compress well), which is what the campaign cache stores on
+        disk (``*.trace.bin``) and what pickling ships across pool/service
+        process boundaries.
         """
         header = {
             "trace_schema_version": TRACE_SCHEMA_VERSION,
@@ -229,25 +217,14 @@ class ActivityTrace:
             "stats": self.stats.to_payload(),
             "provenance": dict(self.provenance),
         }
-        header_bytes = json.dumps(
-            header, sort_keys=True, separators=(",", ":")
-        ).encode("utf-8")
-        parts = [
-            struct.pack("<I", len(header_bytes)),
-            header_bytes,
-            np.ascontiguousarray(self.counts, dtype="<i8").tobytes(),
-            np.ascontiguousarray(self.cycles, dtype="<i8").tobytes(),
-            np.ascontiguousarray(self.end_cycles, dtype="<i8").tobytes(),
+        arrays = [
+            np.asarray(self.counts, dtype="<i8"),
+            np.asarray(self.cycles, dtype="<i8"),
+            np.asarray(self.end_cycles, dtype="<i8"),
         ]
         if self.gated_masks is not None:
-            parts.append(
-                np.ascontiguousarray(self.gated_masks, dtype=np.uint8).tobytes()
-            )
-        return (
-            TRACE_BIN_MAGIC
-            + struct.pack("<B", TRACE_BIN_VERSION)
-            + zlib.compress(b"".join(parts), 6)
-        )
+            arrays.append(np.asarray(self.gated_masks, dtype=np.uint8))
+        return pack_frame(TRACE_BIN_MAGIC, TRACE_BIN_VERSION, header, arrays, level=6)
 
     @classmethod
     def from_bytes(cls, data) -> "ActivityTrace":
@@ -259,23 +236,11 @@ class ActivityTrace:
         cache artifact or a shared-memory segment without first copying the
         compressed payload into a ``bytes`` object.
         """
-        view = data if isinstance(data, memoryview) else memoryview(data)
-        if bytes(view[: len(TRACE_BIN_MAGIC)]) != TRACE_BIN_MAGIC:
-            raise ValueError("not a binary activity trace (bad magic)")
-        version = view[len(TRACE_BIN_MAGIC)]
-        if version != TRACE_BIN_VERSION:
-            raise ValueError(
-                f"unsupported binary trace container version {version} "
-                f"(supported: {TRACE_BIN_VERSION})"
-            )
-        try:
-            payload = zlib.decompress(view[len(TRACE_BIN_MAGIC) + 1 :])
-        except zlib.error as error:
-            raise ValueError(f"corrupt binary activity trace: {error}") from error
-        (header_len,) = struct.unpack_from("<I", payload, 0)
-        offset = 4
-        header = json.loads(payload[offset : offset + header_len].decode("utf-8"))
-        offset += header_len
+        frame = Frame(
+            data, TRACE_BIN_MAGIC, TRACE_BIN_VERSION, "binary activity trace",
+            compressed=True,
+        )
+        header = frame.header
         schema = header.get("trace_schema_version")
         if schema != TRACE_SCHEMA_VERSION:
             raise ValueError(
@@ -284,27 +249,17 @@ class ActivityTrace:
             )
         intervals = int(header["intervals"])
         blocks = int(header["blocks"])
-
-        def take(count: int, dtype) -> np.ndarray:
-            nonlocal offset
-            array = np.frombuffer(
-                payload, dtype=dtype, count=count, offset=offset
-            )
-            offset += array.nbytes
-            return array
-
-        counts = take(intervals * blocks, "<i8").reshape(intervals, blocks)
-        cycles = take(intervals, "<i8")
-        end_cycles = take(intervals, "<i8")
+        counts = frame.take(intervals * blocks, "<i8").reshape(intervals, blocks)
+        cycles = frame.take(intervals, "<i8")
+        end_cycles = frame.take(intervals, "<i8")
         gated = None
         if header["has_gated_masks"]:
             gated = (
-                take(intervals * blocks, np.uint8)
+                frame.take(intervals * blocks, np.uint8)
                 .reshape(intervals, blocks)
                 .astype(bool)
             )
-        if offset != len(payload):
-            raise ValueError("binary activity trace has trailing bytes")
+        frame.finish()
         return cls(
             benchmark=header["benchmark"],
             block_names=tuple(header["block_names"]),
@@ -318,9 +273,12 @@ class ActivityTrace:
         )
 
     def save_bytes(self, path: Union[str, Path]) -> Path:
-        """Write the compact binary form atomically (see :meth:`save`)."""
-        from repro.sim.serialization import atomic_write_bytes
+        """Write the compact binary form atomically (temp file + rename).
 
+        Concurrent captures of the same timing key — two service jobs
+        racing — are last-writer-wins and a reader never sees a torn
+        artifact.
+        """
         return atomic_write_bytes(path, self.to_bytes())
 
     @classmethod

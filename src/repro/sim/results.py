@@ -16,7 +16,7 @@ over ambient".
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -30,9 +30,9 @@ class IntervalRecord:
     :meth:`from_arrays`) so that recording an interval allocates no per-block
     dictionaries; the ``dynamic_power`` / ``leakage_power`` / ``temperature``
     mappings are materialized lazily — and cached — the first time a consumer
-    (metrics, serialization, plots) asks for them.  Records can equally be
-    built from plain dictionaries, which is what deserialization and the
-    tests do.
+    (metrics, plots) asks for them; serialization builds them without
+    caching (:meth:`block_mappings`).  Records can equally be built from
+    plain dictionaries, which is what JSON deserialization and the tests do.
     """
 
     __slots__ = (
@@ -97,7 +97,7 @@ class IntervalRecord:
 
     @staticmethod
     def _as_dict(names: Sequence[str], values: np.ndarray) -> Dict[str, float]:
-        return {name: float(values[i]) for i, name in enumerate(names)}
+        return dict(zip(names, values.tolist()))
 
     @property
     def dynamic_power(self) -> Dict[str, float]:
@@ -121,6 +121,34 @@ class IntervalRecord:
                 self._block_names, self._temperature_array
             )
         return self._temperature_dict
+
+    def block_mappings(self) -> Tuple[Dict[str, float], Dict[str, float], Dict[str, float]]:
+        """The dynamic, leakage and temperature mappings, without caching them.
+
+        Serialization builds every record's mappings once; caching them
+        would leave an array-backed record holding its arrays plus three
+        dictionaries for as long as the result lives.
+        """
+        return tuple(
+            cached if cached is not None else self._as_dict(self._block_names, array)
+            for cached, array in (
+                (self._dynamic_dict, self._dynamic_array),
+                (self._leakage_dict, self._leakage_array),
+                (self._temperature_dict, self._temperature_array),
+            )
+        )
+
+    def block_vectors(self, names: Tuple[str, ...]) -> Tuple[Sequence[float], ...]:
+        """The dynamic, leakage and temperature values in ``names`` order.
+
+        An array-backed record ordered like ``names`` returns its arrays;
+        any other record reads its mappings (without caching them).
+        """
+        if self._dynamic_array is not None and tuple(self._block_names) == names:
+            return self._dynamic_array, self._leakage_array, self._temperature_array
+        return tuple(
+            [mapping[name] for name in names] for mapping in self.block_mappings()
+        )
 
     def total_power(self) -> float:
         """Total processor power (dynamic + leakage) during the interval."""

@@ -1,10 +1,19 @@
-"""JSON serialization of simulation results and experiment summaries.
+"""Serialization of simulation results: JSON documents and binary frames.
 
 Long experiment campaigns (all 26 workloads, several configurations) are
-expensive in pure Python, so the results are worth persisting.  The format is
-plain JSON with an explicit schema version; loading reconstructs a
-:class:`~repro.sim.results.SimulationResult` that supports the same metric
-queries as a freshly simulated one.
+expensive in pure Python, so the results are worth persisting.  Two
+encodings carry the same content and the same schema version:
+
+* JSON (:func:`result_to_dict`, :func:`save_result`/:func:`load_result`) —
+  the readable exchange format of the CLI outputs, the golden fixtures and
+  the service's results payload;
+* a binary frame (:func:`result_to_bytes`/:func:`result_from_bytes`) — what
+  the campaign result cache stores: the JSON header without the intervals,
+  then the per-interval vectors and per-block matrices as raw ``float64``.
+
+Both rebuild a :class:`~repro.sim.results.SimulationResult` that supports
+the same metric queries as a freshly simulated one.  The frame container
+(:func:`pack_frame`/:class:`Frame`) is shared with the activity-trace codec.
 """
 
 from __future__ import annotations
@@ -12,9 +21,13 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import struct
 import threading
+import zlib
 from pathlib import Path
-from typing import Dict, Union
+from typing import Dict, List, Optional, Sequence, Union
+
+import numpy as np
 
 from repro.sim.results import IntervalRecord, SimulationResult
 from repro.sim.stats import SimulationStats
@@ -39,15 +52,111 @@ def content_key(material) -> str:
     identified by it.  Sorted keys and no whitespace make the key
     independent of dict order and interpreter version.
     """
-    payload = json.dumps(material, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+    return hashlib.sha256(_canonical_json(material)).hexdigest()
+
+
+def _canonical_json(material) -> bytes:
+    return json.dumps(material, sort_keys=True, separators=(",", ":")).encode("utf-8")
+
 
 #: Schema versions :func:`result_from_dict` can reconstruct.
 SUPPORTED_SCHEMA_VERSIONS = (1, 2, 3, 4)
 
+#: Magic prefix of a binary result frame (:func:`result_to_bytes`).
+RESULT_BIN_MAGIC = b"RRES"
+#: Version of the binary result *container* layout (the result schema
+#: version travels inside the header).
+RESULT_BIN_VERSION = 1
 
-def result_to_dict(result: SimulationResult) -> Dict:
-    """Convert a :class:`SimulationResult` to a JSON-serializable dictionary."""
+
+# ----------------------------------------------------------------------
+# Binary frames
+# ----------------------------------------------------------------------
+def pack_frame(
+    magic: bytes,
+    version: int,
+    header: Dict,
+    arrays: Sequence[np.ndarray],
+    level: Optional[int] = None,
+) -> bytes:
+    """One binary frame: ``magic``, a version byte, then the body.
+
+    The body is a ``<I``-length-prefixed canonical-JSON ``header`` followed
+    by the raw C-order bytes of each array, in order; the caller gives the
+    arrays in their on-disk (little-endian) dtypes.  With ``level`` the body
+    is zlib-compressed at that level.  Stdlib and NumPy only.
+    """
+    header_bytes = _canonical_json(header)
+    body = b"".join(
+        [struct.pack("<I", len(header_bytes)), header_bytes]
+        + [array.tobytes() for array in arrays]
+    )
+    if level is not None:
+        body = zlib.compress(body, level)
+    return magic + struct.pack("<B", version) + body
+
+
+class Frame:
+    """The header and arrays of one :func:`pack_frame` frame.
+
+    ``data`` is anything exposing the buffer protocol (``bytes``,
+    ``memoryview``, ``mmap.mmap``, a shared-memory buffer).  Arrays are read
+    in order with :meth:`take` as read-only views of the body, and
+    :meth:`finish` checks that nothing is left over.  Every malformation —
+    bad magic, another container version, a corrupt zlib stream, a truncated
+    body, trailing bytes — raises ``ValueError`` naming ``what``.
+    """
+
+    def __init__(
+        self, data, magic: bytes, version: int, what: str, compressed: bool = False
+    ) -> None:
+        self.what = what
+        view = data if isinstance(data, memoryview) else memoryview(data)
+        if len(view) <= len(magic) or bytes(view[: len(magic)]) != magic:
+            raise ValueError(f"not a {what} (bad magic)")
+        if view[len(magic)] != version:
+            raise ValueError(
+                f"unsupported {what} container version {view[len(magic)]} "
+                f"(supported: {version})"
+            )
+        body = view[len(magic) + 1 :]
+        if compressed:
+            try:
+                body = zlib.decompress(body)
+            except zlib.error as error:
+                raise ValueError(f"corrupt {what}: {error}") from error
+        if len(body) < 4:
+            raise ValueError(f"truncated {what}")
+        (length,) = struct.unpack_from("<I", body, 0)
+        if 4 + length > len(body):
+            raise ValueError(f"truncated {what}")
+        header = json.loads(bytes(body[4 : 4 + length]))
+        if not isinstance(header, dict):
+            raise ValueError(f"{what} header is not a mapping")
+        self.header: Dict = header
+        self._body = body
+        self._offset = 4 + length
+
+    def take(self, count: int, dtype) -> np.ndarray:
+        """The next ``count`` items of ``dtype`` (a view, not a copy)."""
+        dtype = np.dtype(dtype)
+        end = self._offset + count * dtype.itemsize
+        if count < 0 or end > len(self._body):
+            raise ValueError(f"truncated {self.what}")
+        array = np.frombuffer(self._body, dtype=dtype, count=count, offset=self._offset)
+        self._offset = end
+        return array
+
+    def finish(self) -> None:
+        if self._offset != len(self._body):
+            raise ValueError(f"{self.what} has trailing bytes")
+
+
+# ----------------------------------------------------------------------
+# Results
+# ----------------------------------------------------------------------
+def _result_header(result: SimulationResult) -> Dict:
+    """Everything of :func:`result_to_dict` except the intervals."""
     return {
         "schema_version": SCHEMA_VERSION,
         "provenance": dict(result.provenance),
@@ -61,28 +170,35 @@ def result_to_dict(result: SimulationResult) -> Dict:
         "block_areas_mm2": dict(result.block_areas_mm2),
         "warmup_temperature": dict(result.warmup_temperature),
         "stats": result.stats.to_payload(),
-        "intervals": [
+    }
+
+
+def result_to_dict(result: SimulationResult) -> Dict:
+    """Convert a :class:`SimulationResult` to a JSON-serializable dictionary.
+
+    The per-block mappings are built for the document only: an array-backed
+    record does not keep them (see :meth:`IntervalRecord.block_mappings`).
+    """
+    document = _result_header(result)
+    intervals = []
+    for record in result.intervals:
+        dynamic, leakage, temperature = record.block_mappings()
+        intervals.append(
             {
                 "cycle": record.cycle,
                 "seconds": record.seconds,
-                "dynamic_power": record.dynamic_power,
-                "leakage_power": record.leakage_power,
-                "temperature": record.temperature,
+                "dynamic_power": dynamic,
+                "leakage_power": leakage,
+                "temperature": temperature,
             }
-            for record in result.intervals
-        ],
-    }
+        )
+    document["intervals"] = intervals
+    return document
 
 
 def result_from_dict(data: Dict) -> SimulationResult:
     """Rebuild a :class:`SimulationResult` from :func:`result_to_dict` output."""
-    version = data.get("schema_version")
-    if version not in SUPPORTED_SCHEMA_VERSIONS:
-        raise ValueError(
-            f"unsupported result schema version {version!r} "
-            f"(supported: {SUPPORTED_SCHEMA_VERSIONS})"
-        )
-    stats = SimulationStats.from_payload(data["stats"])
+    _check_schema(data, SUPPORTED_SCHEMA_VERSIONS)
     intervals = [
         IntervalRecord(
             cycle=entry["cycle"],
@@ -93,10 +209,74 @@ def result_from_dict(data: Dict) -> SimulationResult:
         )
         for entry in data["intervals"]
     ]
+    return _result_from_header(data, intervals)
+
+
+def result_to_bytes(result: SimulationResult) -> bytes:
+    """The binary frame of a result (what the campaign cache stores).
+
+    After the :func:`pack_frame` header — :func:`result_to_dict` without the
+    intervals, plus their count — come the ``cycle`` (``<i8``) and
+    ``seconds`` (``<f8``) vectors, then the dynamic power, leakage power and
+    temperature matrices (``<f8``, intervals x blocks, in ``block_names``
+    order).  Uncompressed: float data barely shrinks.
+    """
+    names = tuple(result.block_names)
+    records = result.intervals
+    header = _result_header(result)
+    header["intervals"] = len(records)
+    matrices = [np.empty((len(records), len(names)), dtype="<f8") for _ in range(3)]
+    for i, record in enumerate(records):
+        for matrix, row in zip(matrices, record.block_vectors(names)):
+            matrix[i] = row
+    arrays = [
+        np.array([record.cycle for record in records], dtype="<i8"),
+        np.array([record.seconds for record in records], dtype="<f8"),
+    ]
+    return pack_frame(RESULT_BIN_MAGIC, RESULT_BIN_VERSION, header, arrays + matrices)
+
+
+def result_from_bytes(data) -> SimulationResult:
+    """Inverse of :func:`result_to_bytes`; raises ``ValueError`` on bad input.
+
+    The records are array-backed, like a freshly simulated result's: each
+    holds row views of one buffer per matrix, and no per-block mapping is
+    built until a consumer asks for one.
+    """
+    frame = Frame(data, RESULT_BIN_MAGIC, RESULT_BIN_VERSION, "binary result")
+    header = frame.header
+    _check_schema(header, (SCHEMA_VERSION,))
+    names = tuple(header["block_names"])
+    count = int(header["intervals"])
+    cycles = frame.take(count, "<i8").tolist()
+    seconds = frame.take(count, "<f8").tolist()
+    dynamic, leakage, temperature = (
+        frame.take(count * len(names), "<f8").reshape(count, len(names))
+        for _ in range(3)
+    )
+    frame.finish()
+    intervals = [
+        IntervalRecord.from_arrays(cycle, second, names, *rows)
+        for cycle, second, *rows in zip(cycles, seconds, dynamic, leakage, temperature)
+    ]
+    return _result_from_header(header, intervals)
+
+
+def _check_schema(data: Dict, supported: Sequence[int]) -> None:
+    version = data.get("schema_version")
+    if version not in supported:
+        raise ValueError(
+            f"unsupported result schema version {version!r} "
+            f"(supported: {tuple(supported)})"
+        )
+
+
+def _result_from_header(data: Dict, intervals: List[IntervalRecord]) -> SimulationResult:
+    """A result from a document's non-interval fields and its records."""
     return SimulationResult(
         config_name=data["config_name"],
         benchmark=data["benchmark"],
-        stats=stats,
+        stats=SimulationStats.from_payload(data["stats"]),
         block_names=data["block_names"],
         block_groups=data["block_groups"],
         block_areas_mm2=data["block_areas_mm2"],
@@ -113,37 +293,17 @@ def result_from_dict(data: Dict) -> SimulationResult:
     )
 
 
-def atomic_write_text(path: Union[str, Path], text: str) -> Path:
-    """Write ``text`` to ``path`` atomically (temp file + :func:`os.replace`).
+def atomic_write_bytes(path: Union[str, Path], data: bytes) -> Path:
+    """Write ``data`` to ``path`` atomically (temp file + :func:`os.replace`).
 
     The temporary file lives in the target directory (``os.replace`` must
     not cross filesystems) and its name embeds pid and thread id, so
     concurrent writers — two campaign workers storing an identically-keyed
     cell, or the service's janitor racing a store — never collide on the
     scratch file either.  The result is last-writer-wins: a reader observes
-    either the old complete document or the new one, never a torn write.
-    """
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    scratch = path.parent / (
-        f".{path.name}.{os.getpid()}.{threading.get_ident()}.tmp"
-    )
-    try:
-        scratch.write_text(text)
-        os.replace(scratch, path)
-    finally:
-        if scratch.exists():  # pragma: no cover - only on a failed replace
-            scratch.unlink()
-    return path
-
-
-def atomic_write_bytes(path: Union[str, Path], data: bytes) -> Path:
-    """Binary twin of :func:`atomic_write_text` (temp file + ``os.replace``).
-
-    Same guarantees: the scratch file lives next to the target, its name
-    embeds pid and thread id, the final rename is atomic and
-    last-writer-wins.  Used for the campaign cache's binary trace artifacts
-    (``*.trace.bin``).
+    either the old complete file or the new one, never a torn write.  Used
+    for saved JSON results and the campaign cache's binary entries
+    (``*.result.bin`` and ``*.trace.bin``).
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -162,13 +322,12 @@ def atomic_write_bytes(path: Union[str, Path], data: bytes) -> Path:
 def save_result(result: SimulationResult, path: Union[str, Path]) -> Path:
     """Write a result to ``path`` as JSON; returns the path.
 
-    The write is atomic (see :func:`atomic_write_text`): concurrent writers
+    The write is atomic (see :func:`atomic_write_bytes`): concurrent writers
     of the same path race to a last-writer-wins outcome, and a reader can
     never observe a torn, half-written JSON document.
     """
-    return atomic_write_text(
-        path, json.dumps(result_to_dict(result), indent=2, sort_keys=True)
-    )
+    text = json.dumps(result_to_dict(result), indent=2, sort_keys=True)
+    return atomic_write_bytes(path, text.encode("utf-8"))
 
 
 def load_result(path: Union[str, Path]) -> SimulationResult:

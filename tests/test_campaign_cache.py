@@ -7,7 +7,13 @@ import pytest
 
 from repro.campaign import Campaign, ExperimentSettings, ResultCache, execute_cell
 from repro.core.presets import baseline_config
-from repro.sim.serialization import SCHEMA_VERSION
+from repro.sim.serialization import (
+    RESULT_BIN_MAGIC,
+    RESULT_BIN_VERSION,
+    SCHEMA_VERSION,
+    Frame,
+    pack_frame,
+)
 
 
 @pytest.fixture(scope="module")
@@ -27,8 +33,9 @@ def test_store_then_load_roundtrips_through_serialization(tmp_path, cell, simula
     assert cache.misses == 1
 
     path = cache.store(cell, simulated)
-    assert path.exists()
-    assert json.loads(path.read_text())["schema_version"] == SCHEMA_VERSION
+    assert path.exists() and path.name.endswith(".result.bin")
+    frame = Frame(path.read_bytes(), RESULT_BIN_MAGIC, RESULT_BIN_VERSION, "result")
+    assert frame.header["schema_version"] == SCHEMA_VERSION
 
     loaded = cache.load(cell)
     assert cache.hits == 1
@@ -65,8 +72,10 @@ def test_corrupt_entries_are_misses(tmp_path, cell, simulated):
     cache.path_for(cell).write_text("{not json")
     assert cache.load(cell) is None
 
-    # A well-formed file with a wrong schema is also a miss, not an error.
-    cache.path_for(cell).write_text(json.dumps({"schema_version": 999}))
+    # A well-formed frame with a wrong schema is also a miss, not an error.
+    cache.path_for(cell).write_bytes(
+        pack_frame(RESULT_BIN_MAGIC, RESULT_BIN_VERSION, {"schema_version": 999}, [])
+    )
     assert cache.load(cell) is None
     assert cache.misses == 2
 
@@ -188,9 +197,9 @@ def test_stats_and_prune_tolerate_entries_vanishing_after_listing(
     cache = ResultCache(tmp_path / "cache")
     cache.store(cell, simulated)
     cache.store_trace(cell.timing_key(), captured)
-    ghost = cache.directory / "v0-0.0-evicted-by-a-concurrent-prune.json"
-    real_result_files = cache._result_files
-    cache._result_files = lambda: real_result_files() + [ghost]
+    ghost = cache.directory / "v0-0.0-evicted-by-a-concurrent-prune.result.bin"
+    real_all_files = cache._all_files
+    cache._all_files = lambda: real_all_files() + [ghost]
 
     stats = cache.stats()
     assert stats["results"] == 1 and stats["traces"] == 1

@@ -1,8 +1,7 @@
-"""Tests of the multi-tenant sharded result cache: shard layout, legacy
-adoption, LRU budget eviction, tenant accounting and concurrent-writer
+"""Tests of the multi-tenant sharded result cache: shard layout, per-shard
+stats, LRU budget eviction, tenant accounting and concurrent-writer
 safety (atomic rename, last-writer-wins, no torn reads)."""
 
-import json
 import multiprocessing
 import os
 
@@ -11,7 +10,7 @@ import pytest
 from repro.campaign import Campaign, ExperimentSettings, ResultCache, execute_cell
 from repro.core.presets import baseline_config
 from repro.service.cache import ShardedResultCache
-from repro.sim.serialization import result_to_dict
+from repro.sim.serialization import result_from_bytes, result_to_dict
 
 
 @pytest.fixture(scope="module")
@@ -46,20 +45,6 @@ def test_shard_name_is_stable_and_bounded(tmp_path):
     assert cache.shard_name("ab" * 32) == cache.shard_name("ab" * 32)
 
 
-def test_legacy_root_entries_are_adopted(tmp_path, cells, simulated):
-    # A pre-sharding cache wrote entries into the directory root.
-    flat = ResultCache(tmp_path / "cache")
-    flat.store(cells[0], simulated[0])
-    assert (tmp_path / "cache" / flat.path_for(cells[0]).name).exists()
-
-    cache = ShardedResultCache(tmp_path / "cache", shards=4)
-    assert cache.load(cells[0]) is not None  # hit via adoption, not a miss
-    assert cache.hits == 1
-    sharded = cache.path_for(cells[0])
-    assert sharded.exists()
-    assert not (tmp_path / "cache" / sharded.name).exists()
-
-
 def test_traces_shard_too(tmp_path, cells):
     from repro.campaign.executors import execute_cell_capture
 
@@ -86,6 +71,23 @@ def test_stats_break_down_per_shard_and_tenant(tmp_path, cells, simulated):
     assert shard_bytes == stats["total_bytes"]
     assert stats["tenants"]["acme"]["stores"] == len(cells)
     assert stats["tenants"]["acme"]["hits"] == 1
+
+
+def test_shard_stats_count_results_and_traces(tmp_path, cells, simulated):
+    """Every entry kind is counted in its shard: the shards add up."""
+    from repro.campaign.executors import execute_cell_capture
+
+    cache = ShardedResultCache(tmp_path / "cache", shards=4)
+    result_path = cache.store(cells[0], simulated[0])
+    _, trace = execute_cell_capture(cells[1])
+    trace_path = cache.store_trace(cells[1].timing_key(), trace)
+    stats = cache.stats()
+    assert stats["results"] == 1 and stats["traces"] == 1
+    shards = stats["shards"]
+    assert sum(s["entries"] for s in shards.values()) == 2
+    assert sum(s["bytes"] for s in shards.values()) == stats["total_bytes"]
+    for path in (result_path, trace_path):
+        assert shards[path.parent.name]["bytes"] >= path.stat().st_size
 
 
 def test_tenants_share_identically_keyed_entries(tmp_path, cells, simulated):
@@ -165,7 +167,7 @@ def test_prune_order_is_deterministic_under_equal_mtimes(
             os.utime(path, (1_000_000, 1_000_000))
         keep = max(path.stat().st_size for path in paths)
         cache.prune(keep)
-        reports.append(sorted(p.name for p in (tmp_path / f"cache-{round_}").glob("*.json")))
+        reports.append(sorted(p.name for p in (tmp_path / f"cache-{round_}").glob("*.result.bin")))
     assert reports[0] == reports[1]
     assert len(reports[0]) >= 1
 
@@ -209,20 +211,22 @@ def test_concurrent_writers_never_tear_entries(tmp_path, cells, simulated):
     for writer in writers:
         writer.start()
     # Read concurrently with the writers: a torn write would surface as a
-    # JSONDecodeError inside load() -> None with a schema mismatch is the
-    # ONLY acceptable miss, and with identical payloads every parse that
-    # finds the file must round-trip.
+    # ValueError from the frame decoder (truncated body), and with
+    # identical payloads every decode that finds the file must round-trip.
     path = cache.path_for(cell)
     reads = torn = 0
     while any(w.is_alive() for w in writers):
-        if path.exists():
-            try:
-                document = json.loads(path.read_text())
-            except json.JSONDecodeError:
-                torn += 1
-            else:
-                reads += 1
-                assert document["schema_version"] == payload["schema_version"]
+        try:
+            data = path.read_bytes()
+        except FileNotFoundError:
+            continue
+        try:
+            decoded = result_from_bytes(data)
+        except ValueError:
+            torn += 1
+        else:
+            reads += 1
+            assert decoded.stats.cycles == simulated[0].stats.cycles
     for writer in writers:
         writer.join(timeout=60)
         assert writer.exitcode == 0

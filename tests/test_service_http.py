@@ -138,6 +138,45 @@ def test_cancel_running_job_drains_cleanly(stack):
     assert excinfo.value.status == 409
 
 
+def test_cancel_lands_when_every_task_finishes_within_one_poll(stack, monkeypatch):
+    """A cancel must land at a completed task, not only at a timed-out wait.
+
+    Every task is submitted up front; here each one returns well within the
+    executor's result poll, so only the check after a completed task can
+    see the cancel.  The first task holds its (already computed) result
+    until the test has cancelled and every other task has finished.
+    """
+    from repro.campaign import core
+
+    _, _, client = stack
+    benchmarks = ["gzip", "swim", "mcf", "equake"]
+    real = core.execute_campaign_task
+    lock = threading.Lock()
+    calls = []
+    first_held, others_done, release = (threading.Event() for _ in range(3))
+
+    def gated(task):
+        result = real(task)
+        with lock:
+            calls.append(task)
+            index = len(calls)
+        if index == 1:
+            first_held.set()
+            release.wait(60)
+        elif index == len(benchmarks):
+            others_done.set()
+        return result
+
+    monkeypatch.setattr("repro.campaign.core.execute_campaign_task", gated)
+    job = client.submit({"benchmarks": benchmarks, "uops": 600, "seed": 17})
+    assert first_held.wait(60) and others_done.wait(60)
+    assert client.cancel(job["id"])["cancel_requested"] is True
+    release.set()
+    final = client.wait(job["id"], timeout=120)
+    assert final["state"] == "cancelled"
+    assert len(calls) == len(benchmarks)
+
+
 def test_failing_cell_fails_the_job_not_the_server(stack, monkeypatch):
     service, _, client = stack
 

@@ -1,16 +1,14 @@
-"""Binary activity-trace codec: round-trip, cache integration, fallback.
+"""Binary activity-trace codec: round-trip and cache integration.
 
 Traces are cached as compact ``*.trace.bin`` artifacts (zlib-compressed
 struct/array payload behind the ``RTRC`` magic).  The codec must round-trip
 every field bit-exactly — a replayed trace feeds the bit-identical exact
-replay path — and the cache must keep serving ``*.trace.json`` artifacts
-written by older releases, while treating corrupt binary blobs as misses
+replay path — and the cache must treat corrupt binary blobs as misses
 rather than errors.
 """
 
 from __future__ import annotations
 
-import json
 import pickle
 
 import numpy as np
@@ -121,19 +119,6 @@ def test_cache_stores_binary_artifacts(tmp_path, captured):
     assert loaded is not None
     _assert_traces_equal(loaded, trace)
     assert cache.trace_hits == 1 and cache.trace_misses == 0
-
-
-def test_cache_serves_legacy_json_traces(tmp_path, captured):
-    """A cache populated by an older release (*.trace.json) still hits."""
-    spec, trace = captured
-    cache = ResultCache(tmp_path)
-    legacy = cache._legacy_trace_path(cache.trace_path_for(spec.timing_key()))
-    trace.save(legacy)
-    assert json.loads(legacy.read_text())  # really is JSON on disk
-    loaded = cache.load_trace(spec.timing_key())
-    assert loaded is not None
-    _assert_traces_equal(loaded, trace)
-    assert cache.trace_hits == 1
 
 
 def test_cache_treats_corrupt_blob_as_miss(tmp_path, captured):

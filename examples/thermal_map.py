@@ -8,8 +8,9 @@ blank_silicon, bank_hopping, hopping_biasing, distributed_frontend.
 
 The script runs the chosen (configuration, workload) cell through the
 campaign API, takes the hottest thermal interval and rasterizes the
-floorplan onto a character grid where hotter blocks get "denser" glyphs, so
-the effect of distributing the frontend is directly visible: compare
+floorplan onto a character grid where hotter blocks get "denser" glyphs
+(:func:`repro.thermal.visualization.render_thermal_map`), so the effect of
+distributing the frontend is directly visible: compare
 `baseline` against `distributed_frontend`.
 """
 
@@ -20,34 +21,7 @@ import sys
 from repro import Campaign, ExperimentSettings, run_campaign
 from repro.core.presets import ALL_CONFIGURATIONS, FrontendOrganization, config_for
 from repro.experiments.floorplans import build_report
-
-#: Cold-to-hot glyph ramp used by the ASCII renderer.
-RAMP = " .:-=+*#%@"
-
-
-def render(floorplan, temperatures, width: int = 72, height: int = 30) -> str:
-    """Rasterize block temperatures onto a character grid."""
-    t_min = min(temperatures.values())
-    t_max = max(temperatures.values())
-    span = max(1e-6, t_max - t_min)
-    die_w = floorplan.die_width
-    die_h = floorplan.die_height
-    rows = []
-    for row in range(height):
-        y = (row + 0.5) / height * die_h
-        line = []
-        for col in range(width):
-            x = (col + 0.5) / width * die_w
-            glyph = " "
-            for block in floorplan.blocks():
-                if block.x <= x < block.x + block.width and block.y <= y < block.y + block.height:
-                    level = (temperatures[block.name] - t_min) / span
-                    glyph = RAMP[min(len(RAMP) - 1, int(level * (len(RAMP) - 1) + 0.5))]
-                    break
-            line.append(glyph)
-        rows.append("".join(line))
-    legend = f"coldest {t_min:.1f} C {RAMP} hottest {t_max:.1f} C"
-    return "\n".join(rows) + "\n" + legend
+from repro.thermal.visualization import render_thermal_map
 
 
 def main() -> None:
@@ -69,7 +43,7 @@ def main() -> None:
     hottest = max(result.intervals, key=lambda record: max(record.temperature.values()))
     print(f"{benchmark} on {config.name}: hottest interval at cycle {hottest.cycle}, "
           f"total power {hottest.total_power():.1f} W")
-    print(render(floorplan, hottest.temperature))
+    print(render_thermal_map(floorplan, hottest.temperature, height=30))
     print()
     hot_blocks = sorted(hottest.temperature.items(), key=lambda kv: -kv[1])[:8]
     print("hottest blocks: " + ", ".join(f"{name} {temp:.1f}C" for name, temp in hot_blocks))

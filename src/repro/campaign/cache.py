@@ -71,29 +71,36 @@ class ResultCache:
         self.trace_misses = 0
         self.trace_stores = 0
 
-    def _key(self, spec: RunSpec) -> str:
+    def result_path_for(self, cache_key: str) -> Path:
+        """On-disk location of a cell's result, by its content key."""
         # Both the serialization schema version and the package version
-        # participate in the key: a schema bump must not mis-load old files,
+        # participate in the name: a schema bump must not mis-load old files,
         # and a code change that alters simulation output (without touching
         # the schema) must not silently serve the previous version's numbers
         # from a shared cache directory.
         from repro import __version__
 
-        return f"v{SCHEMA_VERSION}-{__version__}-{spec.cache_key()}"
+        name = f"v{SCHEMA_VERSION}-{__version__}-{cache_key}"
+        return self.directory / f"{name}{RESULT_SUFFIX}"
 
     def path_for(self, spec: RunSpec) -> Path:
         """On-disk location of the cell's result (whether or not it exists)."""
-        return self.directory / f"{self._key(spec)}{RESULT_SUFFIX}"
+        return self.result_path_for(spec.cache_key())
+
+    def _used(self, path: Path) -> None:
+        """Hook called with each entry a lookup hits (see the sharded cache)."""
 
     def load(self, spec: RunSpec) -> Optional[SimulationResult]:
         """Return the cached result for ``spec``, or ``None`` on a miss."""
+        path = self.path_for(spec)
         try:
-            result = result_from_bytes(self.path_for(spec).read_bytes())
+            result = result_from_bytes(path.read_bytes())
         except _UNREADABLE:
             # Absent or unreadable is a miss; the entry will be rewritten.
             self.misses += 1
             return None
         self.hits += 1
+        self._used(path)
         return result
 
     def store(self, spec: RunSpec, result: SimulationResult) -> Path:
@@ -120,6 +127,7 @@ class ResultCache:
             self.trace_misses += 1
             return None
         self.trace_hits += 1
+        self._used(path)
         # Remember the on-disk artifact so the service can ship replay tasks
         # as a zero-copy path reference instead of pickled bytes.
         stamp_trace_source(trace, path)

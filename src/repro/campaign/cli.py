@@ -6,16 +6,22 @@ Subcommands:
 * ``list-benchmarks`` — the synthetic SPEC2000-like workloads;
 * ``list-scenarios`` — the named workload scenarios (:mod:`repro.scenarios`);
 * ``list-policies`` — the dynamic-thermal-management policies (:mod:`repro.dtm`);
-* ``run`` — run a paper figure (``--figure fig01|fig12|fig13|fig14``), the
-  DTM policy x scenario comparison (``--figure dtm``), the multi-core
-  scaling sweep (``--figure multicore``) or an ad-hoc campaign
+* ``run`` — run one figure of :data:`repro.experiments.FIGURES`
+  (``--figure fig01|fig12|fig13|fig14`` for the paper's figures, ``dtm``
+  for the DTM policy x scenario comparison, ``multicore`` for the
+  multi-core scaling sweep) or an ad-hoc campaign
   (``--configs``/``--benchmarks``/``--dtm``), optionally in parallel
   (``--jobs N``) and with a result cache (``--cache-dir DIR``), printing the
-  figure tables and/or writing a JSON summary (``--output FILE``).
+  tables and/or writing a JSON summary (``--output FILE``).  The axis
+  flags become one campaign payload (:mod:`repro.service.codec`, the wire
+  format of ``submit``): an ad-hoc run builds its campaign from it, and a
+  figure runs from it, reading only the flags it declares (any other axis
+  flag is a usage error).
   ``--cores N`` composes every configuration into an N-core chip
   (:mod:`repro.chip`); ``--per-core-scenarios "virus+idle;gzip+gzip"``
   names explicit per-core workload mixes (``+`` separates cores, ``;`` or
-  ``,`` separates mixes), and ``--dtm`` then sweeps *chip-level* policies
+  ``,`` separates mixes), ``--contention`` couples their threads through a
+  shared-LLC model, and ``--dtm`` then sweeps *chip-level* policies
   (``none``, ``core_migration``, ``chip_dvfs``).  ``--timing-mode
   auto|fast|reference`` selects the engine timing path (the native fast
   path is byte-identical to the per-uop golden reference wherever
@@ -33,7 +39,7 @@ Subcommands:
   enforcement via a background janitor).  Ctrl-C drains in-flight jobs
   and exits 130;
 * ``submit`` — submit an ad-hoc campaign to a running service
-  (``--server URL``) using the same axes flags as ``run``.  If the server
+  (``--server URL``) using the same axis flags as ``run``.  If the server
   is unreachable the campaign runs locally instead, with a warning;
   ``--wait`` polls the job to completion and ``--output`` writes its
   results payload;
@@ -70,46 +76,15 @@ from typing import Dict, Optional, Sequence
 
 from repro.campaign.cache import ResultCache
 from repro.campaign.core import CampaignOutcome, run_campaign
-from repro.campaign.executors import Executor, ExecutorTaskError, make_executor
-from repro.campaign.spec import (
-    Campaign,
-    ExecutionOptions,
-    ExperimentSettings,
-    available_benchmarks,
-)
-from repro.campaign.summary import ConfigurationSummary
+from repro.campaign.executors import ExecutorTaskError, make_executor
+from repro.campaign.spec import ExecutionOptions, available_benchmarks
 from repro.service.client import ServiceClient, ServiceError, ServiceUnavailable
-
-#: Block groups included in JSON summaries (the groups the paper reports on).
-SUMMARY_GROUPS = (
-    "Processor",
-    "Frontend",
-    "Backend",
-    "UL2",
-    "ReorderBuffer",
-    "RenameTable",
-    "TraceCache",
-)
-
-_SCALES = {
-    "smoke": ExperimentSettings.smoke,
-    "quick": ExperimentSettings.quick,
-    "full": ExperimentSettings.full,
-}
+from repro.service.codec import SCALES, campaign_from_payload, payload_from_options
 
 
-def _benchmarks_from_arg(text: str) -> tuple:
-    """Expand a ``--benchmarks`` value; ``scenarios`` means the whole library."""
-    names = []
-    for name in text.split(","):
-        name = name.strip()
-        if name == "scenarios":
-            from repro.scenarios import SCENARIO_NAMES
-
-            names.extend(SCENARIO_NAMES)
-        elif name:
-            names.append(name)
-    return tuple(names)
+def _names_from_arg(text: str) -> list:
+    """Split a comma-separated ``--configs``/``--benchmarks`` value."""
+    return [name.strip() for name in text.split(",") if name.strip()]
 
 
 def _mixes_from_arg(text: str) -> tuple:
@@ -166,51 +141,6 @@ def _policies_from_arg(text: str) -> tuple:
     return tuple(policies)
 
 
-def _settings_from_args(args: argparse.Namespace) -> ExperimentSettings:
-    settings = _SCALES[args.scale or "smoke"]()
-    changes: Dict[str, object] = {}
-    if args.benchmarks:
-        changes["benchmarks"] = _benchmarks_from_arg(args.benchmarks)
-        # Scenario sweeps run every workload at full length; the SPEC
-        # relative-length table only applies to the paper's benchmarks.
-        if all(b not in _spec_names() for b in changes["benchmarks"]):
-            changes["honor_relative_length"] = False
-    if args.uops is not None:
-        changes["uops_per_benchmark"] = args.uops
-    if args.seed is not None:
-        changes["seed"] = args.seed
-    if changes:
-        from dataclasses import replace
-
-        settings = replace(settings, **changes)
-    return settings
-
-
-def _spec_names() -> tuple:
-    from repro.workloads.profiles import SPEC2000_PROFILES
-
-    return tuple(SPEC2000_PROFILES)
-
-
-def _summary_payload(summary: ConfigurationSummary) -> Dict[str, object]:
-    payload: Dict[str, object] = {
-        "benchmarks": sorted(summary.results),
-        "mean_ipc": summary.mean_ipc(),
-        "mean_power_watts": summary.mean_power(),
-        "mean_trace_cache_hit_rate": summary.mean_trace_cache_hit_rate(),
-        "temperature_metrics": {
-            group: summary.mean_metrics(group) for group in SUMMARY_GROUPS
-        },
-    }
-    if any(r.dtm for r in summary.results.values()):
-        payload["dtm"] = {
-            "mean_throttle_ratio": summary.mean_dtm("throttle_ratio"),
-            "mean_gated_intervals": summary.mean_dtm("gated_intervals"),
-            "mean_freq_ratio": summary.mean_dtm("mean_freq_ratio", default=1.0),
-        }
-    return payload
-
-
 def _outcome_payload(outcome: CampaignOutcome) -> Dict[str, object]:
     return {
         "campaign": outcome.campaign.name,
@@ -220,8 +150,7 @@ def _outcome_payload(outcome: CampaignOutcome) -> Dict[str, object]:
         "executor": outcome.executor_description,
         "runtime": outcome.runtime,
         "configurations": {
-            name: _summary_payload(summary)
-            for name, summary in outcome.summaries.items()
+            name: summary.payload() for name, summary in outcome.summaries.items()
         },
     }
 
@@ -342,220 +271,69 @@ def _cmd_floorplan(args: argparse.Namespace) -> int:
     return 0
 
 
-def _run_dtm_figure(
-    args: argparse.Namespace,
-    executor: Executor,
-    cache: Optional[ResultCache],
-) -> int:
-    """``--figure dtm``: the policy x scenario comparison sweep."""
-    from repro.experiments.fig_dtm_comparison import (
-        DEFAULT_POLICIES,
-        dtm_settings,
-        run_dtm_comparison,
+def _payload_from_args(args: argparse.Namespace, name: Optional[str]) -> Dict:
+    """The campaign payload of the axis flags ``run`` and ``submit`` share."""
+    if args.cores is not None and args.cores < 1:
+        raise ValueError("--cores must be at least 1")
+    return payload_from_options(
+        name=name,
+        configs=_names_from_arg(args.configs) if args.configs else None,
+        scale=args.scale,
+        benchmarks=_names_from_arg(args.benchmarks) if args.benchmarks else None,
+        uops=args.uops,
+        seed=args.seed,
+        dtm_policies=_policies_from_arg(args.dtm) if args.dtm else None,
+        cores=args.cores,
+        per_core_scenarios=_mixes_from_arg(args.per_core_scenarios)
+        if args.per_core_scenarios
+        else None,
+        contention=args.contention,
     )
-
-    if args.scale is not None:
-        raise ValueError(
-            "--scale does not apply to --figure dtm (the sweep has its own "
-            "scenario scale); use --benchmarks/--uops/--seed to adjust it"
-        )
-    config = None
-    if args.configs:
-        from repro.core.presets import FrontendOrganization, config_for
-
-        names = args.configs.split(",")
-        if len(names) != 1:
-            raise ValueError(
-                "--figure dtm compares policies on one configuration; give "
-                f"a single --configs preset (got {names})"
-            )
-        config = config_for(FrontendOrganization(names[0]))
-    settings = dtm_settings(
-        scenarios=_benchmarks_from_arg(args.benchmarks) if args.benchmarks else None,
-        uops_per_scenario=args.uops if args.uops is not None else 8_000,
-        seed=args.seed if args.seed is not None else 7,
-    )
-    policies = _policies_from_arg(args.dtm) if args.dtm else DEFAULT_POLICIES
-    result = run_dtm_comparison(
-        settings, policies=policies, config=config, executor=executor, cache=cache
-    )
-    print(result.format_table())
-    payload: Dict[str, object] = {
-        "figure": "dtm",
-        "config": result.config_name,
-        "performance_loss_vs_peak_temp": result.performance_loss_vs_peak_temp(),
-        "policies": {
-            policy: _summary_payload(summary)
-            for policy, summary in result.summaries.items()
-        },
-    }
-    _write_output(payload, args.output)
-    return 0
-
-
-def _run_figure(
-    figure: str,
-    settings: ExperimentSettings,
-    executor: Executor,
-    cache: Optional[ResultCache],
-    output: Optional[str],
-) -> int:
-    from repro.experiments import run_fig01, run_fig12, run_fig13, run_fig14
-
-    drivers = {
-        "fig01": run_fig01,
-        "fig12": run_fig12,
-        "fig13": run_fig13,
-        "fig14": run_fig14,
-    }
-    result = drivers[figure](settings, executor=executor, cache=cache)
-    print(result.format_table())
-    # The figure results expose their ConfigurationSummary objects under
-    # slightly different attributes; collect whichever are present.
-    collected: Dict[str, ConfigurationSummary] = {}
-    for attribute in ("baseline", "distributed", "summary"):
-        summary = getattr(result, attribute, None)
-        if summary is not None:
-            collected[summary.config_name] = summary
-    for summary in (getattr(result, "summaries", None) or {}).values():
-        collected[summary.config_name] = summary
-    payload: Dict[str, object] = {
-        "figure": figure,
-        "configurations": {
-            name: _summary_payload(summary) for name, summary in collected.items()
-        },
-    }
-    _write_output(payload, output)
-    return 0
-
-
-def _run_multicore_figure(
-    args: argparse.Namespace,
-    executor: Executor,
-    cache: Optional[ResultCache],
-) -> int:
-    """``--figure multicore``: the core-count x mix scaling sweep."""
-    from repro.experiments.fig_multicore_scaling import run_multicore_scaling
-
-    config = None
-    if args.configs:
-        from repro.core.presets import FrontendOrganization, config_for
-
-        names = args.configs.split(",")
-        if len(names) != 1:
-            raise ValueError(
-                "--figure multicore scales one configuration across core "
-                f"counts; give a single --configs preset (got {names})"
-            )
-        config = config_for(FrontendOrganization(names[0]))
-    kwargs = {}
-    if args.cores is not None:
-        # Scale 1 -> N in powers of two (always anchored at the 1-core run,
-        # which is bit-identical to the single-core engine).
-        counts = [1]
-        while counts[-1] * 2 <= args.cores:
-            counts.append(counts[-1] * 2)
-        if counts[-1] != args.cores:
-            counts.append(args.cores)
-        kwargs["core_counts"] = tuple(counts)
-    result = run_multicore_scaling(
-        config=config,
-        uops_per_thread=args.uops if args.uops is not None else 2_500,
-        seed=args.seed if args.seed is not None else 7,
-        executor=executor,
-        cache=cache,
-        **kwargs,
-    )
-    print(result.format_table())
-    payload: Dict[str, object] = {
-        "figure": "multicore",
-        "config": result.config_name,
-        "rows": result.rows(),
-    }
-    _write_output(payload, args.output)
-    return 0
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    if args.figure and args.figure not in ("dtm",) and args.dtm:
-        raise ValueError(
-            f"--dtm does not apply to --figure {args.figure}; the paper "
-            "figures simulate without DTM (use --figure dtm or an ad-hoc "
-            "--configs campaign to sweep policies)"
-        )
-    if args.figure and args.per_core_scenarios:
-        raise ValueError(
-            f"--per-core-scenarios does not apply to --figure {args.figure}; "
-            "use an ad-hoc --configs campaign for explicit workload mixes"
-        )
-    if args.figure and args.figure != "multicore" and args.cores is not None:
-        raise ValueError(
-            f"--cores does not apply to --figure {args.figure}; the paper "
-            "figures are single-core (use --figure multicore or an ad-hoc "
-            "--configs campaign for chip runs)"
-        )
-    if args.cores is not None and args.cores < 1:
-        raise ValueError("--cores must be at least 1")
+    from repro.experiments import FIGURES
+
+    payload = _payload_from_args(args, name="cli")
+    figure = FIGURES.get(args.figure)
+    if figure is None:
+        campaign = campaign_from_payload(payload)
+    else:
+        for dest in _AXIS_FLAGS:
+            if getattr(args, dest) is not None and dest not in figure.flags:
+                takers = [f"--figure {f.name}" for f in FIGURES.values() if dest in f.flags]
+                raise ValueError(
+                    f"--{dest.replace('_', '-')} does not apply to --figure "
+                    f"{figure.name}; it is read by "
+                    + ", ".join(takers + ["ad-hoc campaigns (no --figure)"])
+                )
     options = ExecutionOptions(args.timing_mode, args.replay_mode)
-    with make_executor(args.jobs, options) as executor:
-        return _run(args, executor)
-
-
-def _run(args: argparse.Namespace, executor: Executor) -> int:
-    """The body of ``run``, on an executor carrying the execution modes."""
     cache = ResultCache(args.cache_dir) if args.cache_dir else None
+    with make_executor(args.jobs, options) as executor:
+        try:
+            if figure is None:
+                outcome = run_campaign(campaign, executor, cache)
+                from repro.experiments.reporting import format_campaign_outcome
 
-    try:
-        if args.figure == "dtm":
-            status = _run_dtm_figure(args, executor, cache)
-        elif args.figure == "multicore":
-            status = _run_multicore_figure(args, executor, cache)
-        elif args.figure:
-            settings = _settings_from_args(args)
-            status = _run_figure(args.figure, settings, executor, cache, args.output)
-        else:
-            from repro.core.presets import FrontendOrganization, config_for
-
-            settings = _settings_from_args(args)
-            names = args.configs.split(",") if args.configs else ["baseline"]
-            configs = [config_for(FrontendOrganization(name)) for name in names]
-            policies = _policies_from_arg(args.dtm) if args.dtm else ()
-            mixes = (
-                _mixes_from_arg(args.per_core_scenarios)
-                if args.per_core_scenarios
-                else ()
+                print(format_campaign_outcome(outcome))
+                _write_output(_outcome_payload(outcome), args.output)
+            else:
+                result = figure.run(payload, executor, cache)
+                print(result.format_table())
+                _write_output({"figure": figure.name, **result.payload()}, args.output)
+        except KeyboardInterrupt:
+            # Leaving the executor's ``with`` block discards its queued
+            # tasks and waits for the in-flight ones.
+            print(
+                f"repro-campaign: interrupted after {executor.cells_executed} "
+                "simulated cell(s)"
+                + ("; completed cells are in the cache" if cache is not None else ""),
+                file=sys.stderr,
             )
-            cores = args.cores if args.cores is not None else (
-                max(len(mix) for mix in mixes) if mixes else 1
-            )
-            campaign = Campaign(
-                configs,
-                settings,
-                name="cli",
-                dtm_policies=policies,
-                cores=cores,
-                per_core_scenarios=mixes,
-                contention=args.contention,
-            )
-            outcome = run_campaign(campaign, executor, cache)
-            from repro.experiments.reporting import format_campaign_outcome
-
-            print(format_campaign_outcome(outcome))
-            _write_output(_outcome_payload(outcome), args.output)
-            status = 0
-    except KeyboardInterrupt:
-        # Leaving the executor's ``with`` block in _cmd_run discards its
-        # queued tasks and waits for the in-flight ones.
-        print(
-            f"repro-campaign: interrupted after {executor.cells_executed} "
-            "simulated cell(s)"
-            + ("; completed cells are in the cache" if cache is not None else ""),
-            file=sys.stderr,
-        )
-        return 130
+            return 130
     if cache is not None:
         print(f"[cache] {cache!r}")
-    return status
+    return 0
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
@@ -641,27 +419,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
 def _cmd_submit(args: argparse.Namespace) -> int:
     """``submit``: send a campaign to a service, or run locally if down."""
-    from repro.service.codec import (
-        campaign_from_payload,
-        options_from_payload,
-        payload_from_options,
-    )
+    from repro.service.codec import options_from_payload
 
-    payload = payload_from_options(
-        configs=args.configs.split(",") if args.configs else None,
-        scale=args.scale,
-        benchmarks=list(_benchmarks_from_arg(args.benchmarks))
-        if args.benchmarks
-        else None,
-        uops=args.uops,
-        seed=args.seed,
-        dtm_policies=_policies_from_arg(args.dtm) if args.dtm else None,
-        cores=args.cores,
-        per_core_scenarios=_mixes_from_arg(args.per_core_scenarios)
-        if args.per_core_scenarios
-        else None,
-        name=args.name,
-    )
+    payload = _payload_from_args(args, name=args.name)
     # Validate locally before going near the network: unknown presets or
     # benchmarks fail fast with the domain error (exit 2), and a validated
     # payload is what the local fallback runs.
@@ -752,7 +512,50 @@ def _cmd_watch(args: argparse.Namespace) -> int:
     return 0 if state in (None, "done") else 1
 
 
+#: The campaign axis flags of ``run`` and ``submit``, by argparse destination.
+_AXIS_FLAGS = {
+    "configs": dict(help="comma-separated preset names (default: baseline)"),
+    "scale": dict(choices=SCALES, help="experiment scale (default: smoke)"),
+    "benchmarks": dict(
+        help="comma-separated benchmark/scenario override "
+        "('scenarios' expands to the whole scenario library)"
+    ),
+    "uops": dict(type=int, help="micro-ops per benchmark override"),
+    "seed": dict(type=int, help="trace-generation seed override"),
+    "dtm": dict(
+        help="DTM policy axis: policy specs separated by ';' or ',' (a "
+        "key=value token continues the previous policy's parameters, so "
+        "\"none,dvfs:target=85\" and \"fetch_throttle:trigger=80,duty=0.25;none\" "
+        "both work)"
+    ),
+    "cores": dict(
+        type=int,
+        help="compose each configuration into an N-core chip (repro.chip); "
+        "defaults to the widest --per-core-scenarios mix, else 1.  With "
+        "--figure multicore, sets the largest core count of the scaling "
+        "sweep (1..N in powers of two)",
+    ),
+    "per_core_scenarios": dict(
+        help="explicit per-core workload mixes for a chip campaign: '+' "
+        "separates cores, ';' or ',' separates mixes "
+        "(e.g. \"thermal_virus+idle_crawl;gzip+gzip\")"
+    ),
+    "contention": dict(
+        help="shared-LLC contention model for chip campaigns: 'none' "
+        "(default) or a repro.chip.make_contention spec such as "
+        "'shared_llc' or 'shared_llc:service=64,max_extra=300'"
+    ),
+}
+
+
+def _add_axis_flags(parser: argparse.ArgumentParser) -> None:
+    for dest, options in _AXIS_FLAGS.items():
+        parser.add_argument("--" + dest.replace("_", "-"), **options)
+
+
 def build_parser() -> argparse.ArgumentParser:
+    from repro.experiments import FIGURES
+
     parser = argparse.ArgumentParser(
         prog="repro-campaign",
         description="Run experiment campaigns of the HPCA 2005 distributed-"
@@ -786,56 +589,12 @@ def build_parser() -> argparse.ArgumentParser:
     run = sub.add_parser("run", help="run a figure or an ad-hoc campaign")
     run.add_argument(
         "--figure",
-        choices=("fig01", "fig12", "fig13", "fig14", "dtm", "multicore"),
+        choices=tuple(FIGURES),
         help="regenerate one paper figure (or the DTM policy x scenario "
         "comparison, or the multi-core scaling sweep) instead of an ad-hoc "
-        "campaign",
+        "campaign; each figure reads only the axis flags it declares",
     )
-    run.add_argument(
-        "--cores",
-        type=int,
-        help="compose each configuration into an N-core chip (repro.chip); "
-        "defaults to the widest --per-core-scenarios mix, else 1.  With "
-        "--figure multicore, sets the largest core count of the scaling "
-        "sweep (1..N in powers of two)",
-    )
-    run.add_argument(
-        "--per-core-scenarios",
-        help="explicit per-core workload mixes for a chip campaign: '+' "
-        "separates cores, ';' or ',' separates mixes "
-        "(e.g. \"thermal_virus+idle_crawl;gzip+gzip\")",
-    )
-    run.add_argument(
-        "--contention",
-        default=None,
-        help="shared-LLC contention model for chip campaigns: 'none' "
-        "(default) or a repro.chip.make_contention spec such as "
-        "'shared_llc' or 'shared_llc:service=64,max_extra=300'",
-    )
-    run.add_argument(
-        "--configs",
-        help="comma-separated preset names (default: baseline)",
-    )
-    run.add_argument(
-        "--dtm",
-        help="DTM policy axis: policy specs separated by ';' or ',' (a "
-        "key=value token continues the previous policy's parameters, so "
-        "\"none,dvfs:target=85\" and \"fetch_throttle:trigger=80,duty=0.25;none\" "
-        "both work)",
-    )
-    run.add_argument(
-        "--scale",
-        choices=tuple(_SCALES),
-        default=None,
-        help="experiment scale (default: smoke; not applicable to --figure dtm)",
-    )
-    run.add_argument(
-        "--benchmarks",
-        help="comma-separated benchmark/scenario override "
-        "('scenarios' expands to the whole scenario library)",
-    )
-    run.add_argument("--uops", type=int, help="micro-ops per benchmark override")
-    run.add_argument("--seed", type=int, help="trace-generation seed override")
+    _add_axis_flags(run)
     run.add_argument(
         "--jobs",
         type=int,
@@ -953,29 +712,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     submit.add_argument("--tenant", default="default", help="cache tenant name")
     submit.add_argument("--name", help="campaign name (default: service)")
-    submit.add_argument(
-        "--configs", help="comma-separated preset names (default: baseline)"
-    )
-    submit.add_argument(
-        "--scale", choices=tuple(_SCALES), help="experiment scale"
-    )
-    submit.add_argument(
-        "--benchmarks",
-        help="comma-separated benchmark/scenario override "
-        "('scenarios' expands to the whole scenario library)",
-    )
-    submit.add_argument("--uops", type=int, help="micro-ops per benchmark")
-    submit.add_argument("--seed", type=int, help="trace-generation seed")
-    submit.add_argument(
-        "--dtm", help="DTM policy axis (same syntax as 'run --dtm')"
-    )
-    submit.add_argument(
-        "--cores", type=int, help="compose an N-core chip campaign"
-    )
-    submit.add_argument(
-        "--per-core-scenarios",
-        help="explicit per-core workload mixes (same syntax as 'run')",
-    )
+    _add_axis_flags(submit)
     submit.add_argument(
         "--wait",
         action="store_true",

@@ -14,6 +14,17 @@ from typing import Dict, Optional
 
 from repro.sim.results import METRIC_NAMES, SimulationResult
 
+#: Block groups included in JSON summaries (the groups the paper reports on).
+PAYLOAD_GROUPS = (
+    "Processor",
+    "Frontend",
+    "Backend",
+    "UL2",
+    "ReorderBuffer",
+    "RenameTable",
+    "TraceCache",
+)
+
 
 @dataclass
 class ConfigurationSummary:
@@ -97,3 +108,22 @@ class ConfigurationSummary:
         """Area of a block group (identical across benchmarks)."""
         first = next(iter(self.results.values()))
         return first.group_area_mm2(group)
+
+    def payload(self) -> Dict[str, object]:
+        """JSON summary: per-workload means, and DTM telemetry when present."""
+        payload: Dict[str, object] = {
+            "benchmarks": sorted(self.results),
+            "mean_ipc": self.mean_ipc(),
+            "mean_power_watts": self.mean_power(),
+            "mean_trace_cache_hit_rate": self.mean_trace_cache_hit_rate(),
+            "temperature_metrics": {
+                group: self.mean_metrics(group) for group in PAYLOAD_GROUPS
+            },
+        }
+        if any(r.dtm for r in self.results.values()):
+            payload["dtm"] = {
+                "mean_throttle_ratio": self.mean_dtm("throttle_ratio"),
+                "mean_gated_intervals": self.mean_dtm("gated_intervals"),
+                "mean_freq_ratio": self.mean_dtm("mean_freq_ratio", default=1.0),
+            }
+        return payload

@@ -15,7 +15,11 @@ from typing import Dict, Optional
 
 from repro.campaign import Campaign, Executor, ResultCache, run_campaign
 from repro.core.presets import baseline_config
-from repro.experiments.reporting import format_value_table
+from repro.experiments.reporting import (
+    configurations_payload,
+    format_value_table,
+    settings_figure,
+)
 from repro.campaign import ConfigurationSummary, ExperimentSettings
 
 #: Approximate values read off the paper's Figure 1 (increase over ambient, C).
@@ -52,6 +56,9 @@ class Figure1Result:
             columns=("Peak (C)", "paper Peak", "Average (C)", "paper Avg"),
         )
 
+    def payload(self) -> Dict[str, object]:
+        return configurations_payload(self.summary)
+
     def frontend_is_hottest_element(self) -> bool:
         """The paper's headline observation: the frontend runs hottest."""
         frontend = self.values["Frontend"]["Peak"]
@@ -76,3 +83,6 @@ def run_fig01(
             "Average": metrics["Average"],
         }
     return Figure1Result(summary=summary, values=values)
+
+
+FIGURE = settings_figure("fig01", run_fig01)

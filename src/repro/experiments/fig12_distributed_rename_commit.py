@@ -15,7 +15,12 @@ from typing import Dict, Optional
 
 from repro.campaign import Campaign, Executor, ResultCache, run_campaign
 from repro.core.presets import baseline_config, distributed_rename_commit_config
-from repro.experiments.reporting import format_key_values, format_percentage_table
+from repro.experiments.reporting import (
+    configurations_payload,
+    format_key_values,
+    format_percentage_table,
+    settings_figure,
+)
 from repro.campaign import ConfigurationSummary, ExperimentSettings
 from repro.sim.results import METRIC_NAMES
 
@@ -63,6 +68,9 @@ class Figure12Result:
         )
         return table + "\n\n" + extras
 
+    def payload(self) -> Dict[str, object]:
+        return configurations_payload(self.baseline, self.distributed)
+
 
 def run_fig12(
     settings: ExperimentSettings,
@@ -99,3 +107,6 @@ def run_fig12(
         rat_power_reduction=rat_power_reduction,
         area_overhead=area_overhead,
     )
+
+
+FIGURE = settings_figure("fig12", run_fig12)

@@ -27,7 +27,12 @@ from repro.core.presets import (
     baseline_config,
     blank_silicon_config,
 )
-from repro.experiments.reporting import format_key_values, format_percentage_table
+from repro.experiments.reporting import (
+    configurations_payload,
+    format_key_values,
+    format_percentage_table,
+    settings_figure,
+)
 from repro.campaign import ConfigurationSummary, ExperimentSettings
 from repro.sim.results import METRIC_NAMES
 
@@ -104,6 +109,9 @@ class Figure13Result:
             )
         return "\n\n".join(sections)
 
+    def payload(self) -> Dict[str, object]:
+        return configurations_payload(self.baseline, *self.summaries.values())
+
     def hopping_beats_blank_silicon(self) -> bool:
         """Paper claim: the proposed techniques outperform the blank-silicon option."""
         hopping = self.reductions["Bank Hopping"]["TraceCache"]
@@ -143,3 +151,6 @@ def run_fig13(
             summary.group_area_mm2("Processor") - base_area
         ) / base_area
     return result
+
+
+FIGURE = settings_figure("fig13", run_fig13)

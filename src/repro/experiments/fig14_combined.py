@@ -19,7 +19,12 @@ from repro.core.presets import (
     distributed_frontend_config,
     distributed_rename_commit_config,
 )
-from repro.experiments.reporting import format_key_values, format_percentage_table
+from repro.experiments.reporting import (
+    configurations_payload,
+    format_key_values,
+    format_percentage_table,
+    settings_figure,
+)
 from repro.campaign import ConfigurationSummary, ExperimentSettings
 from repro.sim.results import METRIC_NAMES
 
@@ -69,6 +74,9 @@ class Figure14Result:
         )
         return "\n\n".join(sections)
 
+    def payload(self) -> Dict[str, object]:
+        return configurations_payload(self.baseline, *self.summaries.values())
+
     def combination_is_synergistic(self) -> bool:
         """The combined frontend should beat each individual technique on its
         own target structure (ROB/RAT for distribution, TC for hopping)."""
@@ -106,3 +114,6 @@ def run_fig14(
         }
         result.slowdowns[label] = summary.mean_slowdown_vs(baseline)
     return result
+
+
+FIGURE = settings_figure("fig14", run_fig14)

@@ -20,7 +20,7 @@ from repro.campaign import Campaign, Executor, ResultCache, run_campaign
 from repro.campaign.spec import ExperimentSettings, variant_name
 from repro.campaign.summary import ConfigurationSummary
 from repro.core.presets import bank_hopping_biasing_config
-from repro.experiments.reporting import format_value_table
+from repro.experiments.reporting import Figure, format_value_table, single_config
 from repro.scenarios import SCENARIO_NAMES
 from repro.sim.config import ProcessorConfig
 
@@ -138,6 +138,15 @@ class DTMComparisonResult:
             precision=2,
         )
 
+    def payload(self) -> Dict[str, object]:
+        return {
+            "config": self.config_name,
+            "performance_loss_vs_peak_temp": self.performance_loss_vs_peak_temp(),
+            "policies": {
+                policy: summary.payload() for policy, summary in self.summaries.items()
+            },
+        }
+
 
 def run_dtm_comparison(
     settings: Optional[ExperimentSettings] = None,
@@ -175,3 +184,26 @@ def run_dtm_comparison(
     for policy in policies:
         result.summaries[policy] = outcome.summaries[variant_name(config.name, policy)]
     return result
+
+
+def _run_from_payload(payload, executor, cache) -> DTMComparisonResult:
+    from repro.service.codec import benchmarks_from
+
+    benchmarks = payload.get("benchmarks")
+    settings = dtm_settings(
+        scenarios=benchmarks_from(benchmarks) if benchmarks else None,
+        uops_per_scenario=payload.get("uops", 8_000),
+        seed=payload.get("seed", 7),
+    )
+    return run_dtm_comparison(
+        settings,
+        policies=payload.get("dtm_policies") or DEFAULT_POLICIES,
+        config=single_config(payload, "dtm"),
+        executor=executor,
+        cache=cache,
+    )
+
+
+FIGURE = Figure(
+    "dtm", ("configs", "benchmarks", "uops", "seed", "dtm"), _run_from_payload
+)

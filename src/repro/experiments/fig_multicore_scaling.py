@@ -28,7 +28,7 @@ from typing import Dict, Optional, Sequence, Tuple
 from repro.campaign import Campaign, Executor, ResultCache, run_campaign
 from repro.campaign.spec import ExperimentSettings
 from repro.core.presets import baseline_config
-from repro.experiments.reporting import format_value_table
+from repro.experiments.reporting import Figure, format_value_table, single_config
 from repro.sim.config import ProcessorConfig
 
 #: Core counts swept by default (the grid degenerates gracefully: 1 core is
@@ -72,9 +72,11 @@ class MulticoreScalingResult:
     cells_replayed: int = 0
     traces_captured: int = 0
 
-    def rows(self) -> Dict[str, Dict[str, float]]:
-        """JSON-able copy of the per-row metrics."""
-        return {label: dict(metrics) for label, metrics in self.data.items()}
+    def payload(self) -> Dict[str, object]:
+        return {
+            "config": self.config_name,
+            "rows": {label: dict(metrics) for label, metrics in self.data.items()},
+        }
 
     def format_table(self) -> str:
         return format_value_table(
@@ -162,3 +164,29 @@ def run_multicore_scaling(
                 "spread (C)": max(peaks) - min(peaks),
             }
     return result
+
+
+def _run_from_payload(payload, executor, cache) -> MulticoreScalingResult:
+    kwargs = {}
+    if payload.get("cores") is not None:
+        # Scale 1 -> N in powers of two (always anchored at the 1-core run,
+        # which is bit-identical to the single-core engine).
+        counts = [1]
+        while counts[-1] * 2 <= payload["cores"]:
+            counts.append(counts[-1] * 2)
+        if counts[-1] != payload["cores"]:
+            counts.append(payload["cores"])
+        kwargs["core_counts"] = tuple(counts)
+    return run_multicore_scaling(
+        config=single_config(payload, "multicore"),
+        uops_per_thread=payload.get("uops", 2_500),
+        seed=payload.get("seed", 7),
+        executor=executor,
+        cache=cache,
+        **kwargs,
+    )
+
+
+FIGURE = Figure(
+    "multicore", ("configs", "cores", "uops", "seed"), _run_from_payload
+)

@@ -1,8 +1,64 @@
-"""Plain-text tables for the experiment drivers, CLI and benchmark harness."""
+"""Tables, JSON payloads and the figure declaration of the experiment drivers.
+
+Each figure module declares one :class:`Figure`; :data:`repro.experiments.FIGURES`
+collects them for ``repro-campaign run --figure``.
+"""
 
 from __future__ import annotations
 
-from typing import Mapping, Optional, Sequence
+from typing import Callable, Dict, Mapping, NamedTuple, Optional, Sequence, Tuple
+
+
+class Figure(NamedTuple):
+    """One figure of ``repro-campaign run --figure NAME``.
+
+    ``flags`` names the ``run`` axis flags the figure reads (their argparse
+    destinations); every other axis flag is a usage error.  ``run(payload,
+    executor, cache)`` runs the figure from a campaign payload (the dict
+    :func:`repro.service.codec.payload_from_options` builds) and returns a
+    result with ``format_table()`` and ``payload()``.
+    """
+
+    name: str
+    flags: Tuple[str, ...]
+    run: Callable
+
+
+def settings_figure(name: str, driver: Callable) -> Figure:
+    """A paper figure: ``driver(settings, executor, cache)`` over the
+    payload's :func:`~repro.service.codec.settings_from_payload`."""
+
+    def run(payload, executor, cache):
+        from repro.service.codec import settings_from_payload
+
+        return driver(settings_from_payload(payload), executor, cache)
+
+    return Figure(name, ("scale", "benchmarks", "uops", "seed"), run)
+
+
+def single_config(payload: Mapping, figure: str):
+    """The one preset ``payload["configs"]`` names, or ``None`` for the
+    figure's default configuration."""
+    names = payload.get("configs") or []
+    if len(names) > 1:
+        raise ValueError(
+            f"--figure {figure} runs one configuration; give a single "
+            f"--configs preset (got {names})"
+        )
+    if not names:
+        return None
+    from repro.core.presets import FrontendOrganization, config_for
+
+    return config_for(FrontendOrganization(names[0]))
+
+
+def configurations_payload(*summaries) -> Dict[str, object]:
+    """JSON payload of configuration summaries, keyed by configuration."""
+    return {
+        "configurations": {
+            summary.config_name: summary.payload() for summary in summaries
+        }
+    }
 
 
 def format_percentage_table(

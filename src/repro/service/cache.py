@@ -35,7 +35,7 @@ import threading
 from pathlib import Path
 from typing import Dict, Optional, Union
 
-from repro.campaign.cache import RESULT_SUFFIX, ResultCache
+from repro.campaign.cache import ResultCache
 from repro.campaign.spec import RunSpec
 from repro.sim.activity_trace import ActivityTrace
 from repro.sim.results import SimulationResult
@@ -70,39 +70,20 @@ class ShardedResultCache(ResultCache):
         index = int(content_hash[:8], 16) % self.shards
         return f"shard-{index:02d}"
 
-    def path_for(self, spec: RunSpec) -> Path:
-        return (
-            self.directory
-            / self.shard_name(spec.cache_key())
-            / f"{self._key(spec)}{RESULT_SUFFIX}"
-        )
+    def result_path_for(self, cache_key: str) -> Path:
+        flat = super().result_path_for(cache_key)
+        return self.directory / self.shard_name(cache_key) / flat.name
 
     def trace_path_for(self, timing_key: str) -> Path:
         flat = super().trace_path_for(timing_key)
         return self.directory / self.shard_name(timing_key) / flat.name
 
-    @staticmethod
-    def _touch(path: Path) -> None:
-        """Refresh an entry's mtime so pruning approximates true LRU."""
+    def _used(self, path: Path) -> None:
+        """Refresh a hit entry's mtime so pruning approximates true LRU."""
         try:
             os.utime(path)
         except OSError:  # pragma: no cover - entry evicted under our feet
             pass
-
-    # ------------------------------------------------------------------
-    # Lookup/store (counters guarded: many job threads share this object)
-    # ------------------------------------------------------------------
-    def load(self, spec: RunSpec) -> Optional[SimulationResult]:
-        result = super().load(spec)
-        if result is not None:
-            self._touch(self.path_for(spec))
-        return result
-
-    def load_trace(self, timing_key: str) -> Optional[ActivityTrace]:
-        trace = super().load_trace(timing_key)
-        if trace is not None:
-            self._touch(self.trace_path_for(timing_key))
-        return trace
 
     # ------------------------------------------------------------------
     # Housekeeping across shards

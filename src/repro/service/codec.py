@@ -1,7 +1,7 @@
 """JSON wire format for campaign specifications.
 
 ``POST /jobs`` accepts the same campaign description the ``repro-campaign
-run`` command builds from its flags, as one JSON object::
+run`` command builds from its axis flags, as one JSON object::
 
     {
         "name": "sweep",                 # optional campaign name
@@ -15,32 +15,52 @@ run`` command builds from its flags, as one JSON object::
         "dtm_policies": ["none", "dvfs"],
         "cores": 1,
         "per_core_scenarios": [["thermal_virus", "idle_crawl"]],
+        "contention": "shared_llc",      # chip campaigns: shared-LLC model
         "replay_mode": "exact"           # exact | batched
     }
 
-:func:`campaign_from_payload` builds the campaign and
-:func:`options_from_payload` the job executor's
+:func:`payload_from_options` builds it from CLI-style options,
+:func:`campaign_from_payload` turns it into a campaign and
+:func:`options_from_payload` into the job executor's
 :class:`~repro.campaign.spec.ExecutionOptions` (the payload's
-``replay_mode``).  Both validate eagerly — unknown presets,
-benchmarks or policy specs raise ``ValueError``/``KeyError`` before any
-simulation, which the HTTP layer maps to a 400 — and the CLI's ``submit``
-verb builds exactly this payload from its flags (so a submission that
-cannot reach the server can fall back to running the identical campaign
-locally).  :func:`settings_from_payload` reuses the CLI's semantics: a
-scenario-only benchmark list turns off the SPEC relative-length table.
+``replay_mode``).  Both validate eagerly — unknown presets, benchmarks,
+policy or contention specs raise ``ValueError``/``KeyError`` before any
+simulation, which the HTTP layer maps to a 400.  The CLI builds every
+campaign through this codec: ``run`` for an ad-hoc grid, ``submit`` for
+the wire (so a submission that cannot reach the server can fall back to
+running the identical campaign locally), and each figure of
+:data:`repro.experiments.FIGURES` reads the same payload.
+:func:`settings_from_payload` keeps the CLI's semantics: a scenario-only
+benchmark list turns off the SPEC relative-length table.
 """
 
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Dict, Iterable, Optional, Tuple
+from typing import Dict, Iterable, Tuple
 
 from repro.campaign.spec import Campaign, ExecutionOptions, ExperimentSettings
 
-_SCALES = ("smoke", "quick", "full")
+SCALES = ("smoke", "quick", "full")
+
+#: The campaign spec fields, in wire order.
+FIELDS = (
+    "name",
+    "configs",
+    "scale",
+    "benchmarks",
+    "uops",
+    "seed",
+    "interval_cycles",
+    "dtm_policies",
+    "cores",
+    "per_core_scenarios",
+    "contention",
+    "replay_mode",
+)
 
 
-def _benchmarks_from(names: Iterable[str]) -> Tuple[str, ...]:
+def benchmarks_from(names: Iterable[str]) -> Tuple[str, ...]:
     """Expand a benchmark list; ``"scenarios"`` means the whole library."""
     expanded = []
     for name in names:
@@ -56,12 +76,12 @@ def _benchmarks_from(names: Iterable[str]) -> Tuple[str, ...]:
 def settings_from_payload(payload: Dict) -> ExperimentSettings:
     """Build :class:`ExperimentSettings` from a campaign spec payload."""
     scale = payload.get("scale", "smoke")
-    if scale not in _SCALES:
-        raise ValueError(f"unknown scale {scale!r} (expected one of {_SCALES})")
+    if scale not in SCALES:
+        raise ValueError(f"unknown scale {scale!r} (expected one of {SCALES})")
     settings = getattr(ExperimentSettings, scale)()
     changes: Dict[str, object] = {}
     if payload.get("benchmarks"):
-        benchmarks = _benchmarks_from(payload["benchmarks"])
+        benchmarks = benchmarks_from(payload["benchmarks"])
         changes["benchmarks"] = benchmarks
         from repro.workloads.profiles import SPEC2000_PROFILES
 
@@ -84,25 +104,13 @@ def campaign_from_payload(payload: Dict) -> Campaign:
     """Reconstruct a :class:`Campaign` from its JSON wire form.
 
     Raises ``ValueError``/``KeyError`` (the domain layer's own validation
-    errors) for unknown presets, benchmarks, scenario mixes or policy
-    specs; the server maps those to a 400 response.
+    errors) for unknown presets, benchmarks, scenario mixes, policy or
+    contention specs; the server maps those to a 400 response.
     """
     if not isinstance(payload, dict):
         raise ValueError(f"campaign spec must be a JSON object, got {type(payload).__name__}")
-    unknown = set(payload) - {
-        "name",
-        "configs",
-        "scale",
-        "benchmarks",
-        "uops",
-        "seed",
-        "interval_cycles",
-        "dtm_policies",
-        "cores",
-        "per_core_scenarios",
-        "replay_mode",
-        "tenant",  # stripped by the server, tolerated here
-    }
+    # "tenant" is stripped by the server and tolerated here.
+    unknown = set(payload) - set(FIELDS) - {"tenant"}
     if unknown:
         raise ValueError(f"unknown campaign spec field(s): {sorted(unknown)}")
     from repro.core.presets import FrontendOrganization, config_for
@@ -116,6 +124,7 @@ def campaign_from_payload(payload: Dict) -> Campaign:
     cores = payload.get("cores")
     if cores is None:
         cores = max((len(mix) for mix in mixes), default=1)
+    contention = payload.get("contention")
     return Campaign(
         configs,
         settings,
@@ -123,6 +132,7 @@ def campaign_from_payload(payload: Dict) -> Campaign:
         dtm_policies=tuple(payload.get("dtm_policies") or ()),
         cores=int(cores),
         per_core_scenarios=mixes,
+        contention=None if contention is None else str(contention),
     )
 
 
@@ -131,41 +141,23 @@ def options_from_payload(payload: Dict) -> ExecutionOptions:
     return ExecutionOptions(replay_mode=str(payload.get("replay_mode") or "exact"))
 
 
-def payload_from_options(
-    configs: Optional[Iterable[str]] = None,
-    scale: Optional[str] = None,
-    benchmarks: Optional[Iterable[str]] = None,
-    uops: Optional[int] = None,
-    seed: Optional[int] = None,
-    interval_cycles: Optional[int] = None,
-    dtm_policies: Optional[Iterable[str]] = None,
-    cores: Optional[int] = None,
-    per_core_scenarios: Optional[Iterable] = None,
-    name: Optional[str] = None,
-    replay_mode: Optional[str] = None,
-) -> Dict:
-    """The wire payload for a set of CLI-style options (``None`` = omit)."""
+def payload_from_options(**options) -> Dict:
+    """The wire payload for CLI-style options named by their spec fields.
+
+    ``None`` values and empty policy or mix axes are omitted; sequences
+    become JSON lists.
+    """
+    unknown = set(options) - set(FIELDS)
+    if unknown:
+        raise TypeError(f"unknown campaign spec option(s): {sorted(unknown)}")
     payload: Dict = {}
-    if name is not None:
-        payload["name"] = name
-    if configs is not None:
-        payload["configs"] = list(configs)
-    if scale is not None:
-        payload["scale"] = scale
-    if benchmarks is not None:
-        payload["benchmarks"] = list(benchmarks)
-    if uops is not None:
-        payload["uops"] = uops
-    if seed is not None:
-        payload["seed"] = seed
-    if interval_cycles is not None:
-        payload["interval_cycles"] = interval_cycles
-    if dtm_policies:
-        payload["dtm_policies"] = list(dtm_policies)
-    if cores is not None:
-        payload["cores"] = cores
-    if per_core_scenarios:
-        payload["per_core_scenarios"] = [list(mix) for mix in per_core_scenarios]
-    if replay_mode is not None:
-        payload["replay_mode"] = replay_mode
+    for field in FIELDS:
+        value = options.get(field)
+        if value is None or (field in ("dtm_policies", "per_core_scenarios") and not value):
+            continue
+        if field == "per_core_scenarios":
+            value = [list(mix) for mix in value]
+        elif field in ("configs", "benchmarks", "dtm_policies"):
+            value = list(value)
+        payload[field] = value
     return payload

@@ -119,6 +119,26 @@ def test_budget_eviction_is_lru(tmp_path, cells, simulated):
     assert paths[0].exists() and paths[2].exists()
 
 
+def test_sharded_hit_derives_the_cell_key_once(tmp_path, cells, simulated, monkeypatch):
+    """One hit hashes the cell config once: the shard, the entry name and
+    the LRU touch all come from one ``cache_key`` call."""
+    cache = ShardedResultCache(tmp_path / "cache", shards=4)
+    path = cache.store(cells[0], simulated[0])
+    os.utime(path, (1_000_000, 1_000_000))
+    spec_type = type(cells[0])
+    original = spec_type.cache_key
+    calls = []
+
+    def counting(spec):
+        calls.append(spec)
+        return original(spec)
+
+    monkeypatch.setattr(spec_type, "cache_key", counting)
+    assert cache.load(cells[0]) is not None
+    assert len(calls) == 1
+    assert path.stat().st_mtime > 1_000_000  # the hit still refreshed it
+
+
 def test_enforce_budget_without_limit_is_noop(tmp_path, cells, simulated):
     cache = ShardedResultCache(tmp_path / "cache", shards=2)
     cache.store(cells[0], simulated[0])

@@ -92,3 +92,33 @@ def test_tenant_field_is_tolerated():
 def test_configs_accepts_a_bare_string():
     campaign = campaign_from_payload({"configs": "baseline"})
     assert [c.name for c in campaign.configs] == ["baseline"]
+
+
+def test_contention_travels_on_the_wire():
+    payload = payload_from_options(
+        per_core_scenarios=[("cache_thrash", "memory_bound")],
+        contention="shared_llc:service=256",
+    )
+    assert payload["contention"] == "shared_llc:service=256"
+    campaign = campaign_from_payload(payload)
+    assert campaign.contention == "shared_llc:service=256"
+    assert campaign.is_chip
+
+
+@pytest.mark.parametrize(
+    "contention, message",
+    [
+        ("shared_llc:service=fast", "needs an integer"),
+        ("crossbar", "unknown contention model 'crossbar'"),
+        ("shared_llc:bogus=1", "unknown contention parameter 'bogus'"),
+    ],
+)
+def test_malformed_contention_raises_domain_error(contention, message):
+    payload = {"per_core_scenarios": [["cache_thrash", "memory_bound"]], "contention": contention}
+    with pytest.raises(ValueError, match=message):
+        campaign_from_payload(payload)
+
+
+def test_contention_on_a_single_core_campaign_is_rejected():
+    with pytest.raises(ValueError, match="chip campaign"):
+        campaign_from_payload({"benchmarks": ["gzip"], "contention": "shared_llc"})

@@ -99,6 +99,19 @@ def test_invalid_specs_are_400(stack):
     assert excinfo.value.status == 400
 
 
+def test_malformed_contention_is_400(stack):
+    _, _, client = stack
+    with pytest.raises(ServiceError) as excinfo:
+        client.submit(
+            {
+                "per_core_scenarios": [["cache_thrash", "memory_bound"]],
+                "contention": "shared_llc:service=fast",
+            }
+        )
+    assert excinfo.value.status == 400
+    assert "needs an integer" in str(excinfo.value)
+
+
 def test_malformed_json_is_400(stack):
     _, server, _ = stack
     request = urllib.request.Request(

@@ -13,8 +13,9 @@ composite-die physics replay.
 
 A second section measures the thermal solver's dense-vs-sparse scaling on
 4/16/64-core composite Laplacians (factorization time, solve time, peak
-resident memory of the factorization) and folds it into the same JSON
-payload.  ``REPRO_BENCH_STRICT=1`` asserts that the sparse SuperLU backend
+resident memory of the factorization; each backend's best of
+:data:`SOLVER_TIMING_ROUNDS` alternating rounds) and folds it into the same
+JSON payload.  ``REPRO_BENCH_STRICT=1`` asserts that the sparse SuperLU backend
 beats the dense LAPACK factorization by at least 3x end-to-end at 16 cores
 and above — the scaling claim the ``solver_backend="auto"`` threshold rests
 on.
@@ -54,6 +55,10 @@ SOLVER_CORE_COUNTS = (4, 16, 64)
 SOLVER_STEADY_SOLVES = 64
 #: Columns of the timed multi-RHS batch solve (the campaign replay shape).
 SOLVER_BATCH_CELLS = 32
+#: Alternating dense/sparse rounds per die; each backend reports its
+#: fastest round (one round is 10-40 ms at 16 cores, so a single sample
+#: lets one slow moment decide the strict floor).
+SOLVER_TIMING_ROUNDS = 5
 
 
 def _physics_sweep(cells: int) -> Campaign:
@@ -138,6 +143,22 @@ def _timed_backend(network, backend: str) -> dict:
     }
 
 
+def _best_alternating_backends(network) -> dict:
+    """Best-of-:data:`SOLVER_TIMING_ROUNDS` dense and sparse runs, interleaved.
+
+    Both backends do the same operations in every round; alternating them
+    exposes both to the same load drift, and each backend's fastest round
+    (by ``total_seconds``) is its least disturbed one.
+    """
+    best: dict = {}
+    for _ in range(SOLVER_TIMING_ROUNDS):
+        for backend in ("dense", "sparse"):
+            run = _timed_backend(network, backend)
+            if backend not in best or run["total_seconds"] < best[backend]["total_seconds"]:
+                best[backend] = run
+    return best
+
+
 def _solver_scaling() -> dict:
     """Dense-vs-sparse factorization/solve scaling over composite dies."""
     config = baseline_config()
@@ -151,8 +172,7 @@ def _solver_scaling() -> dict:
             "nodes": network.num_nodes,
             "nnz": int(g_sparse.nnz),
             "density": g_sparse.nnz / network.num_nodes**2,
-            "dense": _timed_backend(network, "dense"),
-            "sparse": _timed_backend(network, "sparse"),
+            **_best_alternating_backends(network),
         }
         row["speedup_total"] = (
             row["dense"]["total_seconds"] / row["sparse"]["total_seconds"]
@@ -161,6 +181,7 @@ def _solver_scaling() -> dict:
     return {
         "steady_solves": SOLVER_STEADY_SOLVES,
         "batch_cells": SOLVER_BATCH_CELLS,
+        "timing_rounds": SOLVER_TIMING_ROUNDS,
         "rows": rows,
     }
 

@@ -22,7 +22,7 @@ from typing import Dict, Iterable, Optional, Tuple
 from repro.campaign.builder import scale_paper_intervals
 from repro.sim.activity_trace import timing_feedback_reason
 from repro.sim.config import ProcessorConfig
-from repro.sim.serialization import content_key
+from repro.sim.serialization import canonical_json, spliced_content_key
 from repro.workloads.profiles import SPEC2000_PROFILES, get_profile
 
 #: Sections of :meth:`ProcessorConfig.to_dict` that the timing stage never
@@ -247,20 +247,25 @@ class RunSpec:
         The DTM policy only enters the material when set, so every cache key
         minted before the policy axis existed still matches its cell.
         """
-        material: Dict[str, object] = {
-            "config": _jsonable(self.config),
-            "benchmark": self.benchmark,
-            "trace_uops": self.trace_uops,
-            "interval_cycles": self.interval_cycles,
-            "seed": self.seed,
-        }
+        return {"config": _jsonable(self.config), **self._key_fields()}
+
+    def _key_fields(self) -> Dict[str, object]:
+        """:meth:`key_material` without the configuration."""
+        material = self._timing_fields()
         if self.dtm_policy is not None:
             material["dtm_policy"] = self.dtm_policy
         return material
 
     def cache_key(self) -> str:
-        """Stable content hash identifying this cell across processes/runs."""
-        return content_key(self.key_material())
+        """Stable content hash identifying this cell across processes/runs.
+
+        ``content_key(self.key_material())``, with the configuration's
+        canonical JSON encoded once per config object (see
+        :func:`config_json`).
+        """
+        return spliced_content_key(
+            self._key_fields(), {"config": config_json(self.config)}
+        )
 
     # ------------------------------------------------------------------
     # Two-stage execution: the timing-relevant projection of a cell
@@ -301,14 +306,14 @@ class RunSpec:
         ``"none"`` share one trace; feedback-bearing policies never get
         here, they are excluded by :meth:`replay_reason`).
         """
-        config = _jsonable(self.config)
-        timing_config = {
-            key: value
-            for key, value in config.items()
-            if key not in PHYSICS_CONFIG_SECTIONS and key != "name"
-        }
         return {
-            "config": timing_config,
+            "config": _timing_projection(_jsonable(self.config)),
+            **self._timing_fields(),
+        }
+
+    def _timing_fields(self) -> Dict[str, object]:
+        """:meth:`timing_key_material` without the configuration."""
+        return {
             "benchmark": self.benchmark,
             "trace_uops": self.trace_uops,
             "interval_cycles": self.interval_cycles,
@@ -320,9 +325,43 @@ class RunSpec:
 
         Cells sharing a timing key capture one
         :class:`~repro.sim.activity_trace.ActivityTrace` between them; the
-        campaign cache stores the trace artifact under this key.
+        campaign cache stores the trace artifact under this key.  Equal to
+        ``content_key(self.timing_key_material())``.
         """
-        return content_key(self.timing_key_material())
+        return spliced_content_key(
+            self._timing_fields(), {"config": config_json(self.config, timing=True)}
+        )
+
+
+def _timing_projection(config: Dict[str, object]) -> Dict[str, object]:
+    """The sections of a jsonable configuration that the timing stage reads."""
+    return {
+        key: value
+        for key, value in config.items()
+        if key not in PHYSICS_CONFIG_SECTIONS and key != "name"
+    }
+
+
+def config_json(config: ProcessorConfig, timing: bool = False) -> str:
+    """Canonical JSON of ``config`` (with ``timing``, of its timing projection).
+
+    Both texts are encoded once per config object and memoized on the
+    (frozen) object itself, so every cell of a campaign that shares a
+    scaled configuration splices the same text into its keys, and the memo
+    lives exactly as long as the configuration: :meth:`Campaign.cells`
+    scales — and so rebuilds — its configurations on every call.
+    """
+    memo = config.__dict__.get(_CONFIG_JSON_ATTR)
+    if memo is None:
+        material = _jsonable(config)
+        memo = (canonical_json(material), canonical_json(_timing_projection(material)))
+        object.__setattr__(config, _CONFIG_JSON_ATTR, memo)
+    return memo[timing]
+
+
+#: Instance attribute holding :func:`config_json`'s memo (not a dataclass
+#: field: it takes no part in equality, hashing or ``to_dict``).
+_CONFIG_JSON_ATTR = "_canonical_json_memo"
 
 
 @dataclass(frozen=True)

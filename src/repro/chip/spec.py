@@ -24,9 +24,15 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple
 
-from repro.campaign.spec import ExecutionOptions, RunSpec, _jsonable, variant_name
+from repro.campaign.spec import (
+    ExecutionOptions,
+    RunSpec,
+    _jsonable,
+    config_json,
+    variant_name,
+)
 from repro.sim.config import ProcessorConfig
-from repro.sim.serialization import content_key
+from repro.sim.serialization import spliced_content_key
 
 
 def mix_name(benchmarks: Tuple[str, ...]) -> str:
@@ -124,10 +130,13 @@ class ChipRunSpec:
         — its result carries chip telemetry and chip block names — so the
         two must never collide in the result cache.
         """
+        return {"config": _jsonable(self.config), **self._key_fields()}
+
+    def _key_fields(self) -> Dict[str, object]:
+        """:meth:`key_material` without the configuration."""
         material: Dict[str, object] = {
             "chip": True,
             "cores": self.cores,
-            "config": _jsonable(self.config),
             "benchmarks": list(self.benchmarks),
             "trace_uops": list(self.trace_uops),
             "interval_cycles": self.interval_cycles,
@@ -144,8 +153,15 @@ class ChipRunSpec:
         return material
 
     def cache_key(self) -> str:
-        """Stable content hash identifying this cell across processes/runs."""
-        return content_key(self.key_material())
+        """Stable content hash identifying this cell across processes/runs.
+
+        ``content_key(self.key_material())``, with the configuration's
+        canonical JSON encoded once per config object (see
+        :func:`~repro.campaign.spec.config_json`).
+        """
+        return spliced_content_key(
+            self._key_fields(), {"config": config_json(self.config)}
+        )
 
     # ------------------------------------------------------------------
     # Two-stage execution: the per-thread single-core projection

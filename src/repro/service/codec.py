@@ -24,8 +24,9 @@ run`` command builds from its axis flags, as one JSON object::
 :func:`options_from_payload` into the job executor's
 :class:`~repro.campaign.spec.ExecutionOptions` (the payload's
 ``replay_mode``).  Both validate eagerly — unknown presets, benchmarks,
-policy or contention specs raise ``ValueError``/``KeyError`` before any
-simulation, which the HTTP layer maps to a 400.  The CLI builds every
+policy or contention specs, and fields of the wrong JSON type (a number
+where a list of names belongs, say) raise ``ValueError``/``KeyError``
+before any simulation, which the HTTP layer maps to a 400.  The CLI builds every
 campaign through this codec: ``run`` for an ad-hoc grid, ``submit`` for
 the wire (so a submission that cannot reach the server can fall back to
 running the identical campaign locally), and each figure of
@@ -81,7 +82,7 @@ def settings_from_payload(payload: Dict) -> ExperimentSettings:
     settings = getattr(ExperimentSettings, scale)()
     changes: Dict[str, object] = {}
     if payload.get("benchmarks"):
-        benchmarks = benchmarks_from(payload["benchmarks"])
+        benchmarks = benchmarks_from(_names(payload["benchmarks"], "benchmarks"))
         changes["benchmarks"] = benchmarks
         from repro.workloads.profiles import SPEC2000_PROFILES
 
@@ -89,15 +90,46 @@ def settings_from_payload(payload: Dict) -> ExperimentSettings:
             # Scenario sweeps run every workload at full length; the SPEC
             # relative-length table only applies to the paper's benchmarks.
             changes["honor_relative_length"] = False
-    if payload.get("uops") is not None:
-        changes["uops_per_benchmark"] = int(payload["uops"])
-    if payload.get("seed") is not None:
-        changes["seed"] = int(payload["seed"])
-    if payload.get("interval_cycles") is not None:
-        changes["interval_cycles"] = int(payload["interval_cycles"])
+    for field, setting in (
+        ("uops", "uops_per_benchmark"),
+        ("seed", "seed"),
+        ("interval_cycles", "interval_cycles"),
+    ):
+        if payload.get(field) is not None:
+            changes[setting] = _integer(payload[field], field)
     if changes:
         settings = replace(settings, **changes)
     return settings
+
+
+def _list(value, field: str) -> list:
+    """A list-valued wire field (``None`` is empty); ``ValueError`` otherwise."""
+    if value is None:
+        return []
+    if not isinstance(value, list):
+        raise ValueError(
+            f"campaign spec field {field!r} must be a JSON list, "
+            f"got {type(value).__name__}"
+        )
+    return value
+
+
+def _names(value, field: str) -> Tuple[str, ...]:
+    """A wire list of names; ``ValueError`` for any other JSON type."""
+    names = _list(value, field)
+    if not all(isinstance(name, str) for name in names):
+        raise ValueError(f"campaign spec field {field!r} must list names (strings)")
+    return tuple(names)
+
+
+def _integer(value, field: str) -> int:
+    """An integer wire field (numeric strings too, as the CLI passes them)."""
+    try:
+        return int(value)
+    except (TypeError, ValueError):
+        raise ValueError(
+            f"campaign spec field {field!r} must be an integer, got {value!r}"
+        ) from None
 
 
 def campaign_from_payload(payload: Dict) -> Campaign:
@@ -105,7 +137,8 @@ def campaign_from_payload(payload: Dict) -> Campaign:
 
     Raises ``ValueError``/``KeyError`` (the domain layer's own validation
     errors) for unknown presets, benchmarks, scenario mixes, policy or
-    contention specs; the server maps those to a 400 response.
+    contention specs, and ``ValueError`` for a field of the wrong JSON
+    type; the server maps those to a 400 response.
     """
     if not isinstance(payload, dict):
         raise ValueError(f"campaign spec must be a JSON object, got {type(payload).__name__}")
@@ -118,9 +151,12 @@ def campaign_from_payload(payload: Dict) -> Campaign:
     names = payload.get("configs") or ["baseline"]
     if isinstance(names, str):
         names = [names]
-    configs = [config_for(FrontendOrganization(name)) for name in names]
+    configs = [config_for(FrontendOrganization(name)) for name in _names(names, "configs")]
     settings = settings_from_payload(payload)
-    mixes = tuple(tuple(mix) for mix in payload.get("per_core_scenarios") or ())
+    mixes = tuple(
+        _names(mix, "per_core_scenarios")
+        for mix in _list(payload.get("per_core_scenarios"), "per_core_scenarios")
+    )
     cores = payload.get("cores")
     if cores is None:
         cores = max((len(mix) for mix in mixes), default=1)
@@ -129,8 +165,8 @@ def campaign_from_payload(payload: Dict) -> Campaign:
         configs,
         settings,
         name=str(payload.get("name", "service")),
-        dtm_policies=tuple(payload.get("dtm_policies") or ()),
-        cores=int(cores),
+        dtm_policies=_names(payload.get("dtm_policies"), "dtm_policies"),
+        cores=_integer(cores, "cores"),
         per_core_scenarios=mixes,
         contention=None if contention is None else str(contention),
     )

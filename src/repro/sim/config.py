@@ -388,3 +388,8 @@ class ProcessorConfig:
     def to_dict(self) -> dict:
         """Flatten the configuration to a plain dictionary (for reporting)."""
         return dataclasses.asdict(self)
+
+    def __getstate__(self) -> dict:
+        """Pickle the fields only: a memo cached on the instance (the
+        campaign layer's canonical JSON, say) is rebuilt where it is used."""
+        return {f.name: getattr(self, f.name) for f in dataclasses.fields(self)}

@@ -8,12 +8,24 @@ encodings carry the same content and the same schema version:
   the readable exchange format of the CLI outputs, the golden fixtures and
   the service's results payload;
 * a binary frame (:func:`result_to_bytes`/:func:`result_from_bytes`) — what
-  the campaign result cache stores: the JSON header without the intervals,
-  then the per-interval vectors and per-block matrices as raw ``float64``.
+  the campaign result cache stores.  Container version 2: a JSON header
+  (the document without the intervals and without its per-block float
+  mappings), then the per-interval vectors and per-block matrices, then the
+  block areas and warm-up temperatures as vectors, all raw ``float64``.  A
+  cache hit therefore parses about 2 KB of JSON, not the whole document;
+  version-1 frames are not read (a cache miss).
 
 Both rebuild a :class:`~repro.sim.results.SimulationResult` that supports
 the same metric queries as a freshly simulated one.  The frame container
 (:func:`pack_frame`/:class:`Frame`) is shared with the activity-trace codec.
+
+Content keys (:func:`content_key`) are the sha256 of canonical JSON.  A
+campaign cell's key material embeds its whole configuration, so
+:func:`spliced_content_key` takes that configuration as canonical JSON text
+encoded once per config object (see
+:func:`repro.campaign.spec.config_json`) and splices it into the document:
+the digest is byte for byte the one :func:`content_key` gives the full
+material.
 """
 
 from __future__ import annotations
@@ -52,11 +64,31 @@ def content_key(material) -> str:
     identified by it.  Sorted keys and no whitespace make the key
     independent of dict order and interpreter version.
     """
-    return hashlib.sha256(_canonical_json(material)).hexdigest()
+    return hashlib.sha256(canonical_json(material).encode("utf-8")).hexdigest()
 
 
-def _canonical_json(material) -> bytes:
-    return json.dumps(material, sort_keys=True, separators=(",", ":")).encode("utf-8")
+def spliced_content_key(material: Dict, encoded: Dict[str, str]) -> str:
+    """:func:`content_key` of ``material`` plus entries already encoded.
+
+    ``encoded`` maps further top-level keys to their :func:`canonical_json`
+    text, which is spliced into the document as it is: a campaign cell
+    encodes its (large) configuration once per config object and reuses
+    the text in every key it derives.  Canonical JSON encodes each value of
+    a mapping independently of the others, so the digest equals
+    ``content_key({**material, **decoded(encoded)})`` byte for byte.
+    """
+    items = {key: _ENCODER.encode(value) for key, value in material.items()}
+    items.update(encoded)
+    text = ",".join(f"{_ENCODER.encode(key)}:{items[key]}" for key in sorted(items))
+    return hashlib.sha256(("{" + text + "}").encode("utf-8")).hexdigest()
+
+
+def canonical_json(material) -> str:
+    """``material`` as canonical JSON text: sorted keys, no whitespace."""
+    return _ENCODER.encode(material)
+
+
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
 
 
 #: Schema versions :func:`result_from_dict` can reconstruct.
@@ -65,8 +97,11 @@ SUPPORTED_SCHEMA_VERSIONS = (1, 2, 3, 4)
 #: Magic prefix of a binary result frame (:func:`result_to_bytes`).
 RESULT_BIN_MAGIC = b"RRES"
 #: Version of the binary result *container* layout (the result schema
-#: version travels inside the header).
-RESULT_BIN_VERSION = 1
+#: version travels inside the header).  Version 2 moved ``block_areas_mm2``
+#: and ``warmup_temperature`` out of the JSON header into ``<f8`` vectors
+#: after the interval matrices; a version-1 frame no longer loads (a cache
+#: miss).
+RESULT_BIN_VERSION = 2
 
 
 # ----------------------------------------------------------------------
@@ -86,7 +121,7 @@ def pack_frame(
     arrays in their on-disk (little-endian) dtypes.  With ``level`` the body
     is zlib-compressed at that level.  Stdlib and NumPy only.
     """
-    header_bytes = _canonical_json(header)
+    header_bytes = canonical_json(header).encode("utf-8")
     body = b"".join(
         [struct.pack("<I", len(header_bytes)), header_bytes]
         + [array.tobytes() for array in arrays]
@@ -212,6 +247,12 @@ def result_from_dict(data: Dict) -> SimulationResult:
     return _result_from_header(data, intervals)
 
 
+#: Per-block mappings a binary frame carries as ``<f8`` vectors in
+#: ``block_names`` order (when keyed by exactly those blocks) instead of in
+#: its JSON header.
+_BLOCK_VECTORS = ("block_areas_mm2", "warmup_temperature")
+
+
 def result_to_bytes(result: SimulationResult) -> bytes:
     """The binary frame of a result (what the campaign cache stores).
 
@@ -219,7 +260,11 @@ def result_to_bytes(result: SimulationResult) -> bytes:
     intervals, plus their count — come the ``cycle`` (``<i8``) and
     ``seconds`` (``<f8``) vectors, then the dynamic power, leakage power and
     temperature matrices (``<f8``, intervals x blocks, in ``block_names``
-    order).  Uncompressed: float data barely shrinks.
+    order), then ``block_areas_mm2`` and ``warmup_temperature`` as ``<f8``
+    vectors in ``block_names`` order.  A mapping keyed by any other set of
+    blocks (an empty warm-up, say) stays in the header instead, so the
+    header holds no per-block floats for a simulated result.  Uncompressed:
+    float data barely shrinks.
     """
     names = tuple(result.block_names)
     records = result.intervals
@@ -232,8 +277,15 @@ def result_to_bytes(result: SimulationResult) -> bytes:
     arrays = [
         np.array([record.cycle for record in records], dtype="<i8"),
         np.array([record.seconds for record in records], dtype="<f8"),
-    ]
-    return pack_frame(RESULT_BIN_MAGIC, RESULT_BIN_VERSION, header, arrays + matrices)
+    ] + matrices
+    for key in _BLOCK_VECTORS:
+        mapping = header[key]
+        if mapping.keys() == set(names) and all(
+            isinstance(value, float) for value in mapping.values()
+        ):
+            del header[key]
+            arrays.append(np.array([mapping[name] for name in names], dtype="<f8"))
+    return pack_frame(RESULT_BIN_MAGIC, RESULT_BIN_VERSION, header, arrays)
 
 
 def result_from_bytes(data) -> SimulationResult:
@@ -241,20 +293,29 @@ def result_from_bytes(data) -> SimulationResult:
 
     The records are array-backed, like a freshly simulated result's: each
     holds row views of one buffer per matrix, and no per-block mapping is
-    built until a consumer asks for one.
+    built until a consumer asks for one.  The per-block vectors become
+    mappings in sorted block order, the order :func:`result_from_dict`
+    gives them from a canonical JSON document.
     """
     frame = Frame(data, RESULT_BIN_MAGIC, RESULT_BIN_VERSION, "binary result")
     header = frame.header
     _check_schema(header, (SCHEMA_VERSION,))
     names = tuple(header["block_names"])
-    count = int(header["intervals"])
+    count, width = int(header["intervals"]), len(names)
+    vectors = [key for key in _BLOCK_VECTORS if key not in header]
     cycles = frame.take(count, "<i8").tolist()
-    seconds = frame.take(count, "<f8").tolist()
-    dynamic, leakage, temperature = (
-        frame.take(count * len(names), "<f8").reshape(count, len(names))
-        for _ in range(3)
-    )
+    # Everything after the cycles is float64: one view, sliced.
+    floats = frame.take(count * (1 + 3 * width) + len(vectors) * width, "<f8")
     frame.finish()
+    seconds = floats[:count].tolist()
+    matrices_end = count * (1 + 3 * width)
+    dynamic, leakage, temperature = floats[count:matrices_end].reshape(3, count, width)
+    if vectors:
+        order = sorted(range(width), key=names.__getitem__)
+        sorted_names = [names[i] for i in order]
+        columns = floats[matrices_end:].reshape(len(vectors), width)[:, order]
+        for key, values in zip(vectors, columns.tolist()):
+            header[key] = dict(zip(sorted_names, values))
     intervals = [
         IntervalRecord.from_arrays(cycle, second, names, *rows)
         for cycle, second, *rows in zip(cycles, seconds, dynamic, leakage, temperature)

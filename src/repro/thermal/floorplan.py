@@ -23,13 +23,18 @@ block areas, which keeps every region exactly filled.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.sim import blocks
 from repro.sim.config import ProcessorConfig
 
 #: Two blocks closer than this (in metres) are considered touching.
 _ADJACENCY_TOLERANCE_M = 1e-9
+#: Blocks whose boxes :meth:`Floorplan.adjacency` tests against every later
+#: block at once (bounds its boolean scratch to this many rows).
+_ADJACENCY_CHUNK = 256
 
 
 @dataclass(frozen=True)
@@ -100,6 +105,8 @@ class Floorplan:
         if len(set(names)) != len(names):
             raise ValueError("duplicate block names in floorplan")
         self._blocks: Dict[str, Block] = {b.name: b for b in blocks_}
+        #: Grown bounding boxes (x0, y0, x1, y1 rows), built on first use.
+        self._boxes: Optional[np.ndarray] = None
 
     # ------------------------------------------------------------------
     @property
@@ -135,24 +142,61 @@ class Floorplan:
         return self.die_area * 1e6
 
     def adjacency(self) -> List[Tuple[str, str, float]]:
-        """All pairs of adjacent blocks with their shared edge length (m)."""
+        """All pairs of adjacent blocks with their shared edge length (m).
+
+        Pairs come in block order — ``(a, b)`` with ``a`` before ``b``,
+        sorted by ``a`` then ``b``.  A vectorized bounding-box test (see
+        :meth:`_touching`) picks the pairs worth measuring, so the list
+        equals the all-pairs scan's entry for entry, with one
+        :meth:`Block.shared_edge_length` call per touching pair instead of
+        one per pair.
+        """
+        blocks_ = list(self._blocks.values())
         result: List[Tuple[str, str, float]] = []
-        names = list(self._blocks)
-        for i, a in enumerate(names):
-            for b in names[i + 1:]:
-                shared = self._blocks[a].shared_edge_length(self._blocks[b])
+        for start in range(0, len(blocks_), _ADJACENCY_CHUNK):
+            rows, columns = self._touching(start, start + _ADJACENCY_CHUNK, start)
+            later = columns > rows
+            for i, j in zip(rows[later].tolist(), columns[later].tolist()):
+                a, b = blocks_[i], blocks_[j]
+                shared = a.shared_edge_length(b)
                 if shared > 0.0:
-                    result.append((a, b, shared))
+                    result.append((a.name, b.name, shared))
         return result
 
     def neighbours(self, name: str) -> List[str]:
-        """Blocks sharing an edge with ``name``."""
-        target = self._blocks[name]
+        """Blocks sharing an edge with ``name``, in block order."""
+        blocks_ = list(self._blocks.values())
+        index = list(self._blocks).index(name)
+        target = blocks_[index]
+        _, columns = self._touching(index, index + 1, 0)
         return [
-            other.name
-            for other in self._blocks.values()
-            if other.name != name and target.shared_edge_length(other) > 0.0
+            blocks_[j].name
+            for j in columns.tolist()
+            if j != index and target.shared_edge_length(blocks_[j]) > 0.0
         ]
+
+    def _touching(self, start: int, stop: int, first: int) -> Tuple[np.ndarray, np.ndarray]:
+        """Index pairs ``(i, j)``, ``start <= i < stop`` and ``j >= first``,
+        whose boxes touch, in row-major order.
+
+        Each block's bounding box is grown by the adjacency tolerance on
+        every side; a pair with a nonzero :meth:`Block.shared_edge_length`
+        always has overlapping grown boxes, so filtering on them drops only
+        pairs that share no edge.
+        """
+        if self._boxes is None:
+            tol = _ADJACENCY_TOLERANCE_M
+            self._boxes = np.array(
+                [
+                    (b.x - tol, b.y - tol, b.x + b.width + tol, b.y + b.height + tol)
+                    for b in self._blocks.values()
+                ]
+            ).T
+        x0, y0, x1, y1 = self._boxes[:, first:]
+        rows = self._boxes[:, start:stop, None]
+        touch = (rows[0] <= x1) & (x0 <= rows[2]) & (rows[1] <= y1) & (y0 <= rows[3])
+        i, j = np.nonzero(touch)
+        return i + start, j + first
 
     def namespaced(self, prefix: str, separator: str = ".") -> "Floorplan":
         """This floorplan with every block renamed ``<prefix><separator><name>``.

@@ -141,7 +141,10 @@ class ThermalRCNetwork:
         Compressed from the dense :attr:`conductance` the constructor
         already built (the floorplan adjacency walk is not repeated), so
         the stored nonzeros are *bit-identical* to the dense entries —
-        the two assemblies differ only in what the zeros cost.  CSC is
+        the two assemblies differ only in what the zeros cost.  The
+        nonzeros are found on a boolean mask scanned column by column, which
+        yields CSC order directly (the same arrays ``csc_matrix(dense)``
+        builds, at a fraction of its cost on a many-core die).  CSC is
         what ``scipy.sparse.linalg.splu`` factorizes without a conversion
         copy.
 
@@ -156,7 +159,11 @@ class ThermalRCNetwork:
             raise RuntimeError(
                 "the sparse conductance assembly requires scipy"
             ) from error
-        return sparse.csc_matrix(self.conductance)
+        g = self.conductance
+        n = self.num_nodes
+        columns, rows = np.divmod(np.flatnonzero((g != 0.0).T), n)
+        indptr = np.searchsorted(columns, np.arange(n + 1))
+        return sparse.csc_matrix((g[rows, columns], rows, indptr), shape=g.shape)
 
     def _build_capacitance(self) -> np.ndarray:
         c = np.zeros(self.num_nodes)

@@ -5,7 +5,9 @@
 fresh one in every digest and metric.  The locks: canonical-JSON equality
 after a round trip for every kind of result the program produces (golden
 campaign cells, a 16-core chip, DTM cells, exact and batched replays, a
-dict-backed result loaded from JSON); the trace frame, which shares the
+dict-backed result loaded from JSON); per-block areas and warm-up
+temperatures travel as vectors and decode in the JSON document's mapping
+order, and a frame of the first container layout is a miss; the trace frame, which shares the
 container, stays byte-identical; decoded records are array-backed without
 per-block mappings; and every malformed entry is a cache miss.
 """
@@ -37,6 +39,7 @@ from repro.sim.serialization import (
     RESULT_BIN_MAGIC,
     RESULT_BIN_VERSION,
     Frame,
+    pack_frame,
     result_from_bytes,
     result_from_dict,
     result_to_bytes,
@@ -136,6 +139,63 @@ def test_dict_backed_result_round_trips(simulated):
     assert loaded.intervals[0]._dynamic_array is None
     _assert_round_trips(loaded)
     assert _canonical(loaded) == _canonical(simulated)
+
+
+# ----------------------------------------------------------------------
+# Per-block vectors (container version 2)
+# ----------------------------------------------------------------------
+def test_header_carries_no_per_block_mappings(simulated):
+    header = Frame(
+        result_to_bytes(simulated), RESULT_BIN_MAGIC, RESULT_BIN_VERSION, "result"
+    ).header
+    assert "block_areas_mm2" not in header
+    assert "warmup_temperature" not in header
+
+
+def test_decoded_mappings_match_the_json_decode_in_order(simulated):
+    """Field for field, mapping order included, as the JSON document decodes."""
+    from_json = result_from_dict(json.loads(_canonical(simulated)))
+    decoded = result_from_bytes(result_to_bytes(simulated))
+    for name in ("block_areas_mm2", "warmup_temperature", "block_groups"):
+        assert list(getattr(decoded, name).items()) == list(
+            getattr(from_json, name).items()
+        ), name
+    assert list(decoded.block_names) == list(from_json.block_names)
+
+
+@pytest.mark.parametrize(
+    "changes",
+    [
+        {"warmup_temperature": {}},
+        {"warmup_temperature": {"ROB": 50.0}},
+        {"block_areas_mm2": {"ROB": 1, "extra": 2.5}},
+    ],
+    ids=["empty warm-up", "partial warm-up", "other blocks"],
+)
+def test_mappings_keyed_by_other_blocks_round_trip(simulated, changes):
+    result = dataclasses.replace(simulated, **changes)
+    blob = result_to_bytes(result)
+    header = Frame(blob, RESULT_BIN_MAGIC, RESULT_BIN_VERSION, "result").header
+    assert all(header[key] == value for key, value in changes.items())
+    _assert_round_trips(result)
+
+
+def test_version_one_frame_is_a_cache_miss(tmp_path, cell, simulated):
+    """A frame of the first container layout (per-block mappings in its
+    header, no vectors) is not read, so the cell is simulated again."""
+    cache = ResultCache(tmp_path / "cache")
+    path = cache.store(cell, simulated)
+    frame = Frame(path.read_bytes(), RESULT_BIN_MAGIC, RESULT_BIN_VERSION, "result")
+    header = dict(
+        frame.header,
+        block_areas_mm2=dict(simulated.block_areas_mm2),
+        warmup_temperature=dict(simulated.warmup_temperature),
+    )
+    count, width = header["intervals"], len(header["block_names"])
+    arrays = [frame.take(count, "<i8"), frame.take(count * (1 + 3 * width), "<f8")]
+    path.write_bytes(pack_frame(RESULT_BIN_MAGIC, 1, header, arrays))
+    assert cache.load(cell) is None
+    assert cache.misses == 1
 
 
 # ----------------------------------------------------------------------

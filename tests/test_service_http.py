@@ -4,6 +4,7 @@ payloads to the same specs run serially through run_campaign."""
 
 import json
 import threading
+import urllib.error
 import urllib.request
 
 import pytest
@@ -110,6 +111,36 @@ def test_malformed_contention_is_400(stack):
         )
     assert excinfo.value.status == 400
     assert "needs an integer" in str(excinfo.value)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        {"configs": 5},
+        {"benchmarks": 5},
+        {"dtm_policies": 5},
+        {"per_core_scenarios": 5},
+        {"per_core_scenarios": [5]},
+        {"benchmarks": ["gzip", 5]},
+        {"uops": [800]},
+        {"cores": {"n": 2}},
+    ],
+    ids=lambda spec: json.dumps(spec),
+)
+def test_wrong_json_type_is_400_with_a_json_error(stack, spec):
+    """A wire field of the wrong JSON type is a client error, not a reset."""
+    _, server, _ = stack
+    request = urllib.request.Request(
+        server.address + "/jobs",
+        data=json.dumps(spec).encode("utf-8"),
+        headers={"Content-Type": "application/json"},
+        method="POST",
+    )
+    with pytest.raises(urllib.error.HTTPError) as excinfo:
+        urllib.request.urlopen(request, timeout=10)
+    assert excinfo.value.code == 400
+    error = json.loads(excinfo.value.read())["error"]
+    assert repr(next(iter(spec))) in error
 
 
 def test_malformed_json_is_400(stack):

@@ -16,7 +16,9 @@ import numpy as np
 import pytest
 
 from repro.chip import build_chip_physics
-from repro.core.presets import baseline_config
+from repro.chip.engine import CORE_SEPARATOR, core_prefix
+from repro.core.presets import bank_hopping_config, baseline_config
+from repro.sim.warmcache import core_layout
 from repro.sim.config import ThermalConfig
 from repro.thermal.floorplan import Block, Floorplan, compose_floorplans
 from repro.thermal.rc_model import ThermalRCNetwork
@@ -99,6 +101,62 @@ def test_single_core_network_is_a_valid_laplacian():
 
 
 # ----------------------------------------------------------------------
+# Adjacency: the bounding-box filter against the all-pairs scan
+# ----------------------------------------------------------------------
+def all_pairs_adjacency(floorplan: Floorplan):
+    """The reference adjacency: every pair of blocks measured, in block order."""
+    names = floorplan.block_names
+    pairs = []
+    for i, a in enumerate(names):
+        for b in names[i + 1 :]:
+            shared = floorplan.block(a).shared_edge_length(floorplan.block(b))
+            if shared > 0.0:
+                pairs.append((a, b, shared))
+    return pairs
+
+
+def chip_floorplan(config, cores: int) -> Floorplan:
+    _, core_plan, _ = core_layout(config)
+    return compose_floorplans(
+        [core_plan] * cores,
+        [core_prefix(c) for c in range(cores)],
+        separator=CORE_SEPARATOR,
+    )
+
+
+@pytest.mark.parametrize("cores", [1, 2, 4, 16])
+@pytest.mark.parametrize("config", [baseline_config, bank_hopping_config])
+def test_chip_conductance_is_bitwise_the_all_pairs_build(config, cores, monkeypatch):
+    """The filtered adjacency builds the all-pairs conductance bit for bit.
+
+    Edge order feeds the diagonal sums, so the lists must agree entry for
+    entry, not just as sets.
+    """
+    floorplan = chip_floorplan(config(), cores)
+    fast = ThermalRCNetwork(floorplan, ThermalConfig())
+    monkeypatch.setattr(Floorplan, "adjacency", all_pairs_adjacency)
+    reference = ThermalRCNetwork(floorplan, ThermalConfig())
+    assert fast.conductance.tobytes() == reference.conductance.tobytes()
+    assert fast.capacitance.tobytes() == reference.capacitance.tobytes()
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_adjacency_and_neighbours_match_all_pairs(seed):
+    rng = random.Random(seed)
+    floorplan = compose_floorplans(
+        [random_grid_floorplan(rng)] * 3, [f"core{c}" for c in range(3)]
+    )
+    assert floorplan.adjacency() == all_pairs_adjacency(floorplan)
+    for name in floorplan.block_names:
+        target = floorplan.block(name)
+        assert floorplan.neighbours(name) == [
+            other
+            for other in floorplan.block_names
+            if other != name and target.shared_edge_length(floorplan.block(other)) > 0.0
+        ]
+
+
+# ----------------------------------------------------------------------
 # Sparse assembly (the solver's CSC backend input)
 # ----------------------------------------------------------------------
 def _scipy_or_skip():
@@ -139,6 +197,19 @@ def test_randomized_sparse_assembly_matches_dense(seed):
 def test_composite_sparse_assembly_matches_dense(cores):
     physics, _, _ = build_chip_physics(baseline_config(), cores)
     assert_sparse_matches_dense(physics.network)
+
+
+@pytest.mark.parametrize("cores", [1, 4, 16])
+def test_sparse_assembly_is_scipys_compression_of_the_dense_matrix(cores):
+    """The column scan builds exactly the arrays ``csc_matrix(dense)`` does."""
+    sparse = _scipy_or_skip()
+    network = build_chip_physics(baseline_config(), cores)[0].network
+    expected = sparse.csc_matrix(network.conductance)
+    built = network.conductance_sparse()
+    for name in ("data", "indices", "indptr"):
+        assert getattr(built, name).dtype == getattr(expected, name).dtype, name
+        assert getattr(built, name).tobytes() == getattr(expected, name).tobytes(), name
+    assert built.has_canonical_format
 
 
 def test_sparsity_grows_with_core_count():

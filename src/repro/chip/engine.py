@@ -109,24 +109,13 @@ def chip_block_groups(config: ProcessorConfig, cores: int) -> Dict[str, List[str
     return groups
 
 
-def build_chip_physics(
-    config: ProcessorConfig,
-    cores: int,
-    interval_cycles: Optional[int] = None,
-) -> Tuple[PhysicsStage, BlockIndex, int]:
-    """One :class:`PhysicsStage` over the composite ``cores``-core die.
+def chip_layout(config: ProcessorConfig, cores: int):
+    """``(block parameters, floorplan, block groups)`` of the composite die.
 
-    Returns ``(physics, core_index, blocks_per_core)``: ``core_index`` is
-    the *single-core* block order (what each per-core timing stage emits),
-    and core ``c`` occupies the contiguous chip-vector slice
-    ``[c * blocks_per_core, (c + 1) * blocks_per_core)``.
-
-    The die's node count picks the thermal solver's factorization (see
-    :mod:`repro.thermal.solver`): small dies stay on the dense
-    (bit-identical) path and the solver flips to sparse SuperLU at
-    :data:`~repro.thermal.solver.SPARSE_NODE_THRESHOLD` nodes — in this
-    composition, at 16 cores and above — where the composite Laplacian is
-    ~99% zeros and sparse factorization is an order of magnitude faster.
+    What :class:`PhysicsStage` is built over; like
+    :func:`~repro.sim.warmcache.core_layout` it reads neither the power nor
+    the thermal section, so the physics variants of one replay group share
+    a single composition (:func:`replay_chip_group`).
     """
     if cores < 1:
         raise ValueError("a chip needs at least one core")
@@ -136,14 +125,43 @@ def build_chip_physics(
         [core_prefix(c) for c in range(cores)],
         separator=CORE_SEPARATOR,
     )
-    chip_parameters = _chip_parameters(core_parameters, cores)
+    return (
+        _chip_parameters(core_parameters, cores),
+        chip_plan,
+        chip_block_groups(config, cores),
+    )
+
+
+def build_chip_physics(
+    config: ProcessorConfig,
+    cores: int,
+    interval_cycles: Optional[int] = None,
+    layout=None,
+) -> Tuple[PhysicsStage, BlockIndex, int]:
+    """One :class:`PhysicsStage` over the composite ``cores``-core die.
+
+    ``layout`` is :func:`chip_layout` of ``config`` and ``cores``, composed
+    here unless given.  Returns ``(physics, core_index, blocks_per_core)``:
+    ``core_index`` is the *single-core* block order (what each per-core
+    timing stage emits), and core ``c`` occupies the contiguous chip-vector
+    slice ``[c * blocks_per_core, (c + 1) * blocks_per_core)``.
+
+    The die's node count picks the thermal solver's factorization (see
+    :mod:`repro.thermal.solver`): small dies stay on the dense
+    (bit-identical) path and the solver flips to sparse SuperLU at
+    :data:`~repro.thermal.solver.SPARSE_NODE_THRESHOLD` nodes — in this
+    composition, at 16 cores and above — where the composite Laplacian is
+    ~99% zeros and sparse factorization is an order of magnitude faster.
+    """
+    parameters, floorplan, groups = layout or chip_layout(config, cores)
     physics = PhysicsStage(
         config,
         interval_cycles,
-        block_parameters=chip_parameters,
-        floorplan=chip_plan,
-        block_groups=chip_block_groups(config, cores),
+        block_parameters=parameters,
+        floorplan=floorplan,
+        block_groups=groups,
     )
+    core_parameters = core_layout(config)[0]
     return physics, BlockIndex(core_parameters), len(core_parameters)
 
 
@@ -689,7 +707,6 @@ class ChipEngine:
         any_policy = self.chip_policy is not None or any(
             policy is not None for policy in self.core_policies
         )
-        temperatures: List[np.ndarray] = []
         interval_index = 0
         chip_cycle = 0
         gated_streak = 0
@@ -714,7 +731,7 @@ class ChipEngine:
                     )
                 ran = [t for t, done in enumerate(self._finished) if not done]
                 _, leakage_scale = self._power_scales()
-                record = physics.leakage_only_interval(
+                physics.leakage_only_interval(
                     cycle=chip_cycle,
                     seconds=seconds,
                     gated_mask=self._gated_mask(ran),
@@ -741,7 +758,7 @@ class ChipEngine:
                     self._power_scales() if any_policy else (None, None)
                 )
                 chip_cycle += chip_cycles
-                record = physics.interval_pipeline(
+                physics.interval_pipeline(
                     counts,
                     cycles,
                     cycle=chip_cycle,
@@ -751,8 +768,6 @@ class ChipEngine:
                     leakage_scale=leakage_scale,
                     dt_cycles=chip_cycles,
                 )
-            result.intervals.append(record)
-            temperatures.append(physics.temperature_array)
             if self._dvfs_residency is not None:
                 steps = self.chip_controls.steps
                 self._dvfs_residency += (
@@ -788,12 +803,13 @@ class ChipEngine:
             stats.trace_cache_hits = timing.processor.trace_cache.hits
             stats.trace_cache_misses = timing.processor.trace_cache.misses
             stats.trace_cache_hop_flushes = timing.processor.trace_cache.hop_flushes
-        return self._finish(result, temperatures, chip_cycle)
+        return self._finish(result, chip_cycle)
 
-    def _finish(self, result: SimulationResult, temperatures, chip_cycles: int):
+    def _finish(self, result: SimulationResult, chip_cycles: int):
         """The chip result shape: aggregate stats plus ``result.chip``."""
+        temperatures = result.intervals.temperature
         dvfs_residency = None
-        if self._dvfs_residency is not None and temperatures:
+        if self._dvfs_residency is not None and len(temperatures):
             dvfs_residency = residency_by_freq_ratio(
                 self.chip_controls.table, self._dvfs_residency / len(temperatures)
             )
@@ -885,19 +901,22 @@ class ChipReplayCell(ReplayCell):
         cores: int,
         interval_cycles: Optional[int] = None,
         chip_policy: Optional[Union[ChipDTMPolicy, str]] = None,
+        layout=None,
     ) -> None:
         if isinstance(chip_policy, str):
             chip_policy = make_chip_policy(chip_policy)
         super().__init__(config, chip_policy, interval_cycles)
         self.cores = cores
+        #: The composite die's :func:`chip_layout` (shared within a group).
+        self.layout = layout or chip_layout(config, cores)
 
     def die(self) -> PhysicsStage:
-        return build_chip_physics(self.config, self.cores, self.interval_cycles)[0]
+        return build_chip_physics(
+            self.config, self.cores, self.interval_cycles, self.layout
+        )[0]
 
     def power_model(self) -> PowerModel:
-        return PowerModel(
-            self.config.power, _chip_parameters(self.core_parameters, self.cores)
-        )
+        return PowerModel(self.config.power, self.layout[0])
 
     def finish(
         self, result: SimulationResult, die, stack: TraceStack, temperatures
@@ -969,10 +988,25 @@ def replay_chip_group(
     key (plus core count, which shapes the composite die's network) and
     advances each sub-group's cells per interval in one multi-RHS solve,
     within the same rtol/atol 1e-8 contract as the single-core batched
-    path.  Results come back in ``specs`` order.
+    path.  Results come back in ``specs`` order.  Cells over one
+    single-core layout and core count share one composite die layout,
+    composed once per call.
     """
-    cells = [
-        ChipReplayCell(spec.config, spec.cores, spec.interval_cycles, spec.chip_policy)
-        for spec in specs
-    ]
+    layouts: Dict[Tuple[int, int], tuple] = {}
+    cells = []
+    for spec in specs:
+        core = core_layout(spec.config)
+        key = (id(core), spec.cores)
+        if key not in layouts:
+            # The core layout rides along so its id stays unique meanwhile.
+            layouts[key] = (chip_layout(spec.config, spec.cores), core)
+        cells.append(
+            ChipReplayCell(
+                spec.config,
+                spec.cores,
+                spec.interval_cycles,
+                spec.chip_policy,
+                layouts[key][0],
+            )
+        )
     return replay_cells(cells, traces, replay_mode=replay_mode, warmup=warmup)

@@ -123,8 +123,16 @@ def _names(value, field: str) -> Tuple[str, ...]:
 
 
 def _integer(value, field: str) -> int:
-    """An integer wire field (numeric strings too, as the CLI passes them)."""
+    """An integer wire field (numeric strings too, as the CLI passes them).
+
+    A boolean or a number with a fractional part is refused, not truncated:
+    ``true`` is not seed 1 and ``1500.9`` is not 1500 uops.
+    """
     try:
+        if isinstance(value, bool) or (
+            isinstance(value, float) and not value.is_integer()
+        ):
+            raise ValueError
         return int(value)
     except (TypeError, ValueError):
         raise ValueError(

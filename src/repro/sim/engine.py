@@ -35,7 +35,7 @@ from repro.isa.microops import MicroOp
 from repro.sim.activity_trace import ActivityTrace, TraceRecorder
 from repro.sim.config import ProcessorConfig
 from repro.sim.processor import Processor
-from repro.sim.results import IntervalRecord, SimulationResult
+from repro.sim.results import SimulationResult
 from repro.sim.stages import (  # noqa: F401  (re-exported)
     TIMING_MODES,
     PhysicsStage,
@@ -101,14 +101,15 @@ class SimulationEngine(ChipEngine):
         seconds: float,
         dynamic_scale: Optional[np.ndarray] = None,
         leakage_scale: Optional[np.ndarray] = None,
-    ) -> IntervalRecord:
+    ) -> None:
         """One coupled interval's physics (the benchmarked hot path).
 
         Resolves the current Vdd-gated-bank mask from the timing stage and
-        delegates to :meth:`PhysicsStage.interval_pipeline`.
+        delegates to :meth:`PhysicsStage.interval_pipeline`, which appends
+        the interval's row to the stage's table.
         """
         _, gated_mask = self.timing.gated_state()
-        return self.physics.interval_pipeline(
+        self.physics.interval_pipeline(
             activity_counts,
             cycles_elapsed,
             cycle=cycle,
@@ -147,7 +148,7 @@ class SimulationEngine(ChipEngine):
         result, (trace,) = self.run_with_traces(max_intervals, warmup, [trace_provenance])
         return result, trace
 
-    def _finish(self, result: SimulationResult, temperatures, chip_cycles: int):
+    def _finish(self, result: SimulationResult, chip_cycles: int):
         """The single-core result shape: the thread's stats and DTM telemetry."""
         result.stats = self.processor.stats
         if self.dtm_policy is not None:

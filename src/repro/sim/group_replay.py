@@ -56,7 +56,7 @@ from repro.power.leakage import batched_leakage_kernel
 from repro.power.power_model import PowerModel
 from repro.sim.activity_trace import ActivityTrace
 from repro.sim.config import ProcessorConfig
-from repro.sim.results import IntervalRecord, SimulationResult
+from repro.sim.results import IntervalTable, SimulationResult
 from repro.sim.serialization import content_key
 from repro.sim.warmcache import core_layout
 from repro.thermal.solver import ThermalSolver
@@ -459,25 +459,16 @@ def _replayed_result(
     warmup_temperature: Dict[str, float],
     **provenance,
 ) -> SimulationResult:
-    """One cell's result from its dynamic/leakage/temperature trajectories."""
-    dynamic, leakage, temperatures = trajectories
-    result = die.new_result(stack.benchmark)
+    """One cell's result: its dynamic/leakage/temperature trajectories are
+    the matrices of its interval table."""
+    seconds = np.arange(1, stack.intervals + 1) * die.config.thermal.interval_seconds
+    cycles = np.cumsum(stack.chip_cycles)
+    table = IntervalTable(die.block_index.names, cycles, seconds, *trajectories)
+    result = die.new_result(stack.benchmark, table)
     result.config_name = cell.config.name
     result.provenance.update(replayed=True, **provenance)
-    interval_seconds = die.config.thermal.interval_seconds
-    for i, cycle in enumerate(np.cumsum(stack.chip_cycles)):
-        result.intervals.append(
-            IntervalRecord.from_arrays(
-                cycle=int(cycle),
-                seconds=(i + 1) * interval_seconds,
-                block_names=die.block_index.names,
-                dynamic_power=dynamic[i],
-                leakage_power=leakage[i],
-                temperature=temperatures[i],
-            )
-        )
     result.warmup_temperature = warmup_temperature
-    return cell.finish(result, die, stack, temperatures)
+    return cell.finish(result, die, stack, table.temperature)
 
 
 def replay_exact(

@@ -1,51 +1,123 @@
 """Result containers produced by a simulation run.
 
-A :class:`SimulationResult` couples the timing statistics of a run with the
-per-interval power and temperature traces of every functional block, and
-computes the three temperature metrics the paper reports (Section 4):
+A :class:`SimulationResult` couples the timing statistics of a run with its
+:class:`IntervalTable`: ``cycle`` and ``seconds`` vectors plus the dynamic
+power, leakage power and temperature matrices (intervals x blocks, in
+``block_names`` order).  The coupled loop fills the table row by row, replay
+hands over its trajectories, and a decoded result's table is views of the
+cache frame.  Records and their per-block dictionaries exist only on
+request: ``result.intervals[i]`` builds a view of row ``i``.
 
-* ``AbsMax`` — peak temperature over time and space,
-* ``Average`` — average temperature over time and space,
-* ``AvgMax`` — average over intervals of the per-interval maximum.
-
-All metrics are reported as the *increase over ambient* (45 C), because the
-paper measures improvements as "the reduction on the temperature increase
-over ambient".
+The three temperature metrics the paper reports (Section 4) reduce the
+temperature matrix: ``AbsMax`` (peak over time and space), ``Average``
+(average over time and space) and ``AvgMax`` (average over intervals of the
+per-interval maximum).  All are the *increase over ambient* (45 C), as the
+paper reports "the reduction on the temperature increase over ambient".
+Every sum runs left to right, as ``sum()`` over the rows did before Python
+3.12 (``np.sum`` pairs terms), so a metric's bytes do not depend on how the
+result was produced.
 """
 
 from __future__ import annotations
 
+from collections.abc import ItemsView, Mapping as MappingABC, Sequence as SequenceABC
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Mapping, Optional, Sequence, Union
 
 import numpy as np
 
 from repro.sim.stats import SimulationStats
 
 
+def _left_sum(values: np.ndarray) -> np.ndarray:
+    """Sums along the last axis, left to right from 0 (``sum()``'s order)."""
+    return np.cumsum(values, axis=-1)[..., -1] + 0.0
+
+
+class IntervalTable(SequenceABC):
+    """The intervals of one result: two vectors and three matrices.
+
+    ``cycles`` (``int64``) and ``seconds`` hold one entry per interval;
+    ``dynamic``, ``leakage`` and ``temperature`` are ``float64`` (intervals
+    x blocks), columns in ``block_names`` order.  As a sequence the table
+    yields an :class:`IntervalRecord` view per row, built on each access.
+    """
+
+    __slots__ = ("block_names", "_arrays", "_count")
+
+    def __init__(self, block_names, cycles, seconds, dynamic, leakage, temperature):
+        self.block_names = block_names
+        self._arrays = (cycles, seconds, dynamic, leakage, temperature)
+        self._count = len(cycles)
+
+    @classmethod
+    def empty(cls, block_names, capacity: int = 16) -> "IntervalTable":
+        """A table of no rows and room for ``capacity``, for :meth:`append`."""
+        matrices = (np.empty((capacity, len(block_names))) for _ in range(3))
+        table = cls(block_names, np.empty(capacity, np.int64), np.empty(capacity), *matrices)
+        table._count = 0
+        return table
+
+    @classmethod
+    def from_mappings(cls, block_names, rows) -> "IntervalTable":
+        """A table of ``(cycle, seconds, dynamic, leakage, temperature)`` rows
+        whose last three are per-block mappings."""
+        table = cls.empty(block_names, len(rows))
+        for cycle, seconds, *maps in rows:
+            table.append(cycle, seconds, *([m[name] for name in block_names] for m in maps))
+        return table
+
+    def append(self, cycle: int, seconds: float, dynamic, leakage, temperature) -> None:
+        """Write the next row, doubling the buffers when they are full."""
+        n = self._count
+        if n == len(self._arrays[0]):
+            grown = [np.empty((max(16, 2 * n),) + a.shape[1:], a.dtype) for a in self._arrays]
+            for bigger, array in zip(grown, self._arrays):
+                bigger[:n] = array
+            self._arrays = tuple(grown)
+        for array, value in zip(self._arrays, (cycle, seconds, dynamic, leakage, temperature)):
+            array[n] = value
+        self._count = n + 1
+
+    @property
+    def arrays(self):
+        """``(cycles, seconds, dynamic, leakage, temperature)``."""
+        return tuple(array[: self._count] for array in self._arrays)
+
+    cycles = property(lambda self: self._arrays[0][: self._count])
+    seconds = property(lambda self: self._arrays[1][: self._count])
+    dynamic = property(lambda self: self._arrays[2][: self._count])
+    leakage = property(lambda self: self._arrays[3][: self._count])
+    temperature = property(lambda self: self._arrays[4][: self._count])
+
+    def __reduce__(self):
+        return IntervalTable, (self.block_names, *self.arrays)
+
+    def __len__(self) -> int:
+        return self._count
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [IntervalRecord.view(self, i) for i in range(*index.indices(self._count))]
+        row = index + self._count if index < 0 else index
+        if not 0 <= row < self._count:
+            raise IndexError("interval index out of range")
+        return IntervalRecord.view(self, row)
+
+    def __iter__(self):
+        return (IntervalRecord.view(self, row) for row in range(self._count))
+
+
 class IntervalRecord:
     """Power and temperature snapshot of one thermal interval.
 
-    The engine's fast path stores the per-block data as NumPy vectors (see
-    :meth:`from_arrays`) so that recording an interval allocates no per-block
-    dictionaries; the ``dynamic_power`` / ``leakage_power`` / ``temperature``
-    mappings are materialized lazily — and cached — the first time a consumer
-    (metrics, plots) asks for them; serialization builds them without
-    caching (:meth:`block_mappings`).  Records can equally be built from
-    plain dictionaries, which is what JSON deserialization and the tests do.
+    A view of one :class:`IntervalTable` row that caches nothing: each
+    per-block mapping is a fresh dictionary.  Built from mappings, a record
+    is a one-row table of its own (hand-built results pass such records to
+    :class:`SimulationResult`, which copies their rows).
     """
 
-    __slots__ = (
-        "cycle",
-        "seconds",
-        "_block_names",
-        "_dynamic_array",
-        "_leakage_array",
-        "_temperature_array",
-        "_dynamic_dict",
-        "_leakage_dict",
-        "_temperature_dict",
-    )
+    __slots__ = ("_table", "_row")
 
     def __init__(
         self,
@@ -55,112 +127,92 @@ class IntervalRecord:
         leakage_power: Mapping[str, float],
         temperature: Mapping[str, float],
     ) -> None:
-        #: Cycle at which the interval ended.
-        self.cycle = cycle
-        #: Wall-clock seconds of simulated (thermal) time at the interval's end.
-        self.seconds = seconds
-        self._block_names: Optional[Sequence[str]] = None
-        self._dynamic_array: Optional[np.ndarray] = None
-        self._leakage_array: Optional[np.ndarray] = None
-        self._temperature_array: Optional[np.ndarray] = None
-        self._dynamic_dict: Optional[Dict[str, float]] = dict(dynamic_power)
-        self._leakage_dict: Optional[Dict[str, float]] = dict(leakage_power)
-        self._temperature_dict: Optional[Dict[str, float]] = dict(temperature)
+        rows = [(cycle, seconds, dynamic_power, leakage_power, temperature)]
+        self._table = IntervalTable.from_mappings(tuple(temperature), rows)
+        self._row = 0
 
     @classmethod
-    def from_arrays(
-        cls,
-        cycle: int,
-        seconds: float,
-        block_names: Sequence[str],
-        dynamic_power: np.ndarray,
-        leakage_power: np.ndarray,
-        temperature: np.ndarray,
-    ) -> "IntervalRecord":
-        """Zero-dict constructor used by the engine's interval fast path.
-
-        The arrays are stored as-is (not copied): callers hand over freshly
-        computed vectors, ordered like ``block_names``, and must not mutate
-        them afterwards.
-        """
+    def view(cls, table: IntervalTable, row: int) -> "IntervalRecord":
         record = cls.__new__(cls)
-        record.cycle = cycle
-        record.seconds = seconds
-        record._block_names = block_names
-        record._dynamic_array = dynamic_power
-        record._leakage_array = leakage_power
-        record._temperature_array = temperature
-        record._dynamic_dict = None
-        record._leakage_dict = None
-        record._temperature_dict = None
+        record._table, record._row = table, row
         return record
 
-    @staticmethod
-    def _as_dict(names: Sequence[str], values: np.ndarray) -> Dict[str, float]:
-        return dict(zip(names, values.tolist()))
+    @property
+    def cycle(self) -> int:
+        """Cycle at which the interval ended."""
+        return int(self._table.cycles[self._row])
+
+    @property
+    def seconds(self) -> float:
+        """Seconds of simulated (thermal) time at the interval's end."""
+        return float(self._table.seconds[self._row])
+
+    def _mapping(self, matrix: np.ndarray) -> Dict[str, float]:
+        return dict(zip(self._table.block_names, matrix[self._row].tolist()))
 
     @property
     def dynamic_power(self) -> Dict[str, float]:
         """Dynamic power per block (Watts) during the interval."""
-        if self._dynamic_dict is None:
-            self._dynamic_dict = self._as_dict(self._block_names, self._dynamic_array)
-        return self._dynamic_dict
+        return self._mapping(self._table.dynamic)
 
     @property
     def leakage_power(self) -> Dict[str, float]:
         """Leakage power per block (Watts) during the interval."""
-        if self._leakage_dict is None:
-            self._leakage_dict = self._as_dict(self._block_names, self._leakage_array)
-        return self._leakage_dict
+        return self._mapping(self._table.leakage)
 
     @property
     def temperature(self) -> Dict[str, float]:
         """Temperature per block (Celsius) at the end of the interval."""
-        if self._temperature_dict is None:
-            self._temperature_dict = self._as_dict(
-                self._block_names, self._temperature_array
-            )
-        return self._temperature_dict
-
-    def block_mappings(self) -> Tuple[Dict[str, float], Dict[str, float], Dict[str, float]]:
-        """The dynamic, leakage and temperature mappings, without caching them.
-
-        Serialization builds every record's mappings once; caching them
-        would leave an array-backed record holding its arrays plus three
-        dictionaries for as long as the result lives.
-        """
-        return tuple(
-            cached if cached is not None else self._as_dict(self._block_names, array)
-            for cached, array in (
-                (self._dynamic_dict, self._dynamic_array),
-                (self._leakage_dict, self._leakage_array),
-                (self._temperature_dict, self._temperature_array),
-            )
-        )
-
-    def block_vectors(self, names: Tuple[str, ...]) -> Tuple[Sequence[float], ...]:
-        """The dynamic, leakage and temperature values in ``names`` order.
-
-        An array-backed record ordered like ``names`` returns its arrays;
-        any other record reads its mappings (without caching them).
-        """
-        if self._dynamic_array is not None and tuple(self._block_names) == names:
-            return self._dynamic_array, self._leakage_array, self._temperature_array
-        return tuple(
-            [mapping[name] for name in names] for mapping in self.block_mappings()
-        )
+        return self._mapping(self._table.temperature)
 
     def total_power(self) -> float:
         """Total processor power (dynamic + leakage) during the interval."""
-        if self._dynamic_array is not None and self._leakage_array is not None:
-            return float(np.sum(self._dynamic_array) + np.sum(self._leakage_array))
-        return sum(self.dynamic_power.values()) + sum(self.leakage_power.values())
+        table, row = self._table, self._row
+        return float(np.sum(table.dynamic[row]) + np.sum(table.leakage[row]))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"IntervalRecord(cycle={self.cycle}, seconds={self.seconds}, "
-            f"blocks={len(self.temperature)})"
+            f"blocks={len(self._table.block_names)})"
         )
+
+
+class BlockValues(MappingABC):
+    """A read-only per-block mapping over a vector in ``block_names`` order.
+
+    A decoded result's block areas and warm-up temperatures.  It iterates in
+    sorted block order, as a canonical JSON document decodes; the first
+    lookup by name builds its index.
+    """
+
+    __slots__ = ("block_names", "vector", "_positions")
+
+    def __init__(self, block_names: Sequence[str], vector: np.ndarray) -> None:
+        self.block_names, self.vector = block_names, vector
+        self._positions: Optional[Dict[str, int]] = None
+
+    def __getitem__(self, name: str) -> float:
+        if self._positions is None:
+            self._positions = {block: i for i, block in enumerate(self.block_names)}
+        return float(self.vector[self._positions[name]])
+
+    def __len__(self) -> int:
+        return len(self.block_names)
+
+    def __iter__(self):
+        return iter(sorted(self.block_names))
+
+    def items(self) -> ItemsView:
+        return _SortedItems(self)
+
+
+class _SortedItems(ItemsView):
+    """:meth:`BlockValues.items` without a lookup per name."""
+
+    def __iter__(self):
+        names, vector = self._mapping.block_names, self._mapping.vector
+        order = sorted(range(len(names)), key=names.__getitem__)
+        return zip([names[i] for i in order], vector[order].tolist())
 
 
 #: The three temperature metrics of the paper's figures.
@@ -177,9 +229,10 @@ class SimulationResult:
     block_names: Sequence[str]
     block_groups: Mapping[str, Sequence[str]]
     block_areas_mm2: Mapping[str, float]
-    intervals: List[IntervalRecord] = field(default_factory=list)
+    #: The interval table; a sequence of records is copied into one.
+    intervals: Union[IntervalTable, Sequence[IntervalRecord]] = ()
     ambient_celsius: float = 45.0
-    warmup_temperature: Dict[str, float] = field(default_factory=dict)
+    warmup_temperature: Mapping[str, float] = field(default_factory=dict)
     #: How the run was produced: the thermal/hop interval in cycles plus the
     #: experiment-settings parameters (trace length, seed) the campaign layer
     #: derives cache keys from.  Empty for results loaded from pre-provenance
@@ -198,6 +251,15 @@ class SimulationResult:
     #: layer existed, and every ``repro.sim.engine`` run since).
     chip: Dict[str, object] = field(default_factory=dict)
 
+    def __post_init__(self) -> None:
+        table = self.intervals
+        if not isinstance(table, IntervalTable):
+            rows = [(r.cycle, r.seconds, r.dynamic_power, r.leakage_power, r.temperature)
+                    for r in table]
+            table = self.intervals = IntervalTable.from_mappings(self.block_names, rows)
+        if tuple(table.block_names) != tuple(self.block_names):
+            raise ValueError("the interval table's columns are not block_names")
+
     # ------------------------------------------------------------------
     # Temperature metrics
     # ------------------------------------------------------------------
@@ -211,28 +273,31 @@ class SimulationResult:
             f"{sorted(self.block_groups)}"
         )
 
+    def _columns(self, blocks: Optional[Sequence[str]]):
+        """Table columns of ``blocks``, in their order (all blocks for ``None``)."""
+        names = self.intervals.block_names
+        if blocks is None or list(blocks) == list(names):
+            return slice(None)
+        positions = {name: i for i, name in enumerate(names)}
+        return [positions[block] for block in blocks]
+
     def temperature_metrics(self, group: str) -> Dict[str, float]:
         """Return AbsMax / Average / AvgMax for a block group.
 
         Values are temperature increases over ambient, in Celsius.
         """
         blocks = self._group_blocks(group)
-        if not self.intervals:
+        count = len(self.intervals)
+        if not count:
             raise ValueError("no thermal intervals were recorded")
         amb = self.ambient_celsius
-        per_interval_max: List[float] = []
-        per_interval_avg: List[float] = []
-        abs_max = float("-inf")
-        for record in self.intervals:
-            temps = [record.temperature[b] for b in blocks]
-            interval_max = max(temps)
-            per_interval_max.append(interval_max - amb)
-            per_interval_avg.append(sum(temps) / len(temps) - amb)
-            abs_max = max(abs_max, interval_max)
+        temps = self.intervals.temperature[:, self._columns(blocks)]
+        interval_max = temps.max(axis=1)
+        per_interval_avg = _left_sum(temps) / len(blocks) - amb
         return {
-            "AbsMax": abs_max - amb,
-            "Average": sum(per_interval_avg) / len(per_interval_avg),
-            "AvgMax": sum(per_interval_max) / len(per_interval_max),
+            "AbsMax": float(interval_max.max()) - amb,
+            "Average": float(_left_sum(per_interval_avg)) / count,
+            "AvgMax": float(_left_sum(interval_max - amb)) / count,
         }
 
     def all_temperature_metrics(self) -> Dict[str, Dict[str, float]]:
@@ -241,22 +306,21 @@ class SimulationResult:
 
     def peak_temperature(self) -> float:
         """Absolute peak temperature (Celsius) over all blocks and intervals."""
-        return max(
-            max(record.temperature.values()) for record in self.intervals
-        ) if self.intervals else self.ambient_celsius
+        if not len(self.intervals):
+            return self.ambient_celsius
+        return float(self.intervals.temperature.max())
 
     # ------------------------------------------------------------------
     # Power metrics
     # ------------------------------------------------------------------
     def average_power(self, blocks: Optional[Sequence[str]] = None) -> float:
         """Average total power (W) over the run, optionally restricted to blocks."""
-        if not self.intervals:
+        table = self.intervals
+        if not len(table):
             return 0.0
-        names = list(blocks) if blocks is not None else list(self.block_names)
-        total = 0.0
-        for record in self.intervals:
-            total += sum(record.dynamic_power[b] + record.leakage_power[b] for b in names)
-        return total / len(self.intervals)
+        columns = self._columns(blocks)
+        power = table.dynamic[:, columns] + table.leakage[:, columns]
+        return float(_left_sum(_left_sum(power))) / len(table)
 
     def average_group_power(self, group: str) -> float:
         """Average power (W) of a block group."""
@@ -264,13 +328,11 @@ class SimulationResult:
 
     def average_dynamic_power(self, blocks: Optional[Sequence[str]] = None) -> float:
         """Average dynamic power (W) over the run."""
-        if not self.intervals:
+        table = self.intervals
+        if not len(table):
             return 0.0
-        names = list(blocks) if blocks is not None else list(self.block_names)
-        total = 0.0
-        for record in self.intervals:
-            total += sum(record.dynamic_power[b] for b in names)
-        return total / len(self.intervals)
+        dynamic = table.dynamic[:, self._columns(blocks)]
+        return float(_left_sum(_left_sum(dynamic))) / len(table)
 
     def group_area_mm2(self, group: str) -> float:
         """Total silicon area (mm^2) of a block group."""
@@ -306,40 +368,31 @@ class SimulationResult:
         return self.stats.cycles / baseline.stats.cycles - 1.0
 
     def total_seconds(self) -> float:
-        """Simulated wall-clock seconds the run spanned.
+        """Simulated wall-clock seconds the run spanned, gated intervals included.
 
-        Includes whole clock-gated intervals (which add wall-clock but no
-        cycles), so it is the denominator of real DTM performance: the same
-        trace under throttling, DVFS or gating simply takes longer.
-
-        The per-record ``seconds`` timestamps count whole nominal intervals,
-        but the *final* interval of a trace usually runs fewer cycles; this
-        method reconstructs each interval's true duration from the recorded
-        cycle deltas (a zero delta is a clock-gated interval, charged one
-        full interval), so short runs don't quantize the performance-loss
-        metric to whole intervals.  Results without interval provenance
-        (schema v1 files) fall back to the nominal accounting.
+        The denominator of real DTM performance.  Each interval lasts its
+        cycle delta over the nominal interval (a zero delta is a clock-gated
+        interval, charged one full interval), so a short final interval does
+        not quantize the metric.  Results without interval provenance
+        (schema v1 files) fall back to the nominal ``seconds`` timestamps.
         """
-        if not self.intervals:
+        table = self.intervals
+        if not len(table):
             return 0.0
         interval_cycles = self.provenance.get("interval_cycles")
         if not interval_cycles:
             return self._nominal_total_seconds()
-        interval_seconds = self.intervals[0].seconds
-        total = 0.0
-        previous_cycle = 0
-        for record in self.intervals:
-            delta = record.cycle - previous_cycle
-            previous_cycle = record.cycle
-            if delta == 0:
-                total += interval_seconds
-            else:
-                total += interval_seconds * (delta / interval_cycles)
-        return total
+        interval_seconds = float(table.seconds[0])
+        deltas = np.diff(table.cycles, prepend=0)
+        durations = np.where(
+            deltas == 0, interval_seconds, interval_seconds * (deltas / interval_cycles)
+        )
+        return float(_left_sum(durations))
 
     def _nominal_total_seconds(self) -> float:
-        """Run length in whole nominal intervals (the per-record timestamps)."""
-        return self.intervals[-1].seconds if self.intervals else 0.0
+        """Run length in whole nominal intervals (the ``seconds`` timestamps)."""
+        table = self.intervals
+        return float(table.seconds[-1]) if len(table) else 0.0
 
     def time_slowdown_vs(self, baseline: "SimulationResult") -> float:
         """Wall-clock-time increase relative to ``baseline`` (0.05 = 5% slower).

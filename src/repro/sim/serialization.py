@@ -10,10 +10,12 @@ encodings carry the same content and the same schema version:
 * a binary frame (:func:`result_to_bytes`/:func:`result_from_bytes`) — what
   the campaign result cache stores.  Container version 2: a JSON header
   (the document without the intervals and without its per-block float
-  mappings), then the per-interval vectors and per-block matrices, then the
-  block areas and warm-up temperatures as vectors, all raw ``float64``.  A
-  cache hit therefore parses about 2 KB of JSON, not the whole document;
-  version-1 frames are not read (a cache miss).
+  mappings), then the interval table's vectors and matrices, then the block
+  areas and warm-up temperatures as vectors, all raw ``float64``.  A cache
+  hit parses about 2 KB of JSON and builds no per-interval or per-block
+  object: the decoded table is views of the frame's buffer and the two
+  per-block mappings are :class:`~repro.sim.results.BlockValues` views of
+  theirs.  Version-1 frames are not read (a cache miss).
 
 Both rebuild a :class:`~repro.sim.results.SimulationResult` that supports
 the same metric queries as a freshly simulated one.  The frame container
@@ -37,11 +39,11 @@ import struct
 import threading
 import zlib
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Union
+from typing import Dict, Optional, Sequence, Union
 
 import numpy as np
 
-from repro.sim.results import IntervalRecord, SimulationResult
+from repro.sim.results import BlockValues, IntervalTable, SimulationResult
 from repro.sim.stats import SimulationStats
 
 #: Version stamp written into every file so future schema changes are detectable.
@@ -202,49 +204,44 @@ def _result_header(result: SimulationResult) -> Dict:
         "ambient_celsius": result.ambient_celsius,
         "block_names": list(result.block_names),
         "block_groups": {group: list(names) for group, names in result.block_groups.items()},
-        "block_areas_mm2": dict(result.block_areas_mm2),
-        "warmup_temperature": dict(result.warmup_temperature),
+        "block_areas_mm2": dict(result.block_areas_mm2.items()),
+        "warmup_temperature": dict(result.warmup_temperature.items()),
         "stats": result.stats.to_payload(),
     }
+
+
+#: The interval table's per-block matrices, as the document's entry keys.
+_MATRICES = ("dynamic_power", "leakage_power", "temperature")
 
 
 def result_to_dict(result: SimulationResult) -> Dict:
     """Convert a :class:`SimulationResult` to a JSON-serializable dictionary.
 
-    The per-block mappings are built for the document only: an array-backed
-    record does not keep them (see :meth:`IntervalRecord.block_mappings`).
+    Each interval's per-block mappings are built from the table's rows for
+    the document only; the result keeps none of them.
     """
     document = _result_header(result)
-    intervals = []
-    for record in result.intervals:
-        dynamic, leakage, temperature = record.block_mappings()
-        intervals.append(
-            {
-                "cycle": record.cycle,
-                "seconds": record.seconds,
-                "dynamic_power": dynamic,
-                "leakage_power": leakage,
-                "temperature": temperature,
-            }
-        )
-    document["intervals"] = intervals
+    names = result.intervals.block_names
+    cycles, seconds, *matrices = (array.tolist() for array in result.intervals.arrays)
+    document["intervals"] = [
+        {
+            "cycle": cycle,
+            "seconds": second,
+            **{key: dict(zip(names, row)) for key, row in zip(_MATRICES, rows)},
+        }
+        for cycle, second, *rows in zip(cycles, seconds, *matrices)
+    ]
     return document
 
 
 def result_from_dict(data: Dict) -> SimulationResult:
     """Rebuild a :class:`SimulationResult` from :func:`result_to_dict` output."""
     _check_schema(data, SUPPORTED_SCHEMA_VERSIONS)
-    intervals = [
-        IntervalRecord(
-            cycle=entry["cycle"],
-            seconds=entry["seconds"],
-            dynamic_power=entry["dynamic_power"],
-            leakage_power=entry["leakage_power"],
-            temperature=entry["temperature"],
-        )
+    rows = [
+        (entry["cycle"], entry["seconds"], *(entry[key] for key in _MATRICES))
         for entry in data["intervals"]
     ]
-    return _result_from_header(data, intervals)
+    return _result_from_header(data, IntervalTable.from_mappings(data["block_names"], rows))
 
 
 #: Per-block mappings a binary frame carries as ``<f8`` vectors in
@@ -253,74 +250,66 @@ def result_from_dict(data: Dict) -> SimulationResult:
 _BLOCK_VECTORS = ("block_areas_mm2", "warmup_temperature")
 
 
+def _block_vector(mapping, names) -> Optional[np.ndarray]:
+    """``mapping`` as a vector in ``names`` order, or ``None`` when it is not
+    keyed by exactly those blocks with float values."""
+    if isinstance(mapping, BlockValues) and list(mapping.block_names) == list(names):
+        return mapping.vector
+    if mapping.keys() == set(names) and all(
+        isinstance(value, float) for value in mapping.values()
+    ):
+        return np.array([mapping[name] for name in names], dtype="<f8")
+    return None
+
+
 def result_to_bytes(result: SimulationResult) -> bytes:
     """The binary frame of a result (what the campaign cache stores).
 
-    After the :func:`pack_frame` header — :func:`result_to_dict` without the
-    intervals, plus their count — come the ``cycle`` (``<i8``) and
-    ``seconds`` (``<f8``) vectors, then the dynamic power, leakage power and
-    temperature matrices (``<f8``, intervals x blocks, in ``block_names``
-    order), then ``block_areas_mm2`` and ``warmup_temperature`` as ``<f8``
-    vectors in ``block_names`` order.  A mapping keyed by any other set of
-    blocks (an empty warm-up, say) stays in the header instead, so the
-    header holds no per-block floats for a simulated result.  Uncompressed:
-    float data barely shrinks.
+    The :func:`pack_frame` header is :func:`result_to_dict` without the
+    intervals, plus their count; the arrays are the interval table's
+    (``cycle`` as ``<i8``, the rest ``<f8``), then ``block_areas_mm2`` and
+    ``warmup_temperature`` as vectors in ``block_names`` order, unless keyed
+    by other blocks (an empty warm-up, say: it stays in the header).
+    Uncompressed: float data barely shrinks.
     """
-    names = tuple(result.block_names)
-    records = result.intervals
+    names = result.block_names
+    cycles, seconds, *matrices = result.intervals.arrays
     header = _result_header(result)
-    header["intervals"] = len(records)
-    matrices = [np.empty((len(records), len(names)), dtype="<f8") for _ in range(3)]
-    for i, record in enumerate(records):
-        for matrix, row in zip(matrices, record.block_vectors(names)):
-            matrix[i] = row
-    arrays = [
-        np.array([record.cycle for record in records], dtype="<i8"),
-        np.array([record.seconds for record in records], dtype="<f8"),
-    ] + matrices
+    header["intervals"] = len(cycles)
+    arrays = [np.asarray(cycles, dtype="<i8"), np.asarray(seconds, dtype="<f8")]
+    arrays += [np.asarray(matrix, dtype="<f8") for matrix in matrices]
     for key in _BLOCK_VECTORS:
-        mapping = header[key]
-        if mapping.keys() == set(names) and all(
-            isinstance(value, float) for value in mapping.values()
-        ):
+        vector = _block_vector(getattr(result, key), names)
+        if vector is not None:
             del header[key]
-            arrays.append(np.array([mapping[name] for name in names], dtype="<f8"))
+            arrays.append(np.asarray(vector, dtype="<f8"))
     return pack_frame(RESULT_BIN_MAGIC, RESULT_BIN_VERSION, header, arrays)
 
 
 def result_from_bytes(data) -> SimulationResult:
     """Inverse of :func:`result_to_bytes`; raises ``ValueError`` on bad input.
 
-    The records are array-backed, like a freshly simulated result's: each
-    holds row views of one buffer per matrix, and no per-block mapping is
-    built until a consumer asks for one.  The per-block vectors become
-    mappings in sorted block order, the order :func:`result_from_dict`
-    gives them from a canonical JSON document.
+    The result's interval table and its block-area and warm-up
+    :class:`~repro.sim.results.BlockValues` are read-only views of the
+    frame's buffer: decoding builds no record and no per-block mapping.
     """
     frame = Frame(data, RESULT_BIN_MAGIC, RESULT_BIN_VERSION, "binary result")
     header = frame.header
     _check_schema(header, (SCHEMA_VERSION,))
-    names = tuple(header["block_names"])
+    names = header["block_names"]
     count, width = int(header["intervals"]), len(names)
     vectors = [key for key in _BLOCK_VECTORS if key not in header]
-    cycles = frame.take(count, "<i8").tolist()
+    cycles = frame.take(count, "<i8")
     # Everything after the cycles is float64: one view, sliced.
     floats = frame.take(count * (1 + 3 * width) + len(vectors) * width, "<f8")
     frame.finish()
-    seconds = floats[:count].tolist()
     matrices_end = count * (1 + 3 * width)
-    dynamic, leakage, temperature = floats[count:matrices_end].reshape(3, count, width)
-    if vectors:
-        order = sorted(range(width), key=names.__getitem__)
-        sorted_names = [names[i] for i in order]
-        columns = floats[matrices_end:].reshape(len(vectors), width)[:, order]
-        for key, values in zip(vectors, columns.tolist()):
-            header[key] = dict(zip(sorted_names, values))
-    intervals = [
-        IntervalRecord.from_arrays(cycle, second, names, *rows)
-        for cycle, second, *rows in zip(cycles, seconds, dynamic, leakage, temperature)
-    ]
-    return _result_from_header(header, intervals)
+    matrices = floats[count:matrices_end].reshape(3, count, width)
+    for key, vector in zip(vectors, floats[matrices_end:].reshape(len(vectors), width)):
+        header[key] = BlockValues(names, vector)
+    return _result_from_header(
+        header, IntervalTable(names, cycles, floats[:count], *matrices)
+    )
 
 
 def _check_schema(data: Dict, supported: Sequence[int]) -> None:
@@ -332,8 +321,8 @@ def _check_schema(data: Dict, supported: Sequence[int]) -> None:
         )
 
 
-def _result_from_header(data: Dict, intervals: List[IntervalRecord]) -> SimulationResult:
-    """A result from a document's non-interval fields and its records."""
+def _result_from_header(data: Dict, intervals: IntervalTable) -> SimulationResult:
+    """A result from a document's non-interval fields and its interval table."""
     return SimulationResult(
         config_name=data["config_name"],
         benchmark=data["benchmark"],

@@ -8,8 +8,8 @@
   (every 10 M cycles in the paper).
 * :class:`PhysicsStage` — everything downstream of the activity counts:
   dynamic power -> temperature-dependent leakage -> thermal RC advance ->
-  sensors -> :class:`~repro.sim.results.IntervalRecord`, fully array-backed
-  (see ``docs/interval-pipeline.md``).
+  sensors -> one row of its :class:`~repro.sim.results.IntervalTable`, all
+  on NumPy vectors (see ``docs/interval-pipeline.md``).
 
 The one loop coupling them interval by interval is
 :class:`repro.chip.engine.ChipEngine`'s.  The timing stage is a cycle-level
@@ -47,7 +47,7 @@ from repro.sim.group_replay import (
     stack_traces,
 )
 from repro.sim.processor import Processor
-from repro.sim.results import IntervalRecord, SimulationResult
+from repro.sim.results import IntervalTable, SimulationResult
 from repro.sim.warmcache import core_layout, solver_bundle
 from repro.thermal.sensors import SensorBank
 from repro.workloads.generator import WorkloadSpec
@@ -356,6 +356,8 @@ class PhysicsStage:
             self.temperature_array
         )
         self.emergency_intervals = 0
+        #: One row per :meth:`interval_pipeline` or :meth:`leakage_only_interval`.
+        self.intervals = IntervalTable.empty(self.block_index.names)
 
     # ------------------------------------------------------------------
     def warmup(
@@ -403,7 +405,6 @@ class PhysicsStage:
         self._thermal_state = self.solver.advance_nodes(
             self._thermal_state, node_power, dt
         )
-        # Fancy indexing copies, so each record owns its temperature vector.
         self.temperature_array = self._thermal_state[self.node_positions]
         if (
             float(self.temperature_array.max())
@@ -418,17 +419,10 @@ class PhysicsStage:
         dt: float,
         cycle: int,
         seconds: float,
-    ) -> IntervalRecord:
-        """:meth:`advance`, then the interval's record."""
+    ) -> None:
+        """:meth:`advance`, then the interval's row of :attr:`intervals`."""
         self.advance(dynamic, leakage, dt)
-        return IntervalRecord.from_arrays(
-            cycle=cycle,
-            seconds=seconds,
-            block_names=self.block_index.names,
-            dynamic_power=dynamic,
-            leakage_power=leakage,
-            temperature=self.temperature_array,
-        )
+        self.intervals.append(cycle, seconds, dynamic, leakage, self.temperature_array)
 
     def interval_pipeline(
         self,
@@ -440,13 +434,13 @@ class PhysicsStage:
         dynamic_scale: Optional[np.ndarray] = None,
         leakage_scale: Optional[np.ndarray] = None,
         dt_cycles: Optional[int] = None,
-    ) -> IntervalRecord:
-        """The power/thermal hot path of one interval: counts -> record.
+    ) -> None:
+        """The power/thermal hot path of one interval: counts -> table row.
 
         Converts a drained activity-count vector (block-index order) into
         dynamic and leakage power (W), advances the thermal RC network by the
         interval's wall-clock duration (s), tracks the emergency-limit
-        counter and returns the interval's :class:`IntervalRecord` — all on
+        counter and appends the interval's row to :attr:`intervals` — all on
         NumPy vectors, with no per-block dict allocation.
 
         ``dynamic_scale`` / ``leakage_scale`` are the DTM DVFS power
@@ -476,9 +470,7 @@ class PhysicsStage:
         dt = self.config.thermal.interval_seconds * (
             dt_cycles / self.interval_cycles
         )
-        return self._advance_and_record(
-            dynamic, leakage, dt, cycle=cycle, seconds=seconds
-        )
+        self._advance_and_record(dynamic, leakage, dt, cycle=cycle, seconds=seconds)
 
     def leakage_only_interval(
         self,
@@ -486,7 +478,7 @@ class PhysicsStage:
         seconds: float,
         gated_mask: Optional[np.ndarray],
         leakage_scale: Optional[np.ndarray] = None,
-    ) -> IntervalRecord:
+    ) -> None:
         """Record one fully clock-gated interval (stop-go DTM).
 
         The processor executes nothing: dynamic power — clock distribution
@@ -503,7 +495,7 @@ class PhysicsStage:
         )
         if leakage_scale is not None:
             leakage = leakage * leakage_scale
-        return self._advance_and_record(
+        self._advance_and_record(
             dynamic,
             leakage,
             self.config.thermal.interval_seconds,
@@ -512,15 +504,17 @@ class PhysicsStage:
         )
 
     # ------------------------------------------------------------------
-    def new_result(self, benchmark: str) -> SimulationResult:
-        """An empty result shell carrying this stage's physics metadata."""
+    def new_result(self, benchmark: str, intervals: Optional[IntervalTable] = None):
+        """A result shell carrying this stage's physics metadata, over
+        ``intervals`` or else the stage's own table (the coupled loop's)."""
         return SimulationResult(
             config_name=self.config.name,
             benchmark=benchmark,
             stats=None,  # filled in by the caller
-            block_names=list(self.block_parameters.keys()),
+            block_names=list(self.block_index.names),
             block_groups=self.block_groups,
             block_areas_mm2=self.block_areas,
+            intervals=self.intervals if intervals is None else intervals,
             ambient_celsius=self.config.thermal.ambient_celsius,
             provenance={"interval_cycles": self.interval_cycles},
         )

@@ -8,8 +8,9 @@ campaign cells, a 16-core chip, DTM cells, exact and batched replays, a
 dict-backed result loaded from JSON); per-block areas and warm-up
 temperatures travel as vectors and decode in the JSON document's mapping
 order, and a frame of the first container layout is a miss; the trace frame, which shares the
-container, stays byte-identical; decoded records are array-backed without
-per-block mappings; and every malformed entry is a cache miss.
+container, stays byte-identical; a decoded result holds views of the frame
+and no record or per-block mapping; and every malformed entry is a cache
+miss.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ import hashlib
 import json
 import struct
 
+import numpy as np
 import pytest
 
 from repro.campaign import (
@@ -35,6 +37,7 @@ from repro.campaign.executors import execute_cell_capture
 from repro.campaign.spec import RunSpec
 from repro.core.presets import baseline_config
 from repro.service.cache import ShardedResultCache
+from repro.sim.results import IntervalTable
 from repro.sim.serialization import (
     RESULT_BIN_MAGIC,
     RESULT_BIN_VERSION,
@@ -47,6 +50,7 @@ from repro.sim.serialization import (
 )
 
 from test_golden_metrics import _golden_campaigns
+from test_interval_table import footprint
 
 #: sha256 of ``ActivityTrace.to_bytes()`` for the gzip capture below.
 TRACE_SHA256 = "0ba9dd829e03e1470a3629987558547d20083464f4fc520d1962107897dab7b5"
@@ -136,7 +140,7 @@ def test_replayed_results_round_trip(mode):
 
 def test_dict_backed_result_round_trips(simulated):
     loaded = result_from_dict(json.loads(json.dumps(result_to_dict(simulated))))
-    assert loaded.intervals[0]._dynamic_array is None
+    assert isinstance(loaded.intervals, IntervalTable)
     _assert_round_trips(loaded)
     assert _canonical(loaded) == _canonical(simulated)
 
@@ -199,30 +203,37 @@ def test_version_one_frame_is_a_cache_miss(tmp_path, cell, simulated):
 
 
 # ----------------------------------------------------------------------
-# Record layout
+# What a decoded result holds
 # ----------------------------------------------------------------------
-def _dict_slots(record):
-    return (record._dynamic_dict, record._leakage_dict, record._temperature_dict)
-
-
 def test_decoded_records_hold_arrays_and_no_mappings(simulated):
+    """No record and no per-block mapping until asked: the table and the
+    per-block vectors are read-only views of the one frame buffer."""
     decoded = result_from_bytes(result_to_bytes(simulated))
     assert len(decoded.intervals) == len(simulated.intervals)
-    for record in decoded.intervals:
-        assert record._dynamic_array is not None
-        assert record._temperature_array.shape == (len(decoded.block_names),)
-        assert _dict_slots(record) == (None, None, None)
-    # Rows are views of one buffer per matrix, not per-record copies.
-    first, second = decoded.intervals[:2]
-    assert first._temperature_array.base is second._temperature_array.base
+    _, _, per_block_dicts, records = footprint(decoded)
+    assert (per_block_dicts, records) == (0, 0)
+    arrays = list(decoded.intervals.arrays)
+    arrays += [decoded.block_areas_mm2.vector, decoded.warmup_temperature.vector]
+    buffers = set()
+    for array in arrays:
+        while isinstance(array.base, np.ndarray):
+            array = array.base
+        buffers.add(id(getattr(array.base, "obj", array.base)))
+    assert len(buffers) == 1
+    assert not any(array.flags.writeable for array in arrays)
+    assert decoded.intervals.temperature.shape == (
+        len(decoded.intervals),
+        len(decoded.block_names),
+    )
 
 
 def test_result_to_dict_does_not_cache_mappings(simulated):
     decoded = result_from_bytes(result_to_bytes(simulated))
     for result in (simulated, decoded):
+        held = footprint(result)
         result_to_dict(result)
-        for record in result.intervals:
-            assert _dict_slots(record) == (None, None, None)
+        assert footprint(result) == held
+    assert footprint(decoded)[2:] == (0, 0)
 
 
 def test_trace_frame_is_unchanged():

@@ -122,3 +122,34 @@ def test_malformed_contention_raises_domain_error(contention, message):
 def test_contention_on_a_single_core_campaign_is_rejected():
     with pytest.raises(ValueError, match="chip campaign"):
         campaign_from_payload({"benchmarks": ["gzip"], "contention": "shared_llc"})
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("uops", 1500.9),
+        ("seed", True),
+        ("cores", 2.5),
+        ("uops", False),
+        ("interval_cycles", float("inf")),
+        ("seed", "1.5"),
+    ],
+)
+def test_booleans_and_fractional_numbers_are_rejected(field, value):
+    """Not truncated: ``true`` is not seed 1 and 1500.9 is not 1500 uops."""
+    with pytest.raises(ValueError, match=f"{field!r} must be an integer"):
+        campaign_from_payload({"benchmarks": ["gzip"], field: value})
+
+
+def test_a_spec_with_a_fractional_uops_and_a_boolean_seed_is_rejected():
+    with pytest.raises(ValueError, match="'uops'"):
+        campaign_from_payload({"benchmarks": ["gzip"], "uops": 1500.9, "seed": True})
+
+
+def test_numeric_strings_and_integral_numbers_are_accepted():
+    campaign = campaign_from_payload(
+        {"benchmarks": ["gzip"], "uops": "1500", "seed": 3.0, "cores": "1"}
+    )
+    assert campaign.settings.uops_per_benchmark == 1500
+    assert campaign.settings.seed == 3
+    assert campaign.cores == 1

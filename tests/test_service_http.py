@@ -143,6 +143,24 @@ def test_wrong_json_type_is_400_with_a_json_error(stack, spec):
     assert repr(next(iter(spec))) in error
 
 
+@pytest.mark.parametrize(
+    "field, value", [("uops", 1500.9), ("seed", True), ("cores", 2.5)]
+)
+def test_non_integral_numbers_are_400_naming_the_field(stack, field, value):
+    """A boolean or a fractional number is refused, not truncated."""
+    _, server, _ = stack
+    request = urllib.request.Request(
+        server.address + "/jobs",
+        data=json.dumps({"benchmarks": ["gzip"], field: value}).encode("utf-8"),
+        headers={"Content-Type": "application/json"},
+        method="POST",
+    )
+    with pytest.raises(urllib.error.HTTPError) as excinfo:
+        urllib.request.urlopen(request, timeout=10)
+    assert excinfo.value.code == 400
+    assert repr(field) in json.loads(excinfo.value.read())["error"]
+
+
 def test_malformed_json_is_400(stack):
     _, server, _ = stack
     request = urllib.request.Request(

@@ -146,6 +146,7 @@ def _outcome_payload(outcome: CampaignOutcome) -> Dict[str, object]:
         "campaign": outcome.campaign.name,
         "total_cells": outcome.total_cells,
         "cells_executed": outcome.cells_executed,
+        "cells_derived": outcome.cells_derived,
         "cache_hits": outcome.cache_hits,
         "executor": outcome.executor_description,
         "runtime": outcome.runtime,

@@ -20,9 +20,16 @@ one-thread layout:
    when a cell other than the capturing one replays them or a cache keeps
    them;
 4. captures and coupled cells run in one fan-out (a capture of a pending
-   single-core cell fills that cell), and every group then *replays* the
-   physics stage over its traces in one task — bit-identical to the
-   coupled run, at array-pipeline speed.
+   single-core cell fills that cell) — except each single-core cell with a
+   feedback DTM policy whose nominal *twin* (the same cell with policy
+   ``"none"`` or ``None``) runs coupled in it or was a cache hit;
+5. each such held cell is *derived* from its twin when its policy, walked
+   over the twin's trajectory (:func:`repro.dtm.nominal_telemetry`), never
+   leaves nominal — the twin's result with the cell's provenance and
+   telemetry, bit-identical to the coupled run — and the others run
+   coupled in one more fan-out;
+6. every group then *replays* the physics stage over its traces in one
+   task — bit-identical to the coupled run, at array-pipeline speed.
 
 Fresh results are stored back into the cache, and everything folds into
 per-variant :class:`~repro.campaign.summary.ConfigurationSummary` objects —
@@ -45,8 +52,14 @@ from repro.campaign.executors import (
     execute_campaign_task,
     execute_replay_group,
 )
-from repro.campaign.spec import Campaign, ExecutionOptions, ExperimentSettings
+from repro.campaign.spec import (
+    Campaign,
+    ExecutionOptions,
+    ExperimentSettings,
+    RunSpec,
+)
 from repro.campaign.summary import ConfigurationSummary
+from repro.dtm import make_policy, nominal_telemetry
 from repro.sim.activity_trace import ActivityTrace
 from repro.sim.config import ProcessorConfig
 from repro.sim.results import SimulationResult
@@ -66,6 +79,9 @@ class CampaignOutcome:
     cells_executed: int = 0
     #: Number of cells satisfied by replaying a shared activity trace.
     cells_replayed: int = 0
+    #: Number of DTM cells derived from their nominal twin's result, their
+    #: policy never having left nominal along its trajectory.
+    cells_derived: int = 0
     #: Number of activity traces captured during this campaign.
     traces_captured: int = 0
     #: Number of cells satisfied from the result cache.
@@ -105,7 +121,7 @@ class CampaignOutcome:
             f"({len(self.campaign.configs)} configs x {policy_axis}"
             f"{workload_axis}), "
             f"{self.cells_executed} simulated, {self.cells_replayed} replayed, "
-            f"{self.cache_hits} from cache "
+            f"{self.cache_hits} from cache, {self.cells_derived} derived "
             f"[{self.executor_description}]"
         )
 
@@ -190,6 +206,100 @@ def _plan(
     return phase1, groups, traces
 
 
+def _held_for_twins(
+    cells: Sequence,
+    results: Sequence[Optional[SimulationResult]],
+    phase1: Sequence[Tuple[Optional[int], str, object, Optional[str]]],
+) -> Dict[int, int]:
+    """Coupled cells to derive from a nominal twin: ``{slot: twin slot}``.
+
+    A single-core cell whose DTM policy actuates on temperatures is held
+    back from phase 1 when its campaign has a *twin* — the same cell with
+    ``dtm_policy`` ``"none"`` or ``None``, matched by content key — whose
+    result exists once phase 1 ends: a coupled phase-1 run or a cache hit
+    that was not itself replayed (a batched replay is only tolerance-equal
+    to the coupled run).  A twin that captures or replays is skipped, so
+    open-loop sweeps keep their fan-outs.
+    """
+    candidates = [
+        (slot, spec)
+        for slot, mode, spec, _ in phase1
+        if mode == "run"
+        and isinstance(spec, RunSpec)
+        and spec.dtm_policy is not None
+        and make_policy(spec.dtm_policy).feedback
+    ]
+    if not candidates:
+        return {}
+    coupled = {slot for slot, mode, _, _ in phase1 if mode == "run"}
+    twins: Dict[str, int] = {}
+    for slot, spec in enumerate(cells):
+        if not isinstance(spec, RunSpec) or spec.dtm_policy not in (None, "none"):
+            continue
+        result = results[slot]
+        cached = result is not None and not result.provenance.get("replayed")
+        if slot in coupled or cached:
+            twins[spec.cache_key()] = slot
+    held: Dict[int, int] = {}
+    for slot, spec in candidates:
+        for twin_policy in ("none", None):
+            twin = twins.get(replace(spec, dtm_policy=twin_policy).cache_key())
+            if twin is not None:
+                held[slot] = twin
+                break
+    return held
+
+
+def _derived(spec: RunSpec, twin: SimulationResult) -> Optional[SimulationResult]:
+    """``spec``'s result from its nominal ``twin``, or ``None`` if it acts.
+
+    :func:`~repro.dtm.nominal_telemetry` walks the cell's policy over the
+    twin's trajectory.  When the policy never leaves nominal, the coupled
+    run is the twin's run bit for bit (the :class:`~repro.dtm.DTMControls`
+    bit-exactness guard), so the result is the twin's — sharing its
+    read-only table — with the cell's provenance and telemetry.
+    """
+    telemetry = nominal_telemetry(
+        make_policy(spec.dtm_policy),
+        spec.config,
+        twin.block_names,
+        twin.warmup_temperature,
+        twin.intervals.temperature,
+    )
+    if telemetry is None:
+        return None
+    provenance = {**twin.provenance, **spec.provenance()}
+    return replace(twin, provenance=provenance, dtm=telemetry)
+
+
+def _run_timing(
+    executor: Executor,
+    phase: Sequence[Tuple[Optional[int], str, object, Optional[str]]],
+    results: List[Optional[SimulationResult]],
+    traces: Dict[str, ActivityTrace],
+    cache: Optional[ResultCache],
+) -> None:
+    """One fan-out of timing runs: fill their slots, keep their traces."""
+    tasks = [(mode, _stamped(spec, executor.options)) for _, mode, spec, _ in phase]
+    outputs = executor.run_tasks(execute_campaign_task, tasks) if tasks else []
+    executor.cells_executed += len(tasks)
+    for (slot, mode, spec, key), (result, trace) in zip(
+        phase, _checked(outputs, phase, "timing runs")
+    ):
+        if slot is not None:
+            results[slot] = result
+        if cache is not None:
+            cache.store(spec, result)
+        if key is not None:
+            if trace is None:
+                raise RuntimeError(
+                    f"capture cell {spec.benchmark!r} returned no activity trace"
+                )
+            traces[key] = trace
+            if cache is not None:
+                cache.store_trace(key, trace)
+
+
 def _outcome(
     campaign: Campaign,
     executor: Executor,
@@ -242,36 +352,39 @@ def run_campaign(
 
     ``replay`` enables the two-stage fast path (the default): cells sharing
     their core timing keys run the per-uop timing simulation once and
-    replay the physics stage over the captured activity traces —
-    bit-identical to the coupled path, which ``replay=False`` forces for
-    every cell (useful for benchmarking and equivalence tests).
+    replay the physics stage over the captured activity traces, and DTM
+    cells whose policy never acts are derived from their nominal twin —
+    both bit-identical to the coupled path, which ``replay=False`` forces
+    for every cell (useful for benchmarking and equivalence tests).
     """
     if executor is None:
         executor = SerialExecutor()
     cells = campaign.cells()
     results, pending, cache_hits = _load_cached(cells, cache)
     phase1, groups, traces = _plan(pending, cache, replay)
+    held = _held_for_twins(cells, results, phase1) if replay else {}
 
     # Phase 1: coupled timing simulations, some of them capturing a trace.
     executed_before = executor.cells_executed
-    tasks = [(mode, _stamped(spec, executor.options)) for _, mode, spec, _ in phase1]
-    outputs = executor.run_tasks(execute_campaign_task, tasks) if tasks else []
-    executor.cells_executed += len(tasks)
-    for (slot, mode, spec, key), (result, trace) in zip(
-        phase1, _checked(outputs, phase1, "timing runs")
-    ):
-        if slot is not None:
-            results[slot] = result
+    first = [task for task in phase1 if task[0] not in held]
+    _run_timing(executor, first, results, traces, cache)
+
+    # Cells held for a twin: derived when their policy stays at nominal
+    # along the twin's trajectory, else simulated coupled in one more fan-out.
+    fallback = []
+    for slot, twin in held.items():
+        spec = cells[slot]
+        result = _derived(spec, results[twin])
+        if result is None:
+            fallback.append((slot, "run", spec, None))
+            continue
+        results[slot] = result
         if cache is not None:
             cache.store(spec, result)
-        if key is not None:
-            if trace is None:
-                raise RuntimeError(
-                    f"capture cell {spec.benchmark!r} returned no activity trace"
-                )
-            traces[key] = trace
-            if cache is not None:
-                cache.store_trace(key, trace)
+    cells_derived = len(held) - len(fallback)
+    if cells_derived:
+        executor.record_derived(cells_derived)
+    _run_timing(executor, fallback, results, traces, cache)
 
     # Phase 2: physics-only replays, one task per group of cells sharing
     # their traces, so each trace crosses a process boundary once per group.
@@ -301,6 +414,7 @@ def run_campaign(
         results,
         cells_executed=executor.cells_executed - executed_before,
         cells_replayed=sum(len(members) for _, members in replays),
+        cells_derived=cells_derived,
         traces_captured=sum(key is not None for *_, key in phase1),
         cache_hits=cache_hits,
     )

@@ -209,6 +209,10 @@ class Executor:
         """Apply ``fn`` to every task, returning results in task order."""
         raise NotImplementedError
 
+    def record_derived(self, cells: int) -> None:
+        """Note ``cells`` campaign cells the plan derived without a task
+        (from a nominal twin); a backend reporting progress counts them."""
+
     def runtime_info(self) -> Dict[str, object]:
         """Execution-runtime facts recorded on ``CampaignOutcome.runtime``.
 

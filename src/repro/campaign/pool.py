@@ -65,7 +65,14 @@ _DURATION_SAMPLES = 2048
 _SPAWN_LOCK = threading.Lock()
 
 #: Counter keys a worker's warm-cache snapshot may carry (summable).
-_WARM_KEYS = ("solver_hits", "solver_misses", "trace_hits", "trace_misses")
+_WARM_KEYS = (
+    "solver_hits",
+    "solver_misses",
+    "trace_hits",
+    "trace_misses",
+    "workload_hits",
+    "workload_misses",
+)
 
 
 class ExecutorTaskError(RuntimeError):

@@ -59,7 +59,7 @@ from repro.dtm.controls import (
     DTMTelemetry,
     residency_by_freq_ratio,
 )
-from repro.dtm.policies import DTMObservation, DTMPolicy, make_policy
+from repro.dtm.policies import DTMPolicy, make_policy, step_policy
 from repro.isa.microops import MicroOp
 from repro.power.power_model import PowerModel
 from repro.sim import blocks
@@ -521,18 +521,13 @@ class ChipEngine:
                 continue
             controls = self.core_controls[t]
             # The controller sees a denied gate request as denied.
-            controls.begin_interval(
-                gating_allowed=self._core_gating and interval_index > 0
-            )
-            core = self.thread_core[t]
-            readings = self.core_sensors.read_array(temps[self._core_slice(core)])
-            policy.apply(
-                DTMObservation(
-                    interval_index=interval_index,
-                    temperatures=readings,
-                    index=self.core_index,
-                ),
+            step_policy(
+                policy,
                 controls,
+                self.core_sensors,
+                temps[self._core_slice(self.thread_core[t])],
+                interval_index,
+                gating_allowed=self._core_gating and interval_index > 0,
             )
             if controls.gate_interval:
                 gating = policy
@@ -797,6 +792,7 @@ class ChipEngine:
                     self._retire(t)
             interval_index += 1
 
+        physics.intervals.finish()
         result.warmup_temperature = physics.warmup_temperatures
         for timing in self.timings:
             stats = timing.processor.stats

@@ -13,8 +13,11 @@ Structure:
   (:class:`VFTable`/:class:`VFPoint`) and per-run accounting
   (:class:`DTMTelemetry`);
 * :mod:`repro.dtm.policies` — the :class:`DTMPolicy` protocol, the four
-  concrete policies plus the no-op baseline, and the name registry used by
-  campaigns and the CLI (:func:`make_policy`).
+  concrete policies plus the no-op baseline, the name registry used by
+  campaigns and the CLI (:func:`make_policy`), the one policy step the
+  coupled loop takes per interval (:func:`step_policy`) and its walk over a
+  finished trajectory (:func:`nominal_telemetry`), which says whether a
+  policy would have stayed at nominal along it.
 
 The engine hook lives in the one coupled interval loop,
 :class:`repro.chip.engine.ChipEngine` (``SimulationEngine(dtm_policy=...)``
@@ -43,6 +46,8 @@ from repro.dtm.policies import (
     POLICIES,
     available_policies,
     make_policy,
+    nominal_telemetry,
+    step_policy,
 )
 
 __all__ = [
@@ -62,4 +67,6 @@ __all__ = [
     "POLICIES",
     "available_policies",
     "make_policy",
+    "nominal_telemetry",
+    "step_policy",
 ]

@@ -257,6 +257,15 @@ class DTMControls:
             return None, None
         return self.dynamic_scale, self.leakage_scale
 
+    def at_nominal(self) -> bool:
+        """Whether the engine would run the coming interval exactly as
+        without DTM: no granted gate, no DVFS step, full fetch duty."""
+        return (
+            not self.gate_interval
+            and not self._steps.any()
+            and self.effective_fetch_on_cycles == FETCH_DUTY_PERIOD
+        )
+
     def begin_interval(self, gating_allowed: bool = True) -> None:
         """Reset the *transient* actuators before the policy runs.
 

@@ -45,10 +45,11 @@ from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.dtm.controls import DEFAULT_VF_TABLE, DTMControls, VFTable
+from repro.dtm.controls import DEFAULT_VF_TABLE, DTMControls, DTMTelemetry, VFTable
 from repro.sim import blocks
 from repro.sim.block_index import BlockIndex
 from repro.sim.config import ProcessorConfig
+from repro.thermal.sensors import SensorBank
 
 
 @dataclass
@@ -317,6 +318,61 @@ class HybridPolicy(DTMPolicy):
     def apply(self, observation: DTMObservation, controls: DTMControls) -> None:
         self.dvfs.apply(observation, controls)
         self.throttle.apply(observation, controls)
+
+
+# ----------------------------------------------------------------------
+# Stepping a policy: the coupled loop's step, and its walk over a trajectory
+# ----------------------------------------------------------------------
+def step_policy(
+    policy: DTMPolicy,
+    controls: DTMControls,
+    sensors: SensorBank,
+    temperatures: np.ndarray,
+    interval_index: int,
+    gating_allowed: bool,
+) -> None:
+    """One policy step: sample ``temperatures`` (degrees Celsius, in
+    ``controls.index`` order) and let ``policy`` actuate ``controls`` for
+    interval ``interval_index``.  The coupled loop and
+    :func:`nominal_telemetry` both step through here."""
+    controls.begin_interval(gating_allowed=gating_allowed)
+    readings = sensors.read_array(temperatures)
+    policy.apply(DTMObservation(interval_index, readings, controls.index), controls)
+
+
+def nominal_telemetry(
+    policy: DTMPolicy,
+    config: ProcessorConfig,
+    block_names: Sequence[str],
+    warmup_temperatures: Mapping[str, float],
+    temperatures: np.ndarray,
+) -> Optional[Dict[str, object]]:
+    """``policy``'s single-core telemetry along a trajectory it never perturbs.
+
+    Drives a freshly bound ``policy`` over a run's temperatures as the
+    coupled loop does: observation 0 is the warmed-up die (the result's
+    ``warmup_temperature``; gating denied, its cycles already ran),
+    observation ``i`` the end of interval ``i - 1`` (``temperatures`` is
+    intervals x blocks, in ``block_names`` order).  There is no step after
+    the last interval: the one-core loop ends as its processor drains.
+    When every step leaves the controls at nominal
+    (:meth:`DTMControls.at_nominal`), the coupled run with the policy is
+    the run without it, bit for bit, and this returns the ``result.dtm``
+    document that run records; after any other step it returns ``None``.
+    """
+    index = BlockIndex(block_names)
+    controls = DTMControls(index, table=policy.table)
+    policy.bind(index, config, controls)
+    sensors = SensorBank(index.names)
+    telemetry = DTMTelemetry(controls.table)
+    observed = np.array([warmup_temperatures[name] for name in index.names])
+    for interval, row in enumerate(temperatures):
+        step_policy(policy, controls, sensors, observed, interval, interval > 0)
+        if not controls.at_nominal():
+            return None
+        telemetry.record_interval(controls, gated=False, fetch_actuated=interval > 0)
+        observed = row
+    return {"policy": policy.name, **telemetry.as_dict()}
 
 
 # ----------------------------------------------------------------------

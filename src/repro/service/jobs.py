@@ -71,6 +71,7 @@ class Job:
         self.cells_done = 0
         self.cells_simulated = 0
         self.cells_replayed = 0
+        self.cells_derived = 0
         self.cache_hits = 0
         self.traces_captured = 0
         #: Per-variant results payload, set on DONE.
@@ -151,6 +152,7 @@ class Job:
             self.outcome_description = description
             self.cells_simulated = counters.get("cells_executed", self.cells_simulated)
             self.cells_replayed = counters.get("cells_replayed", self.cells_replayed)
+            self.cells_derived = counters.get("cells_derived", self.cells_derived)
             self.cache_hits = counters.get("cache_hits", self.cache_hits)
             self.traces_captured = counters.get(
                 "traces_captured", self.traces_captured
@@ -172,14 +174,18 @@ class Job:
     def record_progress(self, kind: str, cells: int) -> None:
         """Account one executor task of ``kind`` that completed ``cells``.
 
-        ``kind`` is ``"replay"`` (a replay group of ``cells`` cells) or a
-        timing run's mode: ``"run"``, ``"capture"`` or ``"trace"``, the
-        last a chip thread's capture that completes no campaign cell.
+        ``kind`` is ``"replay"`` (a replay group of ``cells`` cells),
+        ``"derived"`` (cells the plan derived from their nominal twins, no
+        task run) or a timing run's mode: ``"run"``, ``"capture"`` or
+        ``"trace"``, the last a chip thread's capture that completes no
+        campaign cell.
         """
         with self._lock:
             self.cells_done += cells
             if kind == "replay":
                 self.cells_replayed += cells
+            elif kind == "derived":
+                self.cells_derived += cells
             else:
                 self.cells_simulated += 1
                 if kind != "run":
@@ -205,6 +211,7 @@ class Job:
             "cells_total": total,
             "cells_simulated": self.cells_simulated,
             "cells_replayed": self.cells_replayed,
+            "cells_derived": self.cells_derived,
             "cache_hits": self.cache_hits,
             "traces_captured": self.traces_captured,
         }

@@ -21,7 +21,8 @@ results.  Two things are layered on top:
 
 * **progress**: every completed task appends a progress event (cells
   simulated/replayed, running ETA) to the job, which the HTTP layer
-  streams as NDJSON;
+  streams as NDJSON, and so does each batch of cells the plan derives
+  from their nominal twins without a task;
 * **cross-job trace sharing**: a :class:`_TraceGate` around the cache
   serializes concurrent captures of the same timing key — the first job
   to miss becomes the *leader* and captures; followers block until the
@@ -107,6 +108,10 @@ class PoolBackedExecutor(ParallelExecutor):
 
     def close(self) -> None:
         """The shared pool outlives every job; the service shuts it down."""
+
+    def record_derived(self, cells: int) -> None:
+        if self.job is not None:
+            self.job.record_progress("derived", cells)
 
     def _check_cancelled(self) -> None:
         if self.job is not None and self.job.cancelled:
@@ -312,6 +317,7 @@ class CampaignService:
                     {
                         "cells_executed": outcome.cells_executed,
                         "cells_replayed": outcome.cells_replayed,
+                        "cells_derived": outcome.cells_derived,
                         "cache_hits": outcome.cache_hits,
                         "traces_captured": outcome.traces_captured,
                     },
@@ -400,6 +406,7 @@ def results_payload(outcome: CampaignOutcome) -> Dict:
             "total_cells": outcome.total_cells,
             "cells_executed": outcome.cells_executed,
             "cells_replayed": outcome.cells_replayed,
+            "cells_derived": outcome.cells_derived,
             "traces_captured": outcome.traces_captured,
             "cache_hits": outcome.cache_hits,
             "executor": outcome.executor_description,

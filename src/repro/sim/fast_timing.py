@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import ctypes
 import weakref
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -47,7 +47,9 @@ from repro.sim.config import MemoryConfig, ProcessorConfig, TraceCacheConfig
 from repro.sim.stages import TimingStage
 from repro.sim.processor import Processor, SimulationDeadlockError
 from repro.sim.stats import SimulationStats
+from repro.sim.warmcache import layout_key, warm_cache
 from repro.workloads.decode import (
+    ARRAY_FIELDS,
     CODE_COPY,
     CODE_LOAD,
     CODE_STORE,
@@ -65,6 +67,196 @@ def _i64(values) -> np.ndarray:
 
 def _ptr(arr: np.ndarray) -> ctypes.c_void_p:
     return ctypes.c_void_p(arr.ctypes.data)
+
+
+def _decoded_workload(
+    workload: Union[Sequence[MicroOp], WorkloadSpec],
+) -> Tuple[DecodedWorkload, Tuple[ctypes.c_void_p, ...]]:
+    """A workload's decoded arrays and their pointers, in ``fp_create`` order.
+
+    A :class:`WorkloadSpec` is generated natively once per warm cache
+    (:meth:`~repro.sim.warmcache.WarmCache.get_workload`): its arrays are
+    made read-only and shared by every processor run over it.
+    """
+    if not isinstance(workload, WorkloadSpec):
+        decoded = decode_workload(workload, RegisterSpace.DEFAULT_INT)
+        return decoded, tuple(_ptr(getattr(decoded, name)) for name, _ in ARRAY_FIELDS)
+    cache = warm_cache()
+    entry = cache.get_workload(workload)
+    if entry is None:
+        decoded = native.generate_decoded(workload.benchmark, workload.seed, workload.uops)
+        arrays = [getattr(decoded, name) for name, _ in ARRAY_FIELDS]
+        for array in arrays:
+            array.flags.writeable = False
+        entry = (decoded, tuple(_ptr(array) for array in arrays))
+        cache.put_workload(workload, entry, sum(array.nbytes for array in arrays))
+    return entry
+
+
+class NativeLayout(NamedTuple):
+    """What the native core is told about a configuration, workload aside."""
+
+    #: The activity accumulator's block order.
+    block_names: Tuple[str, ...]
+    #: The parameter vector (``native.PARAM_NAMES`` order) with ``n`` = 0.
+    params: np.ndarray
+    #: The 13 block-id tables, in ``fp_create`` order, and their pointers.
+    tables: Tuple[np.ndarray, ...]
+    pointers: Tuple[ctypes.c_void_p, ...]
+
+
+#: Position of the workload length in the parameter vector.
+_PARAM_N = native.PARAM_NAMES.index("n")
+
+
+def native_layout(config: ProcessorConfig) -> NativeLayout:
+    """``config``'s :class:`NativeLayout`, built once per warm cache.
+
+    Keyed like :func:`~repro.sim.warmcache.core_layout`: no table reads the
+    configuration's name, power or thermal section.
+    """
+    return warm_cache().native_layout(
+        layout_key(config), lambda: _build_native_layout(config)
+    )
+
+
+def _build_native_layout(config: ProcessorConfig) -> NativeLayout:
+    block_names = tuple(blocks.all_blocks(config))
+    pos = {name: i for i, name in enumerate(block_names)}
+    num_int, num_fp = RegisterSpace.DEFAULT_INT, RegisterSpace.DEFAULT_FP
+    fe, be, ic, mem = config.frontend, config.backend, config.interconnect, config.memory
+    tc = fe.trace_cache
+    ncl = be.num_clusters
+    nf = fe.num_frontends
+    n_codes = len(UOP_CLASS_CODES)
+    params = dict(
+        n=0,
+        line_uops=tc.line_uops,
+        ncl=ncl,
+        nf=nf,
+        n_blocks=len(block_names),
+        fwidth=fe.fetch_width,
+        dwidth=fe.dispatch_width,
+        cwidth=fe.commit_width,
+        iwidth=be.issue_width_per_queue,
+        displat=be.dispatch_latency,
+        presched_cap=be.prescheduler_entries * 4,
+        mp_penalty=fe.misprediction_penalty,
+        fbuf=Processor._FRONTEND_BUFFER_LIMIT,
+        deadlock=Processor._DEADLOCK_THRESHOLD,
+        # Delay from fetch to the first cycle an entry can be renamed.
+        ready_off=tc.fetch_to_dispatch_latency + fe.decode_rename_steer_latency + 1,
+        ul2_hit=mem.ul2_hit_latency,
+        ul2_miss=mem.ul2_miss_latency,
+        dc_hit=be.dcache_hit_latency,
+        # Cycles from completion to commit: one, or the partitioned ROB's
+        # cross-partition commit latency when that is longer.
+        commit_lag=max(1, fe.distributed_commit_extra_latency) if fe.is_distributed else 1,
+        rob_cap=fe.rob_entries_per_frontend,
+        qcap0=be.int_queue_entries,
+        qcap1=be.fp_queue_entries,
+        qcap2=be.mem_queue_entries,
+        qcap3=be.copy_queue_entries,
+        mob_cap=be.mem_queue_entries,
+        int_regs=be.int_registers,
+        fp_regs=be.fp_registers,
+        reg_bits=(max(be.int_registers, be.fp_registers) - 1).bit_length(),
+        policy=native.POLICY_CODES[config.steering_policy],
+        n_buses=ic.num_memory_buses,
+        bus_arb=ic.bus_arbitration_latency,
+        bus_xfer=ic.bus_latency,
+        n_links=ic.num_p2p_links,
+        p2p_hop=ic.p2p_hop_latency,
+        tc_banks=tc.physical_banks,
+        tc_sets=tc.sets_per_bank,
+        tc_assoc=tc.associativity,
+        tc_map_entries=tc.mapping_table_entries,
+        tc_build_ovh=TraceCache.TRACE_BUILD_OVERHEAD,
+        ul2_sets=max(1, mem.ul2_kb * 1024 // (mem.line_bytes * mem.ul2_associativity)),
+        ul2_assoc=mem.ul2_associativity,
+        ul2_line_bytes=mem.line_bytes,
+        dl1_sets=max(
+            1, be.dcache_kb * 1024 // (be.dcache_line_bytes * be.dcache_associativity)
+        ),
+        dl1_assoc=be.dcache_associativity,
+        dl1_line_bytes=be.dcache_line_bytes,
+        num_int_arch=num_int,
+        arch_total=num_int + num_fp,
+        n_codes=n_codes,
+        code_copy=CODE_COPY,
+        code_load=CODE_LOAD,
+        code_store=CODE_STORE,
+    )
+
+    # Block-id tables: indexes into the activity accumulator.
+    params.update(
+        itlb_b=pos[blocks.ITLB],
+        deco_b=pos[blocks.DECODER],
+        bp_b=pos[blocks.BRANCH_PREDICTOR],
+        ul2_b=pos[blocks.UL2],
+    )
+    front_of = [config.frontend_of_cluster(c) for c in range(ncl)]
+    clusters = range(ncl)
+
+    def per_cluster(suffix: str) -> List[int]:
+        return [pos[blocks.cluster_block(c, suffix)] for c in clusters]
+
+    int_fu = per_cluster(blocks.CLUSTER_INT_FU)
+    fp_fu = per_cluster(blocks.CLUSTER_FP_FU)
+    # Register-file block per bank, ``bank = cluster * 2 + reg_class``.
+    rf_of_bank = [
+        b
+        for pair in zip(
+            per_cluster(blocks.CLUSTER_INT_RF), per_cluster(blocks.CLUSTER_FP_RF)
+        )
+        for b in pair
+    ]
+    # Scheduler block per queue, ``queue = cluster * 4 + kind`` (int, fp,
+    # mem, copy); the memory queue is the MOB.
+    sched_of_queue = [
+        b for quad in zip(
+            per_cluster(blocks.CLUSTER_INT_SCHED),
+            per_cluster(blocks.CLUSTER_FP_SCHED),
+            per_cluster(blocks.CLUSTER_MOB),
+            per_cluster(blocks.CLUSTER_COPY_SCHED),
+        )
+        for b in quad
+    ]
+    queue_kind = [
+        3 if code == CODE_COPY
+        else 2 if code in (CODE_LOAD, CODE_STORE)
+        else 1 if code in FP_CODES
+        else 0
+        for code in range(n_codes)
+    ]
+    fu_of = [
+        fp_fu[c] if code in FP_CODES else int_fu[c]
+        for c in clusters
+        for code in range(n_codes)
+    ]
+    tables = (
+        _i64([pos[blocks.rob_block(f, nf)] for f in range(nf)]),
+        _i64(front_of),
+        _i64([pos[blocks.rat_block(front_of[c], nf)] for c in clusters]),
+        _i64([pos[blocks.trace_cache_bank_block(b)] for b in range(tc.physical_banks)]),
+        _i64(per_cluster(blocks.CLUSTER_DCACHE)),
+        _i64(per_cluster(blocks.CLUSTER_DTLB)),
+        _i64(int_fu),
+        _i64(fp_fu),
+        _i64(per_cluster(blocks.CLUSTER_MOB)),
+        _i64(rf_of_bank),
+        _i64(sched_of_queue),
+        _i64(queue_kind),
+        _i64(fu_of),
+    )
+    for table in tables:
+        table.flags.writeable = False
+    return NativeLayout(
+        block_names,
+        _i64([params[name] for name in native.PARAM_NAMES]),
+        tables,
+        tuple(_ptr(table) for table in tables),
+    )
 
 
 class FastActivity:
@@ -130,8 +322,6 @@ class FastProcessor:
     (:func:`~repro.sim.native.native_unavailable_reason` says why).
     """
 
-    _DEADLOCK_THRESHOLD = Processor._DEADLOCK_THRESHOLD
-    _FRONTEND_BUFFER_LIMIT = Processor._FRONTEND_BUFFER_LIMIT
     #: This processor always runs the compiled core (the reference
     #: ``Processor`` is the only other timing core).
     uses_native_core = True
@@ -146,158 +336,25 @@ class FastProcessor:
             raise RuntimeError(f"the native timing core is unavailable: {reason}")
         self._lib = lib = native.load_library()
         self.config = config
-        num_int, num_fp = RegisterSpace.DEFAULT_INT, RegisterSpace.DEFAULT_FP
-        if isinstance(workload, WorkloadSpec):
-            decoded = native.generate_decoded(workload.benchmark, workload.seed, workload.uops)
-        else:
-            decoded = decode_workload(workload, num_int)
+        decoded, decoded_pointers = _decoded_workload(workload)
         self.decoded: DecodedWorkload = decoded
+        layout = native_layout(config)
         self.cycle = 0
         self.stats = SimulationStats()
-        self.activity = FastActivity(blocks.all_blocks(config))
+        self.activity = FastActivity(layout.block_names)
         self.fetch_gate: Optional[Tuple[int, int]] = None
         self.finished = False
+        self._ncl = ncl = config.backend.num_clusters
 
-        fe, be, ic, mem = config.frontend, config.backend, config.interconnect, config.memory
-        tc = fe.trace_cache
-        self._ncl = ncl = be.num_clusters
-        nf = fe.num_frontends
-        n_codes = len(UOP_CLASS_CODES)
-        params = dict(
-            n=decoded.n,
-            line_uops=tc.line_uops,
-            ncl=ncl,
-            nf=nf,
-            n_blocks=len(self.activity.acc),
-            fwidth=fe.fetch_width,
-            dwidth=fe.dispatch_width,
-            cwidth=fe.commit_width,
-            iwidth=be.issue_width_per_queue,
-            displat=be.dispatch_latency,
-            presched_cap=be.prescheduler_entries * 4,
-            mp_penalty=fe.misprediction_penalty,
-            fbuf=self._FRONTEND_BUFFER_LIMIT,
-            deadlock=self._DEADLOCK_THRESHOLD,
-            # Delay from fetch to the first cycle an entry can be renamed.
-            ready_off=tc.fetch_to_dispatch_latency + fe.decode_rename_steer_latency + 1,
-            ul2_hit=mem.ul2_hit_latency,
-            ul2_miss=mem.ul2_miss_latency,
-            dc_hit=be.dcache_hit_latency,
-            # Cycles from completion to commit: one, or the partitioned ROB's
-            # cross-partition commit latency when that is longer.
-            commit_lag=max(1, fe.distributed_commit_extra_latency) if fe.is_distributed else 1,
-            rob_cap=fe.rob_entries_per_frontend,
-            qcap0=be.int_queue_entries,
-            qcap1=be.fp_queue_entries,
-            qcap2=be.mem_queue_entries,
-            qcap3=be.copy_queue_entries,
-            mob_cap=be.mem_queue_entries,
-            int_regs=be.int_registers,
-            fp_regs=be.fp_registers,
-            reg_bits=(max(be.int_registers, be.fp_registers) - 1).bit_length(),
-            policy=native.POLICY_CODES[config.steering_policy],
-            n_buses=ic.num_memory_buses,
-            bus_arb=ic.bus_arbitration_latency,
-            bus_xfer=ic.bus_latency,
-            n_links=ic.num_p2p_links,
-            p2p_hop=ic.p2p_hop_latency,
-            tc_banks=tc.physical_banks,
-            tc_sets=tc.sets_per_bank,
-            tc_assoc=tc.associativity,
-            tc_map_entries=tc.mapping_table_entries,
-            tc_build_ovh=TraceCache.TRACE_BUILD_OVERHEAD,
-            ul2_sets=max(1, mem.ul2_kb * 1024 // (mem.line_bytes * mem.ul2_associativity)),
-            ul2_assoc=mem.ul2_associativity,
-            ul2_line_bytes=mem.line_bytes,
-            dl1_sets=max(
-                1, be.dcache_kb * 1024 // (be.dcache_line_bytes * be.dcache_associativity)
-            ),
-            dl1_assoc=be.dcache_associativity,
-            dl1_line_bytes=be.dcache_line_bytes,
-            num_int_arch=num_int,
-            arch_total=num_int + num_fp,
-            n_codes=n_codes,
-            code_copy=CODE_COPY,
-            code_load=CODE_LOAD,
-            code_store=CODE_STORE,
+        # The parameter vector is the layout's with this workload's length;
+        # the C side copies it and the block-id tables, and borrows the
+        # decoded arrays and the accumulator.
+        params = layout.params.copy()
+        params[_PARAM_N] = decoded.n
+        self._keep = (decoded, self.activity.acc)
+        self._state = lib.fp_create(
+            _ptr(params), *layout.pointers, *decoded_pointers, _ptr(self.activity.acc)
         )
-
-        # Block-id tables: indexes into the activity accumulator.
-        pos = self.activity._pos
-        params.update(
-            itlb_b=pos[blocks.ITLB],
-            deco_b=pos[blocks.DECODER],
-            bp_b=pos[blocks.BRANCH_PREDICTOR],
-            ul2_b=pos[blocks.UL2],
-        )
-        front_of = [config.frontend_of_cluster(c) for c in range(ncl)]
-        clusters = range(ncl)
-
-        def per_cluster(suffix: str) -> List[int]:
-            return [pos[blocks.cluster_block(c, suffix)] for c in clusters]
-
-        int_fu = per_cluster(blocks.CLUSTER_INT_FU)
-        fp_fu = per_cluster(blocks.CLUSTER_FP_FU)
-        # Register-file block per bank, ``bank = cluster * 2 + reg_class``.
-        rf_of_bank = [
-            b
-            for pair in zip(
-                per_cluster(blocks.CLUSTER_INT_RF), per_cluster(blocks.CLUSTER_FP_RF)
-            )
-            for b in pair
-        ]
-        # Scheduler block per queue, ``queue = cluster * 4 + kind`` (int, fp,
-        # mem, copy); the memory queue is the MOB.
-        sched_of_queue = [
-            b for quad in zip(
-                per_cluster(blocks.CLUSTER_INT_SCHED),
-                per_cluster(blocks.CLUSTER_FP_SCHED),
-                per_cluster(blocks.CLUSTER_MOB),
-                per_cluster(blocks.CLUSTER_COPY_SCHED),
-            )
-            for b in quad
-        ]
-        queue_kind = [
-            3 if code == CODE_COPY
-            else 2 if code in (CODE_LOAD, CODE_STORE)
-            else 1 if code in FP_CODES
-            else 0
-            for code in range(n_codes)
-        ]
-        fu_of = [
-            fp_fu[c] if code in FP_CODES else int_fu[c]
-            for c in clusters
-            for code in range(n_codes)
-        ]
-        arrays = [
-            _i64([params[name] for name in native.PARAM_NAMES]),
-            _i64([pos[blocks.rob_block(f, nf)] for f in range(nf)]),
-            _i64(front_of),
-            _i64([pos[blocks.rat_block(front_of[c], nf)] for c in clusters]),
-            _i64([pos[blocks.trace_cache_bank_block(b)] for b in range(tc.physical_banks)]),
-            _i64(per_cluster(blocks.CLUSTER_DCACHE)),
-            _i64(per_cluster(blocks.CLUSTER_DTLB)),
-            _i64(int_fu),
-            _i64(fp_fu),
-            _i64(per_cluster(blocks.CLUSTER_MOB)),
-            _i64(rf_of_bank),
-            _i64(sched_of_queue),
-            _i64(queue_kind),
-            _i64(fu_of),
-            decoded.pc,
-            decoded.op_class,
-            decoded.latency,
-            decoded.mem_addr,
-            decoded.is_branch,
-            decoded.mispredicted,
-            decoded.dest_flat,
-            decoded.source_flats,
-            decoded.int_needed,
-            decoded.fp_needed,
-            self.activity.acc,
-        ]
-        self._keep = arrays  # the C side borrows these buffers
-        self._state = lib.fp_create(*[_ptr(a) for a in arrays])
         if not self._state:
             raise MemoryError("native core state allocation failed")
         self._snap = np.zeros(native.S_DISP0 + ncl, dtype=np.int64)
@@ -305,7 +362,10 @@ class FastProcessor:
         # The views reach back through weak proxies, so no reference cycle
         # keeps the C state (megabytes of cache tags) alive until the next
         # cyclic collection: a dropped processor frees it at once.
-        self.trace_cache = NativeTraceCache(self, tc, mem.ul2_hit_latency)
+        mem = config.memory
+        self.trace_cache = NativeTraceCache(
+            self, config.frontend.trace_cache, mem.ul2_hit_latency
+        )
         self.ul2 = NativeUL2(self, mem)
 
     def close(self) -> None:

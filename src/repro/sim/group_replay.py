@@ -50,8 +50,7 @@ from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.dtm.controls import DTMControls, DTMTelemetry
-from repro.dtm.policies import DTMPolicy
+from repro.dtm.policies import DTMPolicy, nominal_telemetry
 from repro.power.leakage import batched_leakage_kernel
 from repro.power.power_model import PowerModel
 from repro.sim.activity_trace import ActivityTrace
@@ -243,15 +242,15 @@ class ReplayCell:
         """Attach the stats and DTM telemetry of a replayed single-core run."""
         result.stats = stack.traces[0].stats_copy()
         if self.policy is not None:
-            # A non-feedback policy never deviates from nominal, so its
-            # telemetry is a pure function of the interval count — rebuild
-            # it exactly as the coupled loop records it (interval 0's cycles
-            # run before the policy can gate fetch).
-            controls = DTMControls(die.block_index, table=self.policy.table)
-            telemetry = DTMTelemetry(controls.table)
-            for i in range(stack.intervals):
-                telemetry.record_interval(controls, gated=False, fetch_actuated=i > 0)
-            result.dtm = {"policy": self.policy.name, **telemetry.as_dict()}
+            # A non-feedback policy never leaves nominal: walk it over the
+            # replayed trajectory for the telemetry the coupled loop records.
+            result.dtm = nominal_telemetry(
+                self.policy,
+                self.config,
+                die.block_index.names,
+                result.warmup_temperature,
+                temperatures,
+            )
         return result
 
 

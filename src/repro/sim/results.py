@@ -79,6 +79,27 @@ class IntervalTable(SequenceABC):
             array[n] = value
         self._count = n + 1
 
+    def finish(self) -> None:
+        """Drop the rows :meth:`append` reserved but never wrote and make the
+        table read-only (the coupled loop calls this when its run ends, so
+        results that share the table cannot change it)."""
+        if len(self._arrays[0]) != self._count:
+            self._arrays = tuple(array[: self._count].copy() for array in self._arrays)
+        for array in self._arrays:
+            array.flags.writeable = False
+
+    @property
+    def positions(self) -> Dict[str, int]:
+        """Column of each block name.
+
+        One map per distinct block order, held by the warm cache: every table
+        of a sweep shares it, and no table keeps one of its own.
+        """
+        # Imported here: the warm cache's imports lead back to this module.
+        from repro.sim.warmcache import warm_cache
+
+        return warm_cache().block_positions(self.block_names)
+
     @property
     def arrays(self):
         """``(cycles, seconds, dynamic, leakage, temperature)``."""
@@ -275,10 +296,10 @@ class SimulationResult:
 
     def _columns(self, blocks: Optional[Sequence[str]]):
         """Table columns of ``blocks``, in their order (all blocks for ``None``)."""
-        names = self.intervals.block_names
-        if blocks is None or list(blocks) == list(names):
+        table = self.intervals
+        if blocks is None or list(blocks) == list(table.block_names):
             return slice(None)
-        positions = {name: i for i, name in enumerate(names)}
+        positions = table.positions
         return [positions[block] for block in blocks]
 
     def temperature_metrics(self, group: str) -> Dict[str, float]:

@@ -23,6 +23,17 @@ products across every task it runs.  This module is that reuse point:
 * **Decoded traces** — ``ActivityTrace`` objects in a bounded LRU keyed by
   the trace cache key (the :meth:`~repro.campaign.spec.RunSpec.timing_key`),
   so sibling replay tasks over the same trace decode it once per worker.
+* **Decoded workloads** — the native timing core's read-only
+  :class:`~repro.workloads.decode.DecodedWorkload` arrays (with their
+  pointers), keyed by :class:`~repro.workloads.generator.WorkloadSpec` in
+  an LRU bounded by bytes, so every configuration and DTM policy run over
+  one benchmark generates it once.  The C core only reads them (``const``
+  in ``fp_create``), which makes sharing safe.
+* **Native layouts** — :class:`~repro.sim.fast_timing.FastProcessor`'s
+  parameter vector and block-id tables, keyed like :func:`core_layout`.
+* **Block positions** — the ``{name: column}`` map of each distinct block
+  order, which metrics over a block group index result tables with
+  (:attr:`~repro.sim.results.IntervalTable.positions`).
 * **Zero-copy transport** — :class:`TraceRef`, a tiny picklable handle that
   ships *where the bytes live* (a ``*.trace.bin`` cache artifact to mmap, or
   a ``multiprocessing.shared_memory`` segment) instead of the bytes
@@ -60,9 +71,16 @@ from repro.thermal.floorplan import build_floorplan
 from repro.thermal.rc_model import ThermalRCNetwork
 from repro.thermal.solver import ThermalSolver
 
-#: Bounds of the two LRUs.
+#: Bounds of the solver, trace, native-layout and block-position LRUs.
 SOLVER_ENTRIES = 8
 TRACE_ENTRIES = 4
+LAYOUT_ENTRIES = 32
+POSITION_ENTRIES = 16
+#: Bytes the decoded-workload LRU holds, and the largest workload it admits
+#: (about 3,500 uops): the long workloads of a physics sweep would cost more
+#: memory than their generation costs time.
+WORKLOAD_BYTES = 2 << 20
+WORKLOAD_ENTRY_BYTES = 256 << 10
 
 def solver_key(floorplan, thermal_config) -> str:
     """Content key of one solver bundle.
@@ -94,12 +112,18 @@ def core_layout(config: ProcessorConfig):
     """``(block parameters, floorplan, block groups)`` of a single-core die.
 
     None of the three reads the configuration's name, power or thermal
-    section, so they are memoized per process on the rest of it: every cell
-    of a physics sweep shares one layout.  The returned mappings are shared;
-    callers copy what they keep.
+    section, so they are memoized per process on the rest of it
+    (:func:`layout_key`): every cell of a physics sweep shares one layout.
+    The returned mappings are shared; callers copy what they keep.
     """
-    return _core_layout(
-        dataclasses.replace(config, name="", power=_LAYOUT_POWER, thermal=_LAYOUT_THERMAL)
+    return _core_layout(layout_key(config))
+
+
+def layout_key(config: ProcessorConfig) -> ProcessorConfig:
+    """``config`` without its name, power and thermal sections: what a die's
+    layout and the native core's tables are built from."""
+    return dataclasses.replace(
+        config, name="", power=_LAYOUT_POWER, thermal=_LAYOUT_THERMAL
     )
 
 
@@ -115,12 +139,14 @@ def _core_layout(config: ProcessorConfig):
 
 
 class WarmCache:
-    """Two bounded LRUs (solver bundles, decoded traces) with hit counters.
+    """Bounded LRUs (solver bundles, decoded traces, decoded workloads,
+    native layouts) with hit counters.
 
     Thread-safe: the service's thread-mode pool replays concurrently from
     several threads, so every structure mutation happens under one lock.
     The cached objects themselves are safe to share — solvers hold
-    factorizations (read-only at solve time) and traces are frozen.
+    factorizations (read-only at solve time), traces are frozen and
+    workload and layout arrays are read-only.
     """
 
     def __init__(self) -> None:
@@ -129,10 +155,17 @@ class WarmCache:
             OrderedDict()
         )
         self._traces: "OrderedDict[str, ActivityTrace]" = OrderedDict()
+        #: Workload spec -> (decoded entry, its bytes).
+        self._workloads: "OrderedDict[object, Tuple[object, int]]" = OrderedDict()
+        self._workload_bytes = 0
+        self._layouts: "OrderedDict[ProcessorConfig, object]" = OrderedDict()
+        self._positions: "OrderedDict[Tuple[str, ...], Dict[str, int]]" = OrderedDict()
         self.solver_hits = 0
         self.solver_misses = 0
         self.trace_hits = 0
         self.trace_misses = 0
+        self.workload_hits = 0
+        self.workload_misses = 0
 
     # -- solver bundles ------------------------------------------------
     def get_solver(self, key: str):
@@ -168,6 +201,56 @@ class WarmCache:
             while len(self._traces) > TRACE_ENTRIES:
                 self._traces.popitem(last=False)
 
+    # -- decoded workloads ---------------------------------------------
+    def get_workload(self, spec):
+        with self._lock:
+            entry = self._workloads.get(spec)
+            if entry is None:
+                return None
+            self._workloads.move_to_end(spec)
+            self.workload_hits += 1
+            return entry[0]
+
+    def put_workload(self, spec, workload, nbytes: int) -> None:
+        """Admit ``workload`` (``nbytes`` of arrays) unless it is over
+        :data:`WORKLOAD_ENTRY_BYTES`, evicting down to :data:`WORKLOAD_BYTES`."""
+        with self._lock:
+            self.workload_misses += 1
+            if nbytes > WORKLOAD_ENTRY_BYTES or spec in self._workloads:
+                return
+            self._workloads[spec] = (workload, nbytes)
+            self._workload_bytes += nbytes
+            while self._workload_bytes > WORKLOAD_BYTES:
+                _, (_, evicted) = self._workloads.popitem(last=False)
+                self._workload_bytes -= evicted
+
+    # -- native layouts and block positions ---------------------------
+    def native_layout(self, key: ProcessorConfig, build):
+        """The native core's tables for the die ``key``, from ``build()``
+        on a miss."""
+        return self._memoized(self._layouts, key, build, LAYOUT_ENTRIES)
+
+    def block_positions(self, names) -> Dict[str, int]:
+        """``{name: position}`` over ``names``, shared by equal orders."""
+        key = tuple(names)
+        return self._memoized(
+            self._positions,
+            key,
+            lambda: {name: i for i, name in enumerate(key)},
+            POSITION_ENTRIES,
+        )
+
+    def _memoized(self, table: OrderedDict, key, build, bound: int):
+        with self._lock:
+            value = table.get(key)
+            if value is None:
+                value = table[key] = build()
+                while len(table) > bound:
+                    table.popitem(last=False)
+            else:
+                table.move_to_end(key)
+            return value
+
     # -- observability -------------------------------------------------
     def snapshot(self) -> Dict[str, int]:
         """Cumulative counters only — summable across workers by the pool."""
@@ -177,6 +260,8 @@ class WarmCache:
                 "solver_misses": self.solver_misses,
                 "trace_hits": self.trace_hits,
                 "trace_misses": self.trace_misses,
+                "workload_hits": self.workload_hits,
+                "workload_misses": self.workload_misses,
             }
 
     def info(self) -> Dict[str, int]:
@@ -184,6 +269,8 @@ class WarmCache:
             return {
                 "solvers_cached": len(self._solvers),
                 "traces_cached": len(self._traces),
+                "workloads_cached": len(self._workloads),
+                "workload_bytes": self._workload_bytes,
                 "max_solvers": SOLVER_ENTRIES,
                 "max_traces": TRACE_ENTRIES,
             }
@@ -192,10 +279,16 @@ class WarmCache:
         with self._lock:
             self._solvers.clear()
             self._traces.clear()
+            self._workloads.clear()
+            self._workload_bytes = 0
+            self._layouts.clear()
+            self._positions.clear()
             self.solver_hits = 0
             self.solver_misses = 0
             self.trace_hits = 0
             self.trace_misses = 0
+            self.workload_hits = 0
+            self.workload_misses = 0
 
 
 _CACHE = WarmCache()
